@@ -238,114 +238,173 @@ class RasterJob:
 
 @dataclass(frozen=True)
 class RasterGrid:
-    """Per-pixel first-arrival step counts; -1 marks non-convergence."""
+    """Per-pixel first-arrival step counts.
+
+    -1 marks a pixel that settles on no cycle of period up to 8 within the
+    budget (see julia_raster).  When F_p has no attracting cycle of such a
+    period, every pixel is -1.
+    """
 
     counts: np.ndarray
     job: RasterJob
 
 
-_TAIL = 10  # ring buffer length for cycle detection
+_TAIL = 10  # orbit points kept for the end-of-budget cycle test
 _MAX_PERIOD = 8
+# Critical-orbit steps before its cycle is read off: enough to converge to
+# double precision onto a cycle of multiplier up to about 0.99.
+_CRITICAL_STEPS = 4096
 
 
-def _iterate_uv(u, v, p, n, tail_u=None, tail_v=None):
-    # vectorized projective iteration; optionally records the last _TAIL steps
+def _step(u, v, p, pc):
+    """One step of F_p on normalized homogeneous coordinates, z = u/v."""
+    nu = u * u + p * (v * v)
+    nv = v * v - pc * (u * u)
+    norm = np.sqrt(np.abs(nu) ** 2 + np.abs(nv) ** 2)
+    # a zero norm cannot occur for finite p: u^2 = -p v^2 and
+    # v^2 = conj(p) u^2 together force u = v = 0
+    return nu / norm, nv / norm
+
+
+def _chord(au, av, bu, bv):
+    """Chordal distance of normalized homogeneous points a and b."""
+    return 2.0 * np.abs(au * bv - bu * av)
+
+
+def _periods(tail_u, tail_v, tol):
+    """Smallest period per orbit from its last points, 0 for none.
+
+    tail_u, tail_v hold the last points of each orbit, oldest first.  A
+    period-q cycle needs the two newest points to lie within tol of their
+    q-back partners; the smallest q up to _MAX_PERIOD wins.
+    """
+    period = np.zeros(tail_u.shape[1:], dtype=np.int64)
+    for q in range(1, min(_MAX_PERIOD, len(tail_u) - 2) + 1):
+        hit = ((_chord(tail_u[-1], tail_v[-1], tail_u[-1 - q], tail_v[-1 - q]) < tol)
+               & (_chord(tail_u[-2], tail_v[-2], tail_u[-2 - q], tail_v[-2 - q]) < tol))
+        period[(period == 0) & hit] = q
+    return period
+
+
+def _orbit(u, v, p, steps):
+    """The points of each orbit from its start to step `steps`, oldest first."""
     pc = np.conj(p)
-    for k in range(n):
-        nu = u * u + p * (v * v)
-        nv = v * v - pc * (u * u)
-        norm = np.sqrt(np.abs(nu) ** 2 + np.abs(nv) ** 2)
-        # a zero norm cannot occur for finite p: u^2 = -p v^2 and
-        # v^2 = conj(p) u^2 together force u = v = 0
-        u, v = nu / norm, nv / norm
-        if tail_u is not None:
-            tail_u[(k + 1) % _TAIL] = u
-            tail_v[(k + 1) % _TAIL] = v
-    return u, v
+    out_u = np.empty((steps + 1,) + u.shape, dtype=complex)
+    out_v = np.empty_like(out_u)
+    out_u[0], out_v[0] = u, v
+    for k in range(1, steps + 1):
+        u, v = _step(u, v, p, pc)
+        out_u[k], out_v[k] = u, v
+    return out_u, out_v
 
 
-def _raster_rows(job, row_lo, row_hi):
+def _attracting_cycles(p, tol):
+    """The attracting cycles of F_p with period up to _MAX_PERIOD.
+
+    F_p is z^2 followed by a rotation, so its critical points are 0 and
+    infinity, and every attracting cycle attracts one of them (Fatou;
+    Milnor, Dynamics in One Complex Variable, section 8).  The critical
+    orbits run up to _CRITICAL_STEPS steps and their cycles are read off
+    with the tail test at tol.  A cycle is kept only if its multiplier, the
+    product of the spherical derivatives at its points, is below 1: at
+    p = i both orbits land exactly on the repelling fixed point 1.  Returns
+    one (u, v) pair of point arrays per cycle; a cycle both critical points
+    reach is listed once.
+    """
+    p = complex(p)
+    u, v = np.array([0j, 1 + 0j]), np.array([1 + 0j, 0j])
+    for _ in range(_CRITICAL_STEPS // (_TAIL - 1)):
+        tail_u, tail_v = _orbit(u, v, p, _TAIL - 1)
+        u, v = tail_u[-1], tail_v[-1]
+        # an orbit that repeats a point exactly is periodic from there on
+        repeats = (tail_u[:-1] == u) & (tail_v[:-1] == v)
+        if repeats.any(axis=0).all():
+            break
+    cycles = []
+    for orbit, q in enumerate(_periods(tail_u, tail_v, tol)):
+        if q == 0:
+            continue
+        cu, cv = tail_u[-q:, orbit], tail_v[-q:, orbit]
+        a, b = np.abs(cu) ** 2, np.abs(cv) ** 2
+        if np.prod(2.0 * np.sqrt(a * b) * (a + b) / (a * a + b * b)) >= 1.0:
+            continue
+        if any((_chord(cu[-1], cv[-1], ou, ov) < tol).any() for ou, ov in cycles):
+            continue
+        cycles.append((cu, cv))
+    return cycles
+
+
+def _raster_rows(job, cycles, row_lo, row_hi):
     p = complex(job.params.p)
+    pc = np.conj(p)
     tol = job.cycle_tol
     n = job.max_iters
     re, im = job.pixel_centers()
     z0 = re[np.newaxis, :] + 1j * im[row_lo:row_hi, np.newaxis]
     r = np.hypot(np.abs(z0), 1.0)
-    u0, v0 = z0 / r, 1.0 / r
+    u, v = (z0 / r).ravel(), (1.0 / r).ravel()
+    counts = np.full(u.size, -1, dtype=np.int64)
+    active = np.arange(u.size)
+    cycle_u = np.concatenate([cu for cu, _ in cycles])
+    cycle_v = np.concatenate([cv for _, cv in cycles])
 
-    shape = u0.shape
-    tail_u = np.zeros((_TAIL,) + shape, dtype=complex)
-    tail_v = np.zeros((_TAIL,) + shape, dtype=complex)
-    tail_u[0], tail_v[0] = u0, v0
-    _iterate_uv(u0, v0, p, n, tail_u, tail_v)
+    # steps up to n - _TAIL: a pixel within tol of an attracting cycle
+    # point settles there and leaves the active set
+    first_tail = max(0, n + 1 - _TAIL)
+    for step in range(first_tail):
+        near = np.zeros(active.size, dtype=bool)
+        for a, b in zip(cycle_u, cycle_v):
+            near |= _chord(u, v, a, b) < tol
+        if near.any():
+            counts[active[near]] = step
+            keep = ~near
+            active, u, v = active[keep], u[keep], v[keep]
+            if not active.size:
+                break
+        u, v = _step(u, v, p, pc)
 
-    def tail_at(step):
-        # step counted from the end: 0 is the final point
-        return tail_u[(n - step) % _TAIL], tail_v[(n - step) % _TAIL]
-
-    # a period-q cycle needs the two newest points to match their q-back
-    # partners; the smallest q wins
-    period = np.zeros(shape, dtype=np.int64)
-    fu, fv = tail_at(0)
-    gu, gv = tail_at(1)
-    for q in range(1, _MAX_PERIOD + 1):
-        if q + 1 >= min(_TAIL, n + 1):
-            break
-        bu, bv = tail_at(q)
-        cu, cv = tail_at(q + 1)
-        hit = (2.0 * np.abs(fu * bv - bu * fv) < tol) & (
-            2.0 * np.abs(gu * cv - cu * gv) < tol
-        )
-        period = np.where((period == 0) & hit, q, period)
-
-    # cycle slots: one period of tail points, repeated cyclically
-    slot_u = np.zeros((_MAX_PERIOD,) + shape, dtype=complex)
-    slot_v = np.zeros((_MAX_PERIOD,) + shape, dtype=complex)
-    for m in range(_MAX_PERIOD):
-        for q in range(1, _MAX_PERIOD + 1):
-            sel = period == q
-            if not sel.any():
-                continue
-            bu, bv = tail_at(m % q)
-            slot_u[m][sel] = bu[sel]
-            slot_v[m][sel] = bv[sel]
-
-    counts = np.full(shape, -1, dtype=np.int64)
-    has_cycle = period > 0
-    u, v = u0.copy(), v0.copy()
-    pc = np.conj(p)
-    for step in range(n + 1):
-        near = np.zeros(shape, dtype=bool)
-        for m in range(_MAX_PERIOD):
-            near |= 2.0 * np.abs(u * slot_v[m] - slot_u[m] * v) < tol
-        arrive = has_cycle & near & (counts < 0)
-        counts[arrive] = step
-        if step == n:
-            break
-        nu = u * u + p * (v * v)
-        nv = v * v - pc * (u * u)
-        norm = np.sqrt(np.abs(nu) ** 2 + np.abs(nv) ** 2)
-        u, v = nu / norm, nv / norm
-    return counts
+    # the last _TAIL steps: a pixel whose newest points pass the tail test
+    # settles at its first step within tol of one period of them
+    if active.size:
+        tail_u, tail_v = _orbit(u, v, p, n - first_tail)
+        period = _periods(tail_u, tail_v, tol)
+        tail_counts = np.full(active.size, -1, dtype=np.int64)
+        for k in range(len(tail_u)):
+            near = np.zeros(active.size, dtype=bool)
+            for m in range(period.max()):
+                near |= (m < period) & (
+                    _chord(tail_u[k], tail_v[k], tail_u[-1 - m], tail_v[-1 - m]) < tol)
+            tail_counts[near & (tail_counts < 0)] = first_tail + k
+        counts[active] = tail_counts
+    return counts.reshape(row_hi - row_lo, job.width)
 
 
 def julia_raster(job, threads=1):
     """Convergence-time raster of F_p over the job's viewport.
 
-    Two passes per pixel: iterate max_iters steps in projective sphere
-    coordinates and detect a stable cycle (period up to 8) on the orbit
-    tail, then replay the orbit and record the first step landing within
-    cycle_tol of the cycle; pixels with no detected cycle get -1.  Pixels
-    are independent, so the raster is deterministic for any thread count.
+    The attracting cycles come first, from the two critical orbits (see
+    _attracting_cycles); with none, every pixel is -1 and nothing is
+    iterated.  Pixels then iterate in projective sphere coordinates as a
+    shrinking active set: a pixel within cycle_tol (chordal) of a cycle
+    point at step s <= max_iters - 10 gets count s and stops.  Pixels still
+    active run to max_iters and take the tail test instead: their two
+    newest points must lie within cycle_tol of their q-back partners for
+    some period q up to 8, and the count is the first of the last ten
+    steps within cycle_tol of one period of those points; otherwise -1.
+    Pixels are independent, so the raster is deterministic for any thread
+    count.
     """
     threads = max(1, int(threads))
+    cycles = _attracting_cycles(job.params.p, job.cycle_tol)
+    if not cycles:
+        return RasterGrid(counts=np.full((job.height, job.width), -1, dtype=np.int64),
+                          job=job)
     if threads == 1 or job.height < 2 * threads:
-        return RasterGrid(counts=_raster_rows(job, 0, job.height), job=job)
+        return RasterGrid(counts=_raster_rows(job, cycles, 0, job.height), job=job)
     bounds = np.linspace(0, job.height, threads + 1, dtype=int)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(
-            pool.map(lambda b: _raster_rows(job, b[0], b[1]), zip(bounds[:-1], bounds[1:]))
-        )
+        parts = list(pool.map(lambda b: _raster_rows(job, cycles, b[0], b[1]),
+                              zip(bounds[:-1], bounds[1:])))
     return RasterGrid(counts=np.vstack(parts), job=job)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import chaos, purification, sme, stabilization
 from .entanglement import ProtocolBudgetError, entangle_protocol
-from .output import write_csv, write_pgm
+from .output import format_value, write_csv, write_pgm
 from .stochastic import RngStream, run_ensemble
 
 
@@ -191,11 +191,13 @@ def _run_julia(cfg):
     counts = grid.counts
     res, ims = job.pixel_centers()
     results = {"nonconverged_fraction": float(np.mean(counts < 0))}
+    re_cells = [format_value(x) for x in res]
 
     def rows():
-        for r in range(height):
-            for c in range(width):
-                yield (res[c], ims[r], int(counts[r, c]))
+        for im, row in zip(ims, counts.tolist()):
+            im_cell = format_value(im)
+            for re_cell, count in zip(re_cells, row):
+                yield (re_cell, im_cell, count)
 
     return [("csv", ["re", "im", "count"], rows()),
             ("pgm", counts, cfg["max_iters"])], results

@@ -1,5 +1,6 @@
 """Tests for the measurement-induced nonlinear map and its chaos tools."""
 
+import hashlib
 import math
 
 import mpmath
@@ -193,6 +194,132 @@ def test_julia_raster_thread_count_invariance():
     many = ch.julia_raster(job, threads=5)
     assert np.array_equal(one.counts, many.counts)
     assert many.job == job
+
+
+def _raster_counts(p, size, max_iters):
+    job = ch.RasterJob(re_min=-2.0, re_max=2.0, im_min=-2.0, im_max=2.0,
+                       width=size, height=size, max_iters=max_iters,
+                       params=ch.MapParams(p=p))
+    return ch.julia_raster(job).counts
+
+
+def _counts_sha256(counts):
+    return hashlib.sha256(np.ascontiguousarray(counts, dtype="<i8").tobytes()).hexdigest()
+
+
+# 128x128 rasters over [-2, 2]^2, frozen from the earlier two-pass raster,
+# which replayed every orbit against its own final points:
+# p -> {max_iters: (sha256 of the int64 counts, settled pixels, count sum)}.
+# p = 0.6544 has an attracting fixed point of multiplier 0.970.
+_ALL_UNSETTLED = ("b5a41c3758763bbec72769fab4a2533bf2db0b6312d93d25a695f9e4b9e02260", 0, 0)
+FROZEN_RASTERS = {
+    0: {12: ("07d68cc3f9a1f855aac4d59d92645cf73b6ac591c2de1238ef120af8681da585", 16108, 98832),
+        32: ("6b855683512a1afb766662649b106122f68146ccfe1304548582719cf1b6a552", 16384, 102128),
+        400: ("6b855683512a1afb766662649b106122f68146ccfe1304548582719cf1b6a552", 16384, 102128)},
+    1: {12: ("416acaf5ea8a7cfdc21f19f58f3fdaa0353f05dbf88307eded90c7435a80ebbd", 532, 4364),
+        32: ("617a312cad04ba6cd24890e0236cf04727cd81d6bdd07ef3a678d6b6315402f0", 15560, 257984),
+        400: ("4af56425773c91889615bf54341fa07e4f71914b6896220cbf77af561648cb80", 16384, 286264)},
+    1j: {12: _ALL_UNSETTLED, 32: _ALL_UNSETTLED, 400: _ALL_UNSETTLED},
+    0.3 + 0.2j: {
+        12: _ALL_UNSETTLED, 32: _ALL_UNSETTLED,
+        400: ("d2296873027b2bea304e8c1679f6485cf19647a9f35ab50978a6d0a7d2e6a821", 16384, 1251358)},
+    0.5: {12: _ALL_UNSETTLED, 32: _ALL_UNSETTLED,
+          400: ("2b8d60ff67766420b33cf5beadb27713e0e31d1462c55a0143dcd66b629284e0", 16384, 1393648)},
+    0.2j: {12: _ALL_UNSETTLED,
+           32: ("c04caa040675bb649662bab191578c36d58910f0c03cb02963c480eb632e2639", 16290, 385198),
+           400: ("596866f93f6bc148237e6fa50a7f63676273dd7175f3e162a10ff944b2fe9646", 16384, 388264)},
+    0.9: {12: _ALL_UNSETTLED,
+          32: ("434911365ef3ba8c19496e8d4f8de71b52b5ffe3ec39262b0af77bf5e625085b", 1208, 33284),
+          400: ("e7c10c315b9c4b6dee3ae3ed78cad22e5ba5086749a58b7925c85104e624bd8d", 16384, 583556)},
+    -0.3: {12: _ALL_UNSETTLED,
+           32: ("23b34b434ba19c1d660b031d7c8323284c59476549df3a40b71de976f6982348", 656, 19148),
+           400: ("924dab2fc0c9a356938c1c8e9da270d45d8bf978ca04dcf5a1d2e03da7cf5d65", 16384, 655476)},
+    0.6544: {12: _ALL_UNSETTLED, 32: _ALL_UNSETTLED, 400: _ALL_UNSETTLED},
+}
+
+
+@pytest.mark.parametrize("p", list(FROZEN_RASTERS), ids=str)
+def test_julia_raster_matches_frozen_two_pass_counts(p):
+    for max_iters, (sha, settled, total) in FROZEN_RASTERS[p].items():
+        counts = _raster_counts(p, 128, max_iters)
+        got = (_counts_sha256(counts), int((counts >= 0).sum()), int(counts[counts >= 0].sum()))
+        assert got == (sha, settled, total), max_iters
+
+
+# Pixels that reach an attracting cycle late in the budget.  The two-pass
+# raster compared an orbit with its own final points, which then still sat
+# off the cycle by about cycle_tol * |multiplier|^(steps left);
+# the critical orbit's cycle points are on it.  So a pixel whose distance
+# at arrival lies within that offset of cycle_tol moves by a step (by a
+# period for a 2-cycle), either way.  (p, size, max_iters): sha256 of the
+# two-pass counts, {(row, col): (two-pass count, count now)}.  At n = 49
+# the moved pixels were within cycle_tol of their own final points at step
+# 39 = n - 10, the last step the active set checks, but reach the cycle only
+# at step 40, where the tail test takes over.
+LATE_ARRIVALS = {
+    "p=-0.3,n=49": ((-0.3, 128, 49),
+                    "b5dda3977ef6ed68f65da244c559b938bd04ea794261639f671d507188cb642f",
+                    {(11, 32): (39, 40), (11, 95): (39, 40),
+                     (116, 32): (39, 40), (116, 95): (39, 40)}),
+    "p=-0.3,n=60": ((-0.3, 128, 60),
+                    "c6b4bd0f1951e55d557bf53c2334abafecfd96c4e95253cfed421d6a7f22e9df",
+                    {(6, 5): (50, 49), (6, 122): (50, 49),
+                     (121, 5): (50, 49), (121, 122): (50, 49)}),
+    "p=0.3+0.2i,n=60": ((0.3 + 0.2j, 128, 60),
+                        "c28530b0eb0299d82332dfa9f7724aeb283f491bf8bd7dc511a4fe5e4a5c99d2",
+                        {(58, 43): (48, 49), (69, 84): (48, 49)}),
+    "2-cycle,p=0.732+0.1334i,n=400": (
+        (0.732 + 0.1334j, 64, 400),
+        "47367eda0d639e4952ee824dbfa10c2ba4744030b327a72b4a681c50bf6d1e91",
+        {(10, 0): (376, 378), (10, 21): (326, 328),
+         (53, 42): (326, 328), (53, 63): (376, 378)}),
+    "near-parabolic,p=0.6544,n=1000": (
+        (0.6544, 64, 1000),
+        "5c141ec5fb26d752d4829c584dd606962cc8ec41c6b40721f7af553bf03d11c2",
+        {(10, 9): (638, 637), (10, 54): (638, 637), (53, 9): (638, 637),
+         (53, 54): (638, 637), (16, 24): (642, 643), (16, 39): (642, 643),
+         (47, 24): (642, 643), (47, 39): (642, 643)}),
+}
+
+
+@pytest.mark.parametrize("case", list(LATE_ARRIVALS))
+def test_julia_raster_late_arrivals_count_against_the_true_cycle(case):
+    (p, size, max_iters), sha, moved = LATE_ARRIVALS[case]
+    counts = _raster_counts(p, size, max_iters)
+    for (row, col), (before, now) in moved.items():
+        assert counts[row, col] == now, (row, col)
+        counts[row, col] = before
+    assert _counts_sha256(counts) == sha
+
+
+def _sphere_points(cycle):
+    cu, cv = cycle
+    return [ch.INFINITY if v == 0 else complex(u / v) for u, v in zip(cu, cv)]
+
+
+def test_attracting_cycles_from_critical_orbits():
+    def has(zs, w):
+        return min(ch.chordal_distance(z, w) for z in zs) < 1e-12
+
+    (two_cycle,) = ch._attracting_cycles(1.0, 1e-9)  # both critical orbits
+    zs = _sphere_points(two_cycle)
+    assert len(zs) == 2 and has(zs, -1.0) and has(zs, ch.INFINITY)
+
+    fixed = ch._attracting_cycles(0.0, 1e-9)  # z^2 fixes 0 and infinity
+    zs = [z for cycle in fixed for z in _sphere_points(cycle)]
+    assert len(fixed) == 2 and len(zs) == 2
+    assert has(zs, 0.0) and has(zs, ch.INFINITY)
+
+    # p = i: 0 -> i -> -1 -> 1 and infinity -> -i -> -1 -> 1 land exactly on
+    # the fixed point 1 in floating point, but its multiplier is 2
+    assert ch._attracting_cycles(1j, 1e-9) == []
+    # the two-pass raster gave the center pixel, z = 0, count 3 for landing
+    # there; a repelling point is not convergence, so no pixel settles
+    for max_iters in (12, 400):
+        job = ch.RasterJob(re_min=-2.0, re_max=2.0, im_min=-2.0, im_max=2.0,
+                           width=3, height=3, max_iters=max_iters,
+                           params=ch.MapParams(p=1j))
+        assert np.array_equal(ch.julia_raster(job).counts, np.full((3, 3), -1))
 
 
 def test_boundary_mask_and_box_counts():

@@ -1,5 +1,6 @@
 """Tests for the artifact writers and the command-line front end."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -208,6 +209,23 @@ def test_julia_run_and_byte_reproducibility(tmp_path, capsys, monkeypatch):
     assert cli.main(args) == 0
     assert csv_path.read_bytes() == csv_bytes
     assert pgm_path.read_bytes() == pgm_bytes
+
+
+def test_julia_output_bytes_are_frozen(tmp_path, monkeypatch):
+    # sha256 of the files this command wrote before the one-pass raster and
+    # the per-axis coordinate formatting; the relative --out keeps the
+    # temporary directory out of the preamble
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QFC_THREADS", raising=False)
+    args = ["julia", "--grid", "48x48", "--max-iters", "30", "--p-re", "1",
+            "--out", "j"]
+    assert cli.main(args) == 0
+    digests = {suffix: hashlib.sha256((tmp_path / f"j.{suffix}").read_bytes()).hexdigest()
+               for suffix in ("csv", "pgm")}
+    assert digests == {
+        "csv": "d85453129032083b172cf54bf98f1e133b39a8c08abd5e35c256c5413830861e",
+        "pgm": "36f973b133186802952b9de011e328121efdf44cf3c63ad8589023f899963f8c",
+    }
 
 
 def test_stabilize_spot_run(tmp_path):
