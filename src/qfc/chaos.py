@@ -251,9 +251,14 @@ class RasterGrid:
 
 _TAIL = 10  # orbit points kept for the end-of-budget cycle test
 _MAX_PERIOD = 8
-# Critical-orbit steps before its cycle is read off: enough to converge to
-# double precision onto a cycle of multiplier up to about 0.99.
+# Least critical-orbit steps before its cycle is read off: enough to
+# converge to double precision onto a cycle of multiplier up to about 0.99.
 _CRITICAL_STEPS = 4096
+# The critical orbits also run this many times the pixel budget: at a
+# slowly attracting cycle they need about as many steps as the pixels to
+# reach it, and its points must be settled to well within cycle_tol before
+# a pixel's arrival on them can be counted.
+_CRITICAL_BUDGETS = 4
 
 
 def _step(u, v, p, pc):
@@ -298,28 +303,46 @@ def _orbit(u, v, p, steps):
     return out_u, out_v
 
 
-def _attracting_cycles(p, tol):
+def _orbit_tail(u, v, p, steps):
+    """The last _TAIL points (u, v) of one orbit of `steps` steps, oldest first.
+
+    Plain complex scalars, with the arithmetic of _step.  An orbit that
+    repeats a point exactly is periodic from there on, so it stops _TAIL
+    steps later, once its last points are all on that cycle.
+    """
+    pc = p.conjugate()
+    tail = [(u, v)]
+    left = steps
+    while left:
+        left -= 1
+        uu, vv = u * u, v * v
+        nu, nv = uu + p * vv, vv - pc * uu
+        norm = math.sqrt(abs(nu) ** 2 + abs(nv) ** 2)
+        u, v = nu / norm, nv / norm
+        if left > _TAIL and (u, v) in tail:
+            left = _TAIL
+        tail.append((u, v))
+        if len(tail) > _TAIL:
+            del tail[0]
+    return tail
+
+
+def _attracting_cycles(p, tol, steps=_CRITICAL_STEPS):
     """The attracting cycles of F_p with period up to _MAX_PERIOD.
 
     F_p is z^2 followed by a rotation, so its critical points are 0 and
     infinity, and every attracting cycle attracts one of them (Fatou;
     Milnor, Dynamics in One Complex Variable, section 8).  The critical
-    orbits run up to _CRITICAL_STEPS steps and their cycles are read off
-    with the tail test at tol.  A cycle is kept only if its multiplier, the
-    product of the spherical derivatives at its points, is below 1: at
-    p = i both orbits land exactly on the repelling fixed point 1.  Returns
-    one (u, v) pair of point arrays per cycle; a cycle both critical points
-    reach is listed once.
+    orbits run `steps` steps and their cycles are read off with the tail
+    test at tol.  A cycle is kept only if its multiplier, the product of
+    the spherical derivatives at its points, is below 1: at p = i both
+    orbits land exactly on the repelling fixed point 1.  Returns one (u, v)
+    pair of point arrays per cycle; a cycle both critical points reach is
+    listed once.
     """
     p = complex(p)
-    u, v = np.array([0j, 1 + 0j]), np.array([1 + 0j, 0j])
-    for _ in range(_CRITICAL_STEPS // (_TAIL - 1)):
-        tail_u, tail_v = _orbit(u, v, p, _TAIL - 1)
-        u, v = tail_u[-1], tail_v[-1]
-        # an orbit that repeats a point exactly is periodic from there on
-        repeats = (tail_u[:-1] == u) & (tail_v[:-1] == v)
-        if repeats.any(axis=0).all():
-            break
+    tails = [_orbit_tail(0j, 1 + 0j, p, steps), _orbit_tail(1 + 0j, 0j, p, steps)]
+    tail_u, tail_v = np.array(tails).transpose(2, 1, 0)  # coordinate, step, orbit
     cycles = []
     for orbit, q in enumerate(_periods(tail_u, tail_v, tol)):
         if q == 0:
@@ -382,9 +405,9 @@ def _raster_rows(job, cycles, row_lo, row_hi):
 def julia_raster(job, threads=1):
     """Convergence-time raster of F_p over the job's viewport.
 
-    The attracting cycles come first, from the two critical orbits (see
-    _attracting_cycles); with none, every pixel is -1 and nothing is
-    iterated.  Pixels then iterate in projective sphere coordinates as a
+    The attracting cycles come first, from the two critical orbits run
+    for four times max_iters steps, at least 4096 (see _attracting_cycles);
+    with none, every pixel is -1 and nothing is iterated.  Pixels then iterate in projective sphere coordinates as a
     shrinking active set: a pixel within cycle_tol (chordal) of a cycle
     point at step s <= max_iters - 10 gets count s and stops.  Pixels still
     active run to max_iters and take the tail test instead: their two
@@ -395,7 +418,8 @@ def julia_raster(job, threads=1):
     count.
     """
     threads = max(1, int(threads))
-    cycles = _attracting_cycles(job.params.p, job.cycle_tol)
+    cycles = _attracting_cycles(job.params.p, job.cycle_tol,
+                                max(_CRITICAL_STEPS, _CRITICAL_BUDGETS * job.max_iters))
     if not cycles:
         return RasterGrid(counts=np.full((job.height, job.width), -1, dtype=np.int64),
                           job=job)

@@ -279,6 +279,17 @@ LATE_ARRIVALS = {
         {(10, 9): (638, 637), (10, 54): (638, 637), (53, 9): (638, 637),
          (53, 54): (638, 637), (16, 24): (642, 643), (16, 39): (642, 643),
          (47, 24): (642, 643), (47, 39): (642, 643)}),
+    # Multiplier 0.997: floating-point F_p fixes points up to about 2e-13
+    # from the true fixed point.  The critical orbit stops on one 1.8e-13
+    # off it, the pixels' own final points are about 2e-14 off, so pixels
+    # whose distance at arrival lies within 6e-14 of cycle_tol move a step.
+    "near-parabolic,p=0.678529,n=10000": (
+        (0.678529, 16, 10000),
+        "67bc5e08435c2c11e602939ffe7613bcd03fb07f47f8b5b50b9d9804e216aff9",
+        {(2, 5): (6064, 6065), (2, 10): (6064, 6065), (13, 5): (6064, 6065),
+         (13, 10): (6064, 6065), (5, 4): (6054, 6055), (5, 11): (6054, 6055),
+         (10, 4): (6054, 6055), (10, 11): (6054, 6055), (7, 2): (6051, 6052),
+         (7, 13): (6051, 6052), (8, 2): (6051, 6052), (8, 13): (6051, 6052)}),
 }
 
 
@@ -290,6 +301,46 @@ def test_julia_raster_late_arrivals_count_against_the_true_cycle(case):
         assert counts[row, col] == now, (row, col)
         counts[row, col] = before
     assert _counts_sha256(counts) == sha
+
+
+def test_julia_raster_slow_cycle_matches_frozen_two_pass_counts():
+    # multiplier 0.996: pixels arrive at steps 4323-4598, so the critical
+    # orbits must run well past 4096 steps to reach the cycle.  The two-pass
+    # raster gave these counts at max_iters 10 000, and at 6000 moved 124
+    # pixels by a step against their own final points; arrivals on the
+    # cycle do not depend on the budget.
+    for max_iters in (6000, 10000):
+        counts = _raster_counts(0.677623, 16, max_iters)
+        assert _counts_sha256(counts) == (
+            "ee586a8630b8eba3339e7f46c37d2abfdfa91fde13a348eb6e14a274099044af"), max_iters
+
+
+# Pixels still off a slowly attracting cycle at step n - 10 that pass the
+# tail test.  The two-pass raster counted them at their first step within
+# cycle_tol of their own final points, which had not reached the cycle
+# either; they now count at their arrival on the cycle, or in the tail
+# window if they have not arrived.  The settled pixels are the same.
+# (p, size, max_iters): (sha256 of the counts, settled pixels, count sum).
+SLOW_TAILS = {
+    # 2-cycle of multiplier 0.916: all 124 settled pixels count 1-13 steps
+    # later, 116 of them in the tail window (two-pass: 124 settled, sum 47906)
+    "2-cycle,p=-1.0913+0.9491i,n=400": (
+        (-1.0913 + 0.9491j, 64, 400),
+        ("f71ba8e81feeda74f1ce42512387ec82b6e180ba20699599fd673c0e07c2f150", 124, 48420)),
+    # fixed point of multiplier 0.996, reached only at step 4323: every
+    # pixel counts 3991 = n - 9 instead of 3939-3979 (two-pass: sum 1017900)
+    "near-parabolic,p=0.677623,n=4000": (
+        (0.677623, 16, 4000),
+        ("c1135c65ba0749a2ba9efc5813231018dd3987bc7938cd96a3e479cb5a9d8e90", 256, 1021696)),
+}
+
+
+@pytest.mark.parametrize("case", list(SLOW_TAILS))
+def test_julia_raster_slow_arrivals_count_on_the_cycle_or_in_the_tail(case):
+    (p, size, max_iters), frozen = SLOW_TAILS[case]
+    counts = _raster_counts(p, size, max_iters)
+    got = (_counts_sha256(counts), int((counts >= 0).sum()), int(counts[counts >= 0].sum()))
+    assert got == frozen
 
 
 def _sphere_points(cycle):
