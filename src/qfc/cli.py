@@ -22,7 +22,7 @@ import numpy as np
 from . import chaos, purification, sme, stabilization
 from .entanglement import ProtocolBudgetError, entangle_protocol
 from .output import format_value, write_csv, write_pgm
-from .stochastic import RngStream, run_ensemble
+from .stochastic import RngStream, run_ensemble, wiener_steps
 
 
 class ConfigError(Exception):
@@ -227,29 +227,22 @@ def _run_spin_collapse(cfg):
     n_steps = int(round(cfg["t_max"] / dt))
     stride = cfg["sample_every"]
     n_samples = n_steps // stride + 1
-    rho0 = np.eye(d, dtype=complex) / d
+    x0 = sme.to_coords(np.eye(d) / d)
 
-    def trajectory(stream):
-        rho = rho0.copy()
-        dws = stream.wiener(dt, (n_steps, 1))
-        track = np.empty((n_samples, 2))
+    def batch(streams):
+        x = np.tile(x0, (len(streams), 1))
+        pops = np.empty((len(streams), n_samples, d))
+        pops[:, 0] = x0[:d]
+        for i, dw in enumerate(wiener_steps(streams, dt, n_steps), 1):
+            x = sme.step(model, x, dt, dw[:, None])
+            if i % stride == 0:
+                pops[:, i // stride] = x[:, :d]
+        outcome = np.zeros((len(streams), d))
+        outcome[np.arange(len(streams)), np.argmax(x[:, :d], axis=1)] = 1.0
+        track = np.stack([pops.max(axis=2), pops @ fz_diag], axis=2)
+        return np.concatenate([track.reshape(len(streams), -1), outcome], axis=1)
 
-        def grab(pos):
-            pops = np.diag(rho).real
-            track[pos] = pops.max(), float(fz_diag @ pops)
-
-        grab(0)
-        for i in range(n_steps):
-            rho = sme.sme_step(model, rho, dt, dws[i])
-            if (i + 1) % 100 == 0:
-                rho = 0.5 * (rho + rho.conj().T)
-            if (i + 1) % stride == 0:
-                grab((i + 1) // stride)
-        outcome = np.zeros(d)
-        outcome[int(np.argmax(np.diag(rho).real))] = 1.0
-        return np.concatenate([track.ravel(), outcome])
-
-    stats = run_ensemble(trajectory, cfg["trajectories"], cfg["seed"],
+    stats = run_ensemble(batch, cfg["trajectories"], cfg["seed"],
                          threads=cfg["threads"])
     track_mean = stats.mean[:2 * n_samples].reshape(n_samples, 2)
     track_sem = stats.sem[:2 * n_samples].reshape(n_samples, 2)

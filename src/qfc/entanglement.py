@@ -329,7 +329,7 @@ def entangle_protocol(rho0, k, dt, horizon, seed, *, q1_threshold=0.999,
     purity_threshold; a last phase rotation lands on (|01> + |10>)/sqrt(2).
 
     Thresholds are checked before stepping, so a state already at the
-    target returns immediately without consuming noise.  Raises
+    target returns immediately, before any step.  Raises
     ProtocolBudgetError (carrying the partial trajectory) if the horizon
     runs out first.
     """
@@ -346,10 +346,10 @@ def entangle_protocol(rho0, k, dt, horizon, seed, *, q1_threshold=0.999,
     rho = check_density(rho0)
     if rho.shape != (4, 4):
         raise ValueError("state must be two-qubit")
-    stream = RngStream(seed, 0)
     stage1 = parity_model(k)
     stage2 = toggled_parity_model(k)
     n_max = int(round(horizon / dt))
+    dws = RngStream(seed, 0).wiener(dt, n_max)
 
     times, r2s, leaks, q1zs, purities, fids = [], [], [], [], [], []
 
@@ -403,13 +403,12 @@ def entangle_protocol(rho0, k, dt, horizon, seed, *, q1_threshold=0.999,
                 return package()
         if step == n_max:
             break
-        dw = float(stream.wiener(dt))
         if stage == 1:
-            rho = sme_step(stage1, rho, dt, [dw])
+            rho = sme_step(stage1, rho, dt, dws[step])
             q1 = which_block_vector(rho)
             u = q1_rotation(equator_hold_angle(q1[1], q1[2]))
         else:
-            rho = sme_step(stage2, rho, dt, [dw])
+            rho = sme_step(stage2, rho, dt, dws[step])
             x, y, _, _ = block_components(rho, "minus")
             u = q2_rotation(phase_hold_angle(x, y))
         rho = u @ rho @ u.conj().T

@@ -26,6 +26,11 @@ def format_value(value):
     return str(value)
 
 
+# Exact-type renderers for the common cell types, byte for byte what
+# format_value returns; any other type (bool included) goes through it.
+_CELL = {str: str, int: str, float: "%.17g".__mod__, np.float64: "%.17g".__mod__}
+
+
 def _write_preamble(fh, preamble):
     if not preamble:
         return
@@ -44,7 +49,7 @@ def write_csv(path, header, rows, preamble=None):
         _write_preamble(fh, preamble)
         fh.write(",".join(header) + "\n")
         for row in rows:
-            cells = [format_value(v) for v in row]
+            cells = [_CELL.get(type(v), format_value)(v) for v in row]
             if len(cells) != len(header):
                 raise ValueError("row width %d does not match header width %d"
                                  % (len(cells), len(header)))

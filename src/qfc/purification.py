@@ -14,13 +14,12 @@ impurity(t) = impurity(0) exp(-8 k t).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
-from .stochastic import RngStream
+from .stochastic import RngStream, run_ensemble, wiener_steps
 
 
 @dataclass
@@ -113,49 +112,27 @@ def mc_nofeedback_impurity(k, dt, n_steps, n_traj, base_seed, sample_every=1,
 
     From the origin the transverse components stay zero, so each trajectory
     reduces to its a_z component.  Returns (times, mean, var) of the impurity
-    at every sample_every-th step, reduced in fixed trajectory order.
+    at every sample_every-th step, reduced by ``run_ensemble``.
     """
     k = float(k)
     n_steps = int(n_steps)
-    n_traj = int(n_traj)
     sample_every = max(1, int(sample_every))
     idx = np.arange(0, n_steps + 1, sample_every)
     amp = np.sqrt(8.0 * k)
 
-    def run_chunk(lo):
-        hi = min(lo + chunk, n_traj)
-        m = hi - lo
-        dws = np.empty((m, n_steps))
-        for q, i in enumerate(range(lo, hi)):
-            dws[q] = RngStream(base_seed, i).wiener(dt, n_steps)
-        a_z = np.zeros(m)
-        imp = np.empty((m, len(idx)))
-        pos = 0
-        if idx[pos] == 0:
-            imp[:, pos] = 0.5
-            pos += 1
-        for s in range(n_steps):
-            a_z = a_z + (1.0 - a_z * a_z) * amp * dws[:, s]
-            np.clip(a_z, -1.0, 1.0, out=a_z)
-            if pos < len(idx) and idx[pos] == s + 1:
-                imp[:, pos] = 0.5 * (1.0 - a_z * a_z)
-                pos += 1
-        return imp.sum(axis=0), (imp * imp).sum(axis=0)
+    def batch(streams):
+        a_z = np.zeros(len(streams))
+        imp = np.empty((len(streams), len(idx)))
+        imp[:, 0] = 0.5
+        for s, dw in enumerate(wiener_steps(streams, dt, n_steps), 1):
+            a_z += (1.0 - a_z * a_z) * amp * dw
+            np.minimum(np.maximum(a_z, -1.0, out=a_z), 1.0, out=a_z)  # np.clip, faster
+            if s % sample_every == 0:
+                imp[:, s // sample_every] = 0.5 * (1.0 - a_z * a_z)
+        return imp
 
-    starts = list(range(0, n_traj, chunk))
-    if threads and threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            parts = list(pool.map(run_chunk, starts))
-    else:
-        parts = [run_chunk(lo) for lo in starts]
-    total = parts[0][0].copy()
-    total_sq = parts[0][1].copy()
-    for acc, acc_sq in parts[1:]:
-        total += acc
-        total_sq += acc_sq
-    mean = total / n_traj
-    var = np.maximum(total_sq / n_traj - mean * mean, 0.0)
-    return dt * idx, mean, var
+    stats = run_ensemble(batch, n_traj, base_seed, chunk=chunk, threads=threads)
+    return dt * idx, stats.mean, stats.var
 
 
 def feedback_impurity_path(run):

@@ -5,32 +5,78 @@ contributes rate * D[c] rho and a monitored channel adds
 sqrt(rate * efficiency) * H[c] rho dW.  Qubit dephasing of strength k is the
 channel (sigma_z, rate 2k), which decays coherences at 4k and drives the
 Bloch z component with sqrt(8k) (1 - a_z^2) dW.
+
+States are stepped in real Hermitian coordinates, d^2 reals per state,
+x = (rho_ii; Re rho_ij, i < j; Im rho_ij, i < j), and a batch of m states is
+an (m, d^2) array (``to_coords``, ``from_coords``).  Each map the engine
+applies is real-linear and keeps matrices Hermitian, so it acts on x as a
+real d^2 x d^2 matrix.  ``SmeModel.generator`` builds them once per model,
+on first use, by applying ``dissipator``, the commutator and the linear part
+of ``meas_superop`` to the basis matrices from_coords(e_k): the drift S
+(-i[H_base, .] plus every rate * D[c]), the control term C
+(-i[control_channel, .]) and, per monitored channel, M (the linear part of
+sqrt(rate eta) H[c]) with weights w, x . w = sqrt(rate eta) <c + c^dag>.
+One Euler step (``step``) is x + dt (x S^T + u x C^T) + sum_j dW_j (x M_j^T
+- (x . w_j) x), divided by the trace (the sum of the diagonal coordinates).
+States are Hermitian by construction; nothing needs re-symmetrising.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
 
 from .states import angular_momentum_ops, check_density, dag
-from .stochastic import IntegrationError, RngStream
+# perfbench/tracer.py counts the draws of the RngStream it finds here
+from .stochastic import (IntegrationError, RngStream,  # noqa: F401
+                         run_ensemble, wiener_steps)
 
 
 def dissipator(c, rho):
-    """D[c] rho = c rho c^dag - (c^dag c rho + rho c^dag c) / 2."""
+    """D[c] rho = c rho c^dag - (c^dag c rho + rho c^dag c) / 2; rho (..., d, d)."""
     cd = dag(c)
     cdc = cd @ c
     return c @ rho @ cd - 0.5 * (cdc @ rho + rho @ cdc)
 
 
 def meas_superop(c, rho):
-    """H[c] rho = c rho + rho c^dag - <c + c^dag> rho."""
+    """H[c] rho = c rho + rho c^dag - <c + c^dag> rho; rho (..., d, d)."""
     cd = dag(c)
-    e = np.trace((c + cd) @ rho).real
-    return c @ rho + rho @ cd - e * rho
+    e = np.trace((c + cd) @ rho, axis1=-2, axis2=-1).real
+    return c @ rho + rho @ cd - np.asarray(e)[..., None, None] * rho
+
+
+@functools.lru_cache(maxsize=None)
+def _basis(d):
+    """(B, A) on flattened d x d matrices: row k of B is the Hermitian basis
+    matrix E_k = from_coords(e_k), so from_coords is x @ B and to_coords is
+    Re(rho @ A)."""
+    iu, ju = np.triu_indices(d, 1)
+    n, k = iu.size, np.arange(iu.size)
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    basis[range(d), range(d), range(d)] = 1.0
+    basis[d + k, iu, ju] = basis[d + k, ju, iu] = 1.0
+    basis[d + n + k, iu, ju], basis[d + n + k, ju, iu] = 1j, -1j
+    basis = basis.reshape(d * d, d * d)
+    return basis, basis.conj().T / (basis * basis.conj()).real.sum(axis=1)
+
+
+def to_coords(rho):
+    """Real coordinates (..., d^2) of Hermitian matrices rho (..., d, d)."""
+    rho = np.asarray(rho, dtype=complex)
+    d = rho.shape[-1]
+    return (rho.reshape(rho.shape[:-2] + (d * d,)) @ _basis(d)[1]).real
+
+
+def from_coords(x):
+    """The Hermitian matrices (..., d, d) with real coordinates x (..., d^2)."""
+    x = np.asarray(x, dtype=float)
+    d = math.isqrt(x.shape[-1])
+    return (x @ _basis(d)[0]).reshape(x.shape[:-1] + (d, d))
 
 
 @dataclass
@@ -51,9 +97,23 @@ class Channel:
             raise ValueError("efficiency must lie in [0, 1]")
 
 
+@dataclass(frozen=True)
+class Generator:
+    """S, C and (M, w) per monitored channel (module docstring); rows x @ op."""
+
+    drift: np.ndarray
+    control: np.ndarray | None
+    monitored: tuple
+
+
 @dataclass
 class SmeModel:
-    """H(t) = hamiltonian_base + u(t, rho) * control_channel, plus channels."""
+    """H(t) = hamiltonian_base + u(t, rho) * control_channel, plus channels.
+
+    control_law(t, rho) receives one state (d, d) or a batch (m, d, d) and
+    returns a scalar or one value per state.  A model is treated as fixed
+    once stepped: its generator is built on first use and kept.
+    """
 
     dim: int
     hamiltonian_base: np.ndarray | None = None
@@ -80,14 +140,65 @@ class SmeModel:
         return [ch for ch in self.channels if ch.efficiency > 0.0]
 
     def hamiltonian(self, t, rho):
-        h = None
-        if self.hamiltonian_base is not None:
-            h = self.hamiltonian_base
+        h = self.hamiltonian_base
         if self.control_channel is not None and self.control_law is not None:
-            u = float(self.control_law(t, rho))
-            hb = u * self.control_channel
+            hb = float(self.control_law(t, rho)) * self.control_channel
             h = hb if h is None else h + hb
         return h
+
+    @functools.cached_property
+    def generator(self):
+        """The model's Generator, built on first use."""
+        d2 = self.dim * self.dim
+        basis = _basis(self.dim)[0].reshape(d2, self.dim, self.dim)
+
+        def commutator(h):
+            return -1j * (h @ basis - basis @ h)
+
+        drift = np.zeros_like(basis)
+        if self.hamiltonian_base is not None:
+            drift += commutator(self.hamiltonian_base)
+        for ch in self.channels:
+            drift += ch.rate * dissipator(ch.op, basis)
+        control = None
+        if self.control_channel is not None and self.control_law is not None:
+            control = to_coords(commutator(self.control_channel))
+        monitored = []
+        for ch in self.measured():
+            amp = math.sqrt(ch.rate * ch.efficiency)
+            w = np.trace((ch.op + dag(ch.op)) @ basis, axis1=1, axis2=2).real
+            # meas_superop took <c + c^dag> E_k off the image of E_k; the
+            # kernel takes that term per state, so add it back
+            lin = to_coords(meas_superop(ch.op, basis)) + np.diag(w)
+            monitored.append((amp * lin, amp * w))
+        return Generator(to_coords(drift), control, tuple(monitored))
+
+
+def _drift(model, x, t):
+    """Time derivative of the coordinate rows x under the deterministic part."""
+    gen = model.generator
+    out = x @ gen.drift
+    if gen.control is not None:
+        u = np.asarray(model.control_law(t, from_coords(x)), dtype=float)
+        out += np.reshape(u, (-1, 1)) * (x @ gen.control)
+    return out
+
+
+def step(model, x, dt, dw, t=0.0):
+    """Advance m states one conditioned Euler step; the batched kernel.
+
+    x holds the states as coordinate rows (m, d^2) and dw one Wiener
+    increment per state and monitored channel (m, n_mon), in model order.
+    Coefficients are taken at the left endpoint and every row is divided by
+    its trace.  Returns a new (m, d^2) array.
+    """
+    out = x + dt * _drift(model, x, t)
+    for j, (meas, w) in enumerate(model.generator.monitored):
+        out += dw[:, j, None] * (x @ meas - (x @ w)[:, None] * x)
+    tr = out[:, :model.dim].sum(axis=1)
+    if not (tr.min() > 0.0 and tr.max() < np.inf):  # NaN fails both
+        raise IntegrationError("trace lost during SME step")
+    return out / tr[:, None]
 
 
 def lindblad_step(model, rho, dt, t=0.0):
@@ -95,64 +206,29 @@ def lindblad_step(model, rho, dt, t=0.0):
 
     Without channels the step is the exact unitary conjugation by
     expm(-i H dt), which keeps the spectrum (and hence the entropy) fixed to
-    machine precision.  With channels it is an explicit Euler step followed
-    by trace renormalization.
+    machine precision.  With channels it is the kernel's Euler step with no
+    noise, renormalized by the trace.
     """
     rho = np.asarray(rho, dtype=complex)
+    if any(ch.rate > 0.0 for ch in model.channels):
+        return sme_step(model, rho, dt, np.zeros(len(model.measured())), t)
     h = model.hamiltonian(t, rho)
-    active = [ch for ch in model.channels if ch.rate > 0.0]
-    if not active:
-        if h is None:
-            return rho.copy()
-        u = expm(-1j * dt * h)
-        return u @ rho @ u.conj().T
-    drho = np.zeros_like(rho)
-    if h is not None:
-        drho += -1j * (h @ rho - rho @ h)
-    for ch in active:
-        drho += ch.rate * dissipator(ch.op, rho)
-    out = rho + dt * drho
-    tr = np.trace(out).real
-    if not np.isfinite(tr) or tr <= 0:
-        raise IntegrationError("trace lost during Lindblad step")
-    return out / tr
+    if h is None:
+        return rho.copy()
+    u = expm(-1j * dt * h)
+    return u @ rho @ u.conj().T
 
 
 def sme_step(model, rho, dt, dws, t=0.0):
-    """One conditioned Euler step; dws holds one Wiener increment per
-    monitored channel, in model order.  All coefficients are evaluated at the
-    left endpoint; the result is renormalized."""
-    rho = np.asarray(rho, dtype=complex)
-    h = model.hamiltonian(t, rho)
-    drho = np.zeros_like(rho)
-    if h is not None:
-        drho += -1j * (h @ rho - rho @ h)
-    for ch in model.channels:
-        if ch.rate > 0.0:
-            drho += ch.rate * dissipator(ch.op, rho)
-    out = rho + dt * drho
-    monitored = model.measured()
-    dws = np.atleast_1d(np.asarray(dws, dtype=float))
-    if dws.size != len(monitored):
-        raise ValueError(
-            f"got {dws.size} increments for {len(monitored)} monitored channels"
-        )
-    for ch, dw in zip(monitored, dws):
-        out += np.sqrt(ch.rate * ch.efficiency) * meas_superop(ch.op, rho) * dw
-    tr = np.trace(out).real
-    if not np.isfinite(tr) or tr <= 0:
-        raise IntegrationError("trace lost during SME step")
-    return out / tr
+    """One conditioned Euler step of a single state: ``step`` with m = 1.
 
-
-def record_increments(model, rho, dt, dws):
-    """Readout increments dY = 2 sqrt(rate eta) <(c + c^dag)/2> dt + dW."""
-    rho = np.asarray(rho, dtype=complex)
-    out = []
-    for ch, dw in zip(model.measured(), np.atleast_1d(dws)):
-        x = 0.5 * np.trace((ch.op + dag(ch.op)) @ rho).real
-        out.append(2.0 * np.sqrt(ch.rate * ch.efficiency) * x * dt + dw)
-    return np.array(out)
+    dws holds one Wiener increment per monitored channel, in model order.
+    """
+    dws = np.asarray(dws, dtype=float).reshape(1, -1)
+    n_mon = len(model.generator.monitored)
+    if dws.size != n_mon:
+        raise ValueError(f"got {dws.size} increments for {n_mon} monitored channels")
+    return from_coords(step(model, to_coords(rho)[None], dt, dws, t))[0]
 
 
 def innovation_increment(record_dy, x_expect, rate, efficiency, dt):
@@ -170,98 +246,61 @@ class TrajectoryResult:
 
 
 def run_trajectory(model, rho0, dt, n_steps, stream, observable_ops=None,
-                   store_states=False, resym_every=100):
-    """Integrate one conditioned trajectory.
+                   store_states=False):
+    """Integrate one conditioned trajectory with ``step``.
 
-    The state is re-symmetrized every resym_every steps to stop Hermiticity
-    drift.  observable_ops, if given, is a list of Hermitian operators whose
-    expectations are sampled at every step (including t=0).
+    observable_ops, if given, is a list of Hermitian operators whose
+    expectations are sampled at every step (including t=0).  The record
+    accumulates the readout dY = 2 sqrt(rate eta) <(c + c^dag)/2> dt + dW,
+    which is (x . w) dt + dW in coordinates.
     """
-    rho = check_density(rho0).copy()
     n_steps = int(n_steps)
-    monitored = model.measured()
-    n_mon = len(monitored)
-    dWs = stream.wiener(dt, (n_steps, n_mon)) if n_mon else np.zeros((n_steps, 0))
+    gen = model.generator
+    d2 = model.dim * model.dim
+    dWs = stream.wiener(dt, (n_steps, len(gen.monitored)))
     times = dt * np.arange(n_steps + 1)
+    xs = np.empty((n_steps + 1, d2))
+    xs[0] = to_coords(check_density(rho0))
+    for i in range(n_steps):
+        xs[i + 1] = step(model, xs[i:i + 1], dt, dWs[i:i + 1], times[i])[0]
+    weights = np.reshape([w for _, w in gen.monitored], (-1, d2)).T
+    record = np.zeros((n_steps + 1, len(gen.monitored)))
+    np.cumsum(dt * xs[:-1] @ weights + dWs, axis=0, out=record[1:])
+    rhos = from_coords(xs)
     obs = None
     if observable_ops is not None:
-        obs = np.empty((n_steps + 1, len(observable_ops)))
-    states = [] if store_states else None
-    record = np.zeros((n_steps + 1, n_mon))
-
-    def sample(i):
-        if obs is not None:
-            for q, op in enumerate(observable_ops):
-                obs[i, q] = np.trace(op @ rho).real
-        if states is not None:
-            states.append(rho.copy())
-
-    sample(0)
-    for i in range(n_steps):
-        if n_mon:
-            record[i + 1] = record[i] + record_increments(model, rho, dt, dWs[i])
-        rho = sme_step(model, rho, dt, dWs[i], t=times[i])
-        if (i + 1) % resym_every == 0:
-            rho = 0.5 * (rho + rho.conj().T)
-        sample(i + 1)
-    return TrajectoryResult(times=times, states=states, observables=obs,
-                            record=record, noise=dWs)
+        obs = np.stack([np.trace(op @ rhos, axis1=1, axis2=2).real
+                        for op in observable_ops], axis=1)
+    return TrajectoryResult(times=times, states=list(rhos) if store_states else None,
+                            observables=obs, record=record, noise=dWs)
 
 
 def run_dephasing_ensemble(k, dt, n_steps, n_traj, base_seed, rho0=None,
                            chunk=2000, threads=1):
-    """Vectorized ensemble of qubit dephasing trajectories (sigma_z, rate 2k).
+    """Qubit dephasing trajectories (sigma_z, rate 2k), stepped by ``step``
+    in batches of chunk trajectories.
 
-    Returns (times, mean, var) of Re rho_01 across trajectories, reduced in
-    fixed trajectory order.  Trajectory i uses stream (base_seed, i).
+    Returns (times, mean, var) of Re rho_01, reduced by ``run_ensemble``.
     """
     k = float(k)
     if k <= 0:
         raise ValueError("k must be positive")
     n_steps = int(n_steps)
-    n_traj = int(n_traj)
-    if rho0 is None:
-        rho0 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    rho0 = check_density(rho0)
-    sz = np.array([1.0, -1.0])
+    x0 = to_coords(check_density(np.full((2, 2), 0.5) if rho0 is None else rho0))
+    model = SmeModel(dim=2, channels=[
+        Channel(op=np.diag([1.0, -1.0]), rate=2.0 * k, efficiency=1.0)])
 
-    def run_chunk(lo):
-        hi = min(lo + chunk, n_traj)
-        m = hi - lo
-        dws = np.empty((m, n_steps))
-        for q, i in enumerate(range(lo, hi)):
-            dws[q] = RngStream(base_seed, i).wiener(dt, n_steps)
-        rho = np.broadcast_to(rho0, (m, 2, 2)).copy()
-        coh = np.empty((m, n_steps + 1))
-        coh[:, 0] = rho[:, 0, 1].real
-        amp = np.sqrt(2.0 * k)
-        for s in range(n_steps):
-            zr = sz[None, :, None] * rho          # sigma_z rho
-            rz = rho * sz[None, None, :]          # rho sigma_z
-            ez = (rho[:, 0, 0] - rho[:, 1, 1]).real
-            det = 2.0 * k * (sz[None, :, None] * rz - rho)
-            sto = zr + rz - 2.0 * ez[:, None, None] * rho
-            rho = rho + dt * det + amp * dws[:, s, None, None] * sto
-            tr = np.trace(rho, axis1=1, axis2=2).real
-            rho /= tr[:, None, None]
-            coh[:, s + 1] = rho[:, 0, 1].real
-        return coh.sum(axis=0), (coh * coh).sum(axis=0)
+    def batch(streams):
+        x = np.tile(x0, (len(streams), 1))
+        coh = np.empty((len(streams), n_steps + 1))
+        coh[:, 0] = x[:, 2]  # Re rho_01
+        for s, dw in enumerate(wiener_steps(streams, dt, n_steps), 1):
+            x = step(model, x, dt, dw[:, None])
+            coh[:, s] = x[:, 2]
+        return coh
 
-    starts = list(range(0, n_traj, chunk))
-    if threads and threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            parts = list(pool.map(run_chunk, starts))
-    else:
-        parts = [run_chunk(lo) for lo in starts]
-    total = parts[0][0].copy()
-    total_sq = parts[0][1].copy()
-    for acc, acc_sq in parts[1:]:
-        total += acc
-        total_sq += acc_sq
-    mean = total / n_traj
-    var = np.maximum(total_sq / n_traj - mean * mean, 0.0)
-    times = dt * np.arange(n_steps + 1)
-    return times, mean, var
+    stats = run_ensemble(batch, n_traj, base_seed, chunk=chunk, threads=threads)
+    return dt * np.arange(n_steps + 1), stats.mean, stats.var
 
 
 def spin_ensemble_model(two_j, u_law=None, s=0.0, strength=1.0, eta=1.0,
@@ -300,30 +339,12 @@ def purity_derivative_check(model, rho, dt=1e-5, t=0.0):
     Raises if a commutator norm exceeds 1e-10; the returned derivative is
     non-positive (up to discretization error) for such models.
     """
-    rho = np.asarray(rho, dtype=complex)
-    h = model.hamiltonian(t, rho)
     parts = [p for p in (model.hamiltonian_base, model.control_channel)
              if p is not None]
-    for ch in model.channels:
-        if ch.rate <= 0:
-            continue
-        for p in parts:
-            comm = p @ ch.op - ch.op @ p
-            if np.max(np.abs(comm)) > 1e-10:
-                raise ValueError("Hamiltonian does not commute with a channel")
-
-    def generator(r):
-        d = np.zeros_like(r)
-        if h is not None:
-            d += -1j * (h @ r - r @ h)
-        for ch in model.channels:
-            if ch.rate > 0.0:
-                d += ch.rate * dissipator(ch.op, r)
-        return d
-
-    g = generator(rho)
-    plus = rho + dt * g
-    minus = rho - dt * g
-    p_plus = np.trace(plus @ plus).real
-    p_minus = np.trace(minus @ minus).real
-    return float((p_plus - p_minus) / (2.0 * dt))
+    if any(np.max(np.abs(p @ ch.op - ch.op @ p)) > 1e-10
+           for ch in model.channels if ch.rate > 0 for p in parts):
+        raise ValueError("Hamiltonian does not commute with a channel")
+    x = to_coords(rho)[None]
+    g = _drift(model, x, t)
+    plus, minus = from_coords(np.concatenate([x + dt * g, x - dt * g]))
+    return float((np.vdot(plus, plus) - np.vdot(minus, minus)).real / (2.0 * dt))

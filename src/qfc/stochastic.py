@@ -88,12 +88,26 @@ class EnsembleStats:
         return np.sqrt(self.var / self.n_traj)
 
 
-def run_ensemble(trajectory, n_traj, base_seed, chunk=256, threads=1):
-    """Reduce trajectory(RngStream(base_seed, i)) over i = 0 .. n_traj-1.
+def wiener_steps(streams, dt, n_steps):
+    """Yield n_steps rows (m,) of Wiener increments, one per stream and step.
 
-    trajectory must return a float array of fixed shape (the sampled
-    observables).  Chunks are accumulated in fixed index order and combined
-    in fixed chunk order, so the result is identical for any thread count.
+    Each stream is drawn in blocks of 1000 steps: the values of one draw of
+    all n_steps, in O(1000 m) memory."""
+    for lo in range(0, n_steps, 1000):
+        rows = np.empty((min(1000, n_steps - lo), len(streams)))
+        for q, stream in enumerate(streams):
+            rows[:, q] = stream.wiener(dt, len(rows))
+        yield from rows
+
+
+def run_ensemble(batch, n_traj, base_seed, chunk=256, threads=1):
+    """Mean and variance of batch's rows over trajectories 0 .. n_traj-1.
+
+    Trajectories run in chunks of consecutive indices: batch receives the
+    streams RngStream(base_seed, i) of one chunk and returns one float row
+    (of fixed shape) per trajectory.  The chunks' means and sums of squared
+    deviations are merged pairwise in fixed chunk order (Chan, Golub &
+    LeVeque 1979), so the result is identical for any thread count.
     """
     n_traj = int(n_traj)
     if n_traj < 1:
@@ -101,30 +115,21 @@ def run_ensemble(trajectory, n_traj, base_seed, chunk=256, threads=1):
     chunk = max(1, int(chunk))
 
     def run_chunk(lo):
-        hi = min(lo + chunk, n_traj)
-        acc = acc_sq = None
-        for i in range(lo, hi):
-            path = np.asarray(trajectory(RngStream(base_seed, i)), dtype=float)
-            if acc is None:
-                acc = path.copy()
-                acc_sq = path * path
-            else:
-                acc += path
-                acc_sq += path * path
-        return acc, acc_sq
+        streams = [RngStream(base_seed, i) for i in range(lo, min(lo + chunk, n_traj))]
+        rows = np.asarray(batch(streams), dtype=float)
+        mean = rows.mean(axis=0)
+        return len(rows), mean, ((rows - mean) ** 2).sum(axis=0)
 
-    starts = list(range(0, n_traj, chunk))
+    starts = range(0, n_traj, chunk)
     if threads and threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
             parts = list(pool.map(run_chunk, starts))
     else:
         parts = [run_chunk(lo) for lo in starts]
-
-    total = parts[0][0].copy()
-    total_sq = parts[0][1].copy()
-    for acc, acc_sq in parts[1:]:
-        total += acc
-        total_sq += acc_sq
-    mean = total / n_traj
-    var = np.maximum(total_sq / n_traj - mean * mean, 0.0)
-    return EnsembleStats(mean=mean, var=var, n_traj=n_traj)
+    n, mean, m2 = parts[0]
+    for n_b, mean_b, m2_b in parts[1:]:
+        delta, total = mean_b - mean, n + n_b
+        mean = mean + delta * (n_b / total)
+        m2 = m2 + m2_b + delta * delta * (n * n_b / total)
+        n = total
+    return EnsembleStats(mean=mean, var=m2 / n, n_traj=n_traj)

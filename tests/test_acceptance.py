@@ -302,10 +302,17 @@ def test_cli_outputs_are_byte_identical_across_threads(tmp_path):
     assert raster.with_suffix(".csv").read_bytes() == csv_bytes
     assert raster.with_suffix(".pgm").read_bytes() == pgm_bytes
 
-    ensemble = tmp_path / "ensemble"
-    args = ["sme-run", "--t-max", "0.2", "--trajectories", "64",
-            "--out", str(ensemble)]
-    run(args)
-    csv_bytes = ensemble.with_suffix(".csv").read_bytes()
-    run(args + ["--threads", "3"])
-    assert ensemble.with_suffix(".csv").read_bytes() == csv_bytes
+    # spin-collapse and purify run more trajectories than one chunk (256 and
+    # 1000), so their chunks are merged and spread over the threads
+    for name, args in [
+            ("ensemble", ["sme-run", "--t-max", "0.2", "--trajectories", "64"]),
+            ("spin", ["spin-collapse", "--t-max", "0.05", "--trajectories", "300"]),
+            ("purify", ["purify", "--t-max", "0.05", "--trajectories", "1500"])]:
+        csv = (tmp_path / name).with_suffix(".csv")
+        args = args + ["--out", str(tmp_path / name)]
+        run(args)
+        csv_bytes = csv.read_bytes()
+        run(args + ["--threads", "3"])
+        assert csv.read_bytes() == csv_bytes, name
+        run(args)  # plain rerun, same seed
+        assert csv.read_bytes() == csv_bytes, name

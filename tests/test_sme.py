@@ -7,7 +7,7 @@ from conftest import random_density, random_hermitian, random_unitary
 from qfc import sme
 from qfc.states import (SZ, angular_momentum_ops, density, pure_state,
                         tensor_product, von_neumann_entropy)
-from qfc.stochastic import RngStream
+from qfc.stochastic import IntegrationError, RngStream
 
 ZZ = tensor_product(SZ, SZ)
 
@@ -205,3 +205,90 @@ def test_purity_derivative_check():
         channels=[sme.Channel(op=SZ, rate=1.0)])
     with pytest.raises(ValueError):
         sme.purity_derivative_check(noncommuting, np.eye(2) / 2.0)
+
+
+# -- the batched kernel on real Hermitian coordinates ------------------------
+
+
+def random_model(rng, d):
+    """Hamiltonian, a state-dependent control law, two monitored channels and
+    one unmonitored one, with non-Hermitian operators."""
+    def op():
+        return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+    return sme.SmeModel(
+        dim=d, hamiltonian_base=random_hermitian(rng, d),
+        control_channel=random_hermitian(rng, d),
+        control_law=lambda t, r: 0.3 + t + np.real(r[..., 0, 1]),
+        channels=[sme.Channel(op=op(), rate=rng.uniform(0.2, 1.0),
+                              efficiency=rng.uniform(0.1, 1.0)),
+                  sme.Channel(op=op(), rate=rng.uniform(0.2, 1.0)),
+                  sme.Channel(op=op(), rate=rng.uniform(0.2, 1.0),
+                              efficiency=1.0)])
+
+
+def matrix_euler_step(model, rho, dt, dws, t):
+    """The conditioned Euler step written out on the density matrix."""
+    h = model.hamiltonian(t, rho)
+    out = rho + dt * -1j * (h @ rho - rho @ h)
+    for ch in model.channels:
+        out = out + dt * ch.rate * sme.dissipator(ch.op, rho)
+    for ch, dw in zip(model.measured(), dws):
+        out = out + np.sqrt(ch.rate * ch.efficiency) * sme.meas_superop(ch.op, rho) * dw
+    return out / np.trace(out).real
+
+
+def test_coordinates_round_trip_exactly():
+    rng = np.random.default_rng(20)
+    for d in (2, 3, 4, 5):
+        x = rng.normal(size=(3, 4, d * d))
+        rho = sme.from_coords(x)
+        assert rho.shape == (3, 4, d, d)
+        assert np.array_equal(rho, np.conj(np.swapaxes(rho, -1, -2)))
+        assert np.array_equal(np.diagonal(rho, axis1=-2, axis2=-1).real, x[..., :d])
+        n = d * (d - 1) // 2  # x = (diagonal, Re upper, Im upper)
+        assert np.array_equal(rho[..., 0, 1], x[..., d] + 1j * x[..., d + n])
+        assert np.array_equal(sme.to_coords(rho), x)
+        assert np.array_equal(sme.from_coords(sme.to_coords(rho)), rho)
+
+
+def test_step_matches_matrix_euler_step():
+    rng = np.random.default_rng(21)
+    for d in (2, 3, 4, 5):
+        model = random_model(rng, d)
+        assert "generator" not in vars(model)  # built on first use only
+        for _ in range(5):
+            rho = sme.from_coords(sme.to_coords(random_density(rng, d)))
+            dws = rng.normal(scale=np.sqrt(1e-3), size=2)
+            t = rng.uniform(0.0, 2.0)
+            got = sme.step(model, sme.to_coords(rho)[None], 1e-3, dws[None], t)
+            want = matrix_euler_step(model, rho, 1e-3, dws, t)
+            assert np.max(np.abs(sme.from_coords(got[0]) - want)) < 1e-12, d
+            assert np.max(np.abs(sme.sme_step(model, rho, 1e-3, dws, t) - want)) < 1e-12
+
+
+def test_batch_rows_match_single_steps():
+    rng = np.random.default_rng(22)
+    for d in (2, 3, 5):
+        model = random_model(rng, d)
+        x = sme.to_coords(np.array([random_density(rng, d) for _ in range(7)]))
+        dws = rng.normal(scale=np.sqrt(1e-3), size=(7, 2))
+        batch = sme.step(model, x, 1e-3, dws, 0.4)
+        for i in range(7):
+            one = sme.step(model, x[i:i + 1], 1e-3, dws[i:i + 1], 0.4)
+            assert np.max(np.abs(batch[i] - one[0])) < 1e-14
+        assert np.allclose(batch[:, :d].sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
+
+def test_step_raises_when_the_trace_is_lost():
+    model = dephasing_model(1.0)
+    x = sme.to_coords(np.eye(2) / 2.0)[None]
+    for bad_x, dw in ((x, [[np.nan]]), (x, [[np.inf]]), (0.0 * x, [[0.0]]),
+                      (-x, [[0.0]])):
+        with np.errstate(invalid="ignore"), pytest.raises(IntegrationError):
+            sme.step(model, bad_x, 1e-3, np.array(dw))
+    # finite coordinates whose trace overflows
+    unmonitored = sme.SmeModel(dim=2, channels=[sme.Channel(op=SZ, rate=2.0)])
+    with np.errstate(over="ignore"), pytest.raises(IntegrationError):
+        sme.step(unmonitored, np.array([[1e308, 1e308, 0.0, 0.0]]), 1e-3,
+                 np.zeros((1, 0)))

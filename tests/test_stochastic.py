@@ -5,7 +5,7 @@ import pytest
 
 from qfc.stochastic import (EnsembleStats, IntegrationError, RngStream,
                             euler_maruyama_step, ito_quadratic_variation,
-                            run_ensemble, wiener_increment)
+                            run_ensemble, wiener_increment, wiener_steps)
 
 
 def test_stream_reproducibility():
@@ -54,7 +54,10 @@ def test_run_ensemble_matches_direct_loop():
     def traj(stream):
         return stream.normal(size=5).cumsum()
 
-    stats = run_ensemble(traj, 100, base_seed=5, chunk=16)
+    def batch(streams):
+        return [traj(s) for s in streams]
+
+    stats = run_ensemble(batch, 100, base_seed=5, chunk=16)
     direct = np.array([traj(RngStream(5, i)) for i in range(100)])
     assert np.allclose(stats.mean, direct.mean(axis=0))
     assert np.allclose(stats.var, direct.var(axis=0))
@@ -63,10 +66,28 @@ def test_run_ensemble_matches_direct_loop():
 
 
 def test_run_ensemble_thread_count_is_invisible():
-    def traj(stream):
-        return stream.normal(size=8)
+    def batch(streams):
+        return [s.normal(size=8) for s in streams]
 
-    one = run_ensemble(traj, 333, base_seed=9, chunk=10, threads=1)
-    many = run_ensemble(traj, 333, base_seed=9, chunk=10, threads=7)
+    one = run_ensemble(batch, 333, base_seed=9, chunk=10, threads=1)
+    many = run_ensemble(batch, 333, base_seed=9, chunk=10, threads=7)
     assert np.array_equal(one.mean, many.mean)
     assert np.array_equal(one.var, many.var)
+
+
+def test_run_ensemble_variance_of_a_large_offset():
+    # E[x^2] - mean^2 loses every digit of a variance 1e-16 times the
+    # squared mean; merging per-chunk deviations keeps it
+    def batch(streams):
+        return [[1e8 + s.normal()] for s in streams]
+
+    stats = run_ensemble(batch, 200, base_seed=3, chunk=7)
+    direct = np.array([1e8 + RngStream(3, i).normal() for i in range(200)])
+    assert abs(stats.var[0] / np.var(direct) - 1.0) < 1e-6
+
+
+def test_wiener_steps_match_one_block_draw():
+    streams = [RngStream(4, i) for i in range(3)]
+    rows = np.array(list(wiener_steps(streams, 1e-3, 2500)))  # 1000-step blocks
+    direct = np.array([RngStream(4, i).wiener(1e-3, 2500) for i in range(3)]).T
+    assert np.array_equal(rows, direct)
