@@ -104,6 +104,12 @@ def _shared_fields(command):
 # runners
 
 
+def _grid_axis(values, shape, axis):
+    """format_value once per axis value, broadcast along the other grid axis."""
+    cells = np.array([format_value(v) for v in values], dtype=object)
+    return np.broadcast_to(cells[:, None] if axis == 0 else cells, shape)
+
+
 def _run_stabilize(cfg):
     spot = cfg["p"] is not None
     cfg["grid_size" if spot else "samples"] = None  # drop from the echo
@@ -112,25 +118,25 @@ def _run_stabilize(cfg):
         p, theta = cfg["p"], cfg["theta"]
         chi, _ = stabilization.optimize_chi(p, theta)
         results["chi"] = chi
-        rows = []
-        for i, (scheme, label) in enumerate([
-                ("nothing", "do_nothing"),
-                ("discriminate", "discriminate_prepare"),
-                ("weak", "weak_feedback")]):
-            closed = stabilization.scheme_closed_form(scheme, p, theta)
-            mean, sem = stabilization.mc_average_fidelity(
-                scheme, p, theta, cfg["samples"], RngStream(cfg["seed"], i),
-                chi=chi)
-            rows.append((label, closed, mean, sem))
+        labels = {"nothing": "do_nothing", "discriminate": "discriminate_prepare",
+                  "weak": "weak_feedback"}
+        stats = [(stabilization.scheme_closed_form(scheme, p, theta),
+                  *stabilization.mc_average_fidelity(
+                      scheme, p, theta, cfg["samples"], RngStream(cfg["seed"], i),
+                      chi=chi))
+                 for i, scheme in enumerate(labels)]
+        columns = [list(labels.values()), *np.array(stats).T]
         header = ["scheme", "closed_form", "mc_mean", "std_error"]
     else:
         surf = stabilization.gap_surface(cfg["grid_size"], cfg["grid_size"])
         p_star, theta_star, gap_star = surf.argmax()
         results.update(argmax_p=p_star, argmax_theta=theta_star,
                        gap_max=gap_star)
-        rows = surf.rows()
+        shape = surf.gap.shape
+        columns = [_grid_axis(surf.p, shape, 0), _grid_axis(surf.theta, shape, 1),
+                   surf.f1, surf.f3, surf.f4, surf.gap]
         header = ["p", "theta", "f1", "f3", "f4", "gap"]
-    return [("csv", header, rows)], results
+    return [("csv", header, columns)], results
 
 
 def _run_purify(cfg):
@@ -149,8 +155,7 @@ def _run_purify(cfg):
                "time_ratio": t_fb / t_free}
     header = ["t", "mc_mean_impurity", "mc_std_error", "quadrature_impurity",
               "feedback_impurity"]
-    rows = zip(times, mean, sem, quad_ref, fb_ref)
-    return [("csv", header, rows)], results
+    return [("csv", header, [times, mean, sem, quad_ref, fb_ref])], results
 
 
 def _run_entangle(cfg):
@@ -163,9 +168,9 @@ def _run_entangle(cfg):
         results["dfs_time"] = res.dfs_time
     header = ["t", "r_squared", "leakage", "q1_z", "q2_purity",
               "bell_fidelity"]
-    rows = zip(res.times, res.r_squared, res.leakage, res.q1_z,
-               res.q2_purity, res.bell_fidelity)
-    return [("csv", header, rows)], results
+    columns = [res.times, res.r_squared, res.leakage, res.q1_z,
+               res.q2_purity, res.bell_fidelity]
+    return [("csv", header, columns)], results
 
 
 def _run_bellpurify(cfg):
@@ -175,8 +180,8 @@ def _run_bellpurify(cfg):
                                      math.sin(cfg["phi"]))
     results = {"p_re": p.real, "p_im": p.imag,
                "final_fidelity": float(fids[-1])}
-    rows = ((step, f) for step, f in enumerate(fids))
-    return [("csv", ["step", "fidelity"], rows)], results
+    columns = [np.arange(len(fids)), fids]
+    return [("csv", ["step", "fidelity"], columns)], results
 
 
 def _run_julia(cfg):
@@ -191,15 +196,9 @@ def _run_julia(cfg):
     counts = grid.counts
     res, ims = job.pixel_centers()
     results = {"nonconverged_fraction": float(np.mean(counts < 0))}
-    re_cells = [format_value(x) for x in res]
-
-    def rows():
-        for im, row in zip(ims, counts.tolist()):
-            im_cell = format_value(im)
-            for re_cell, count in zip(re_cells, row):
-                yield (re_cell, im_cell, count)
-
-    return [("csv", ["re", "im", "count"], rows()),
+    columns = [_grid_axis(res, counts.shape, 1), _grid_axis(ims, counts.shape, 0),
+               counts]
+    return [("csv", ["re", "im", "count"], columns),
             ("pgm", counts, cfg["max_iters"])], results
 
 
@@ -214,8 +213,7 @@ def _run_sme(cfg):
     idx = np.arange(0, n_steps + 1, stride)
     analytic = 0.5 * np.exp(-4.0 * k * times[idx])
     header = ["t", "mean_coherence", "std_error", "analytic_coherence"]
-    rows = zip(times[idx], mean[idx], sem[idx], analytic)
-    return [("csv", header, rows)], {}
+    return [("csv", header, [times[idx], mean[idx], sem[idx], analytic])], {}
 
 
 def _run_spin_collapse(cfg):
@@ -251,8 +249,8 @@ def _run_spin_collapse(cfg):
                "fz_eigenvalues": ",".join("%g" % v for v in fz_diag)}
     times = dt * stride * np.arange(n_samples)
     header = ["t", "mean_max_population", "sem_max_population", "mean_fz"]
-    rows = zip(times, track_mean[:, 0], track_sem[:, 0], track_mean[:, 1])
-    return [("csv", header, rows)], results
+    columns = [times, track_mean[:, 0], track_sem[:, 0], track_mean[:, 1]]
+    return [("csv", header, columns)], results
 
 
 # ---------------------------------------------------------------------------
@@ -573,15 +571,9 @@ def main(argv=None):
 
     preamble = resolved_preamble(command, cfg, results)
     written = []
-    for artifact in artifacts:
-        if artifact[0] == "csv":
-            _, header, rows = artifact
-            path = cfg["out"] + ".csv"
-            write_csv(path, header, rows, preamble)
-        else:
-            _, counts, max_iters = artifact
-            path = cfg["out"] + ".pgm"
-            write_pgm(path, counts, max_iters, preamble)
+    for kind, *args in artifacts:  # csv: header, columns; pgm: counts, max_iters
+        path = cfg["out"] + "." + kind
+        (write_csv if kind == "csv" else write_pgm)(path, *args, preamble)
         written.append(path)
     sys.stdout.write("wrote " + " ".join(written) + "\n")
     return 0

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,13 +89,15 @@ class EncodedQubits:
     dominant: str
 
 
+@lru_cache
 def parity_model(k):
-    """Parity monitor with dephasing strength k, unit efficiency."""
+    """Parity monitor with dephasing strength k, unit efficiency; cached per k."""
     if k <= 0:
         raise ValueError("k must be positive")
     return SmeModel(dim=4, channels=[Channel(op=ZZ, rate=2.0 * k, efficiency=1.0)])
 
 
+@lru_cache
 def toggled_parity_model(k):
     """The same monitor seen through local Hadamards on both qubits.
 

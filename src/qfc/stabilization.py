@@ -268,12 +268,6 @@ class GapSurface:
         i, j = np.unravel_index(np.argmax(self.gap), self.gap.shape)
         return float(self.p[i]), float(self.theta[j]), float(self.gap[i, j])
 
-    def rows(self):
-        for i, pv in enumerate(self.p):
-            for j, tv in enumerate(self.theta):
-                yield (pv, tv, self.f1[i, j], self.f3[i, j],
-                       self.f4[i, j], self.gap[i, j])
-
 
 def gap_surface(n_p=201, n_theta=201, p_max=0.5, theta_max=_HALF_PI):
     """Evaluate the advantage F4 - max(F1, F3) on a regular grid."""

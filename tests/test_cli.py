@@ -29,6 +29,7 @@ def preamble_map(lines):
 def test_format_value():
     assert out.format_value(True) == "1"
     assert out.format_value(False) == "0"
+    assert out.format_value(np.bool_(True)) == "1"  # as a bool column prints
     assert out.format_value(7) == "7"
     assert out.format_value(np.int64(-3)) == "-3"
     assert out.format_value("512x512") == "512x512"
@@ -39,7 +40,7 @@ def test_format_value():
 
 def test_write_csv(tmp_path):
     path = tmp_path / "t.csv"
-    out.write_csv(path, ["a", "b"], [(1, 0.5), (2, 1.0 / 3.0)],
+    out.write_csv(path, ["a", "b"], [np.array([1, 2]), np.array([0.5, 1.0 / 3.0])],
                   preamble={"command": "probe", "k": 0.25})
     lines = read_lines(path)
     assert lines[0] == "# command=probe"
@@ -48,8 +49,44 @@ def test_write_csv(tmp_path):
     assert lines[3] == "1,0.5"
     assert float(lines[4].split(",")[1]) == 1.0 / 3.0
 
-    with pytest.raises(ValueError):
-        out.write_csv(tmp_path / "bad.csv", ["a", "b"], [(1,)])
+    bad = tmp_path / "bad.csv"
+    with pytest.raises(ValueError):  # one column for a two-column header
+        out.write_csv(bad, ["a", "b"], [np.array([1])])
+    with pytest.raises(ValueError):  # columns of unequal length
+        out.write_csv(bad, ["a", "b"], [np.array([1, 2]), np.array([0.5])])
+
+
+def assert_lines_equal(path, expected):
+    """Byte equality, reporting only the first differing line."""
+    got = path.read_bytes().decode().split("\n")
+    want = expected + [""]  # every line, the last included, ends in "\n"
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a == b, f"line {i}: wrote {a!r}, format_value gives {b!r}"
+    assert len(got) == len(want)
+
+
+def test_write_csv_matches_format_value_per_cell(tmp_path):
+    # random bit patterns cover every exponent, subnormals and nan payloads
+    rng = np.random.default_rng(5)
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, np.finfo(float).max]
+    floats = np.concatenate([special, rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)])
+    m = len(floats)
+    columns = [floats, rng.integers(0, 2**64, m, dtype=np.uint64).view(np.int64),
+               rng.random(m) < 0.5, [f"s{i}" for i in range(m)]]
+    path = tmp_path / "oracle.csv"
+    out.write_csv(path, ["x", "n", "b", "s"], columns)
+    expected = ["x,n,b,s"] + [
+        ",".join(out.format_value(v) for v in row)
+        for row in zip(floats.tolist(), columns[1].tolist(), columns[2].tolist(), columns[3])]
+    assert_lines_equal(path, expected)
+
+    # a grid: every column shares one 2-d shape and is written row-major
+    grid = floats[:12].reshape(3, 4)
+    axis = np.broadcast_to(np.array(["a", "b", "c"], dtype=object)[:, None], grid.shape)
+    out.write_csv(path, ["row", "x"], [axis, grid])
+    assert_lines_equal(path, ["row,x"] + [f"{label},{out.format_value(v)}"
+                                          for label, row in zip("abc", grid.tolist())
+                                          for v in row])
 
 
 def test_write_pgm(tmp_path):
@@ -228,6 +265,27 @@ def test_julia_output_bytes_are_frozen(tmp_path, monkeypatch):
     }
 
 
+# sha256 of the CSV each command wrote with the row-at-a-time writer, which
+# passed every cell through format_value
+FROZEN_CSVS = {
+    "s": (["stabilize", "--grid-size", "50"],
+          "ec20fd523d6c9951a215a60e7996c7985556e01f361e72547b53f9fe72f062ac"),
+    "spot": (["stabilize", "--p", "0.115", "--theta", "0.715",
+              "--samples", "2000", "--seed", "7"],
+             "0463c46272b02f71013506f579f50adef87fbc5443616ff9bc8ebd41a3ef7ea6"),
+    "b": (["bellpurify"],
+          "8766fd7baddffb57dc9eee7b844d83375a03c25c30864eeef66ee7941be0ebed"),
+}
+
+
+@pytest.mark.parametrize("base", list(FROZEN_CSVS))
+def test_csv_bytes_are_frozen(base, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    args, digest = FROZEN_CSVS[base]
+    assert cli.main(args + ["--out", base]) == 0
+    assert hashlib.sha256((tmp_path / f"{base}.csv").read_bytes()).hexdigest() == digest
+
+
 def test_stabilize_spot_run(tmp_path):
     base = tmp_path / "s"
     rc = cli.main(["stabilize", "--p", "0.1", "--theta", "0.7",
@@ -254,7 +312,9 @@ def test_stabilize_grid_run(tmp_path):
     assert "samples" not in pre  # inapplicable in surface mode
     assert float(pre["gap_max"]) > 0.02
     assert lines[len(pre)] == "p,theta,f1,f3,f4,gap"
-    assert len(lines) == len(pre) + 1 + 50 * 50
+    data = lines[len(pre) + 1:]
+    assert len(data) == 50 * 50
+    assert {len(row.split(",")) for row in data} == {6}
 
 
 def test_bellpurify_run(tmp_path):

@@ -112,6 +112,3 @@ def test_gap_surface_properties():
     assert abs(p_star - 0.115) < 0.02
     assert abs(theta_star - 0.715) < 0.02
     assert abs(gap_star - 0.026) < 0.002
-    rows = list(surf.rows())
-    assert len(rows) == 201 * 201
-    assert len(rows[0]) == 6
