@@ -14,7 +14,9 @@ rasters whose slow set draws the Julia set of F_p, a box-counting dimension
 estimate for its boundary, and Lyapunov exponents.  The orbit iteration for
 Lyapunov work runs in arbitrary precision: a repelling orbit loses roughly
 one bit per step, so float64 orbits fall off the Julia set after about
-fifty steps no matter how accurately they start.
+fifty steps no matter how accurately they start.  mpmath is imported only
+by the Lyapunov estimator (``lyapunov_estimate`` and its helper
+``_rescale``), so the rest of the module, and the CLI, load without it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-import mpmath
 import numpy as np
 
 from .states import bell_state, check_density, density, fidelity_trace, partial_trace, tensor_product
@@ -497,6 +498,8 @@ def _bits_below_one(x):
 
 def _rescale(u, v):
     """Scale a homogeneous pair by an exact power of two, largest part ~1."""
+    import mpmath
+
     s = mpmath.ldexp(1, -max(mpmath.mag(u), mpmath.mag(v)))
     return u * s, v * s
 
@@ -545,6 +548,8 @@ def lyapunov_estimate(z0, p, n_iters, offset=1e-9, supersink_tol=1e-12):
     circle, and squaring doubles that error every step, so pass
     lambda: mpmath.exp(0.7j) instead.
     """
+    import mpmath
+
     if n_iters < 1:
         raise ValueError("n_iters must be at least 1")
     if offset <= 0:

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .states import angular_momentum_ops, check_density, dag
 # perfbench/tracer.py counts the draws of the RngStream it finds here
@@ -205,9 +204,10 @@ def lindblad_step(model, rho, dt, t=0.0):
     """One deterministic step.
 
     Without channels the step is the exact unitary conjugation by
-    expm(-i H dt), which keeps the spectrum (and hence the entropy) fixed to
-    machine precision.  With channels it is the kernel's Euler step with no
-    noise, renormalized by the trace.
+    U = exp(-i H dt) = V diag(e^{-i lambda dt}) V^dag, from the eigenpairs
+    (lambda, V) of the Hermitian H, which keeps the spectrum (and hence the
+    entropy) fixed to machine precision.  With channels it is the kernel's
+    Euler step with no noise, renormalized by the trace.
     """
     rho = np.asarray(rho, dtype=complex)
     if any(ch.rate > 0.0 for ch in model.channels):
@@ -215,7 +215,8 @@ def lindblad_step(model, rho, dt, t=0.0):
     h = model.hamiltonian(t, rho)
     if h is None:
         return rho.copy()
-    u = expm(-1j * dt * h)
+    lam, v = np.linalg.eigh(h)
+    u = (v * np.exp(-1j * dt * lam)) @ v.conj().T
     return u @ rho @ u.conj().T
 
 

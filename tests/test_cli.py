@@ -2,6 +2,10 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -373,3 +377,14 @@ def test_entangle_run(tmp_path):
     assert float(pre["final_fidelity"]) >= 0.99
     assert float(pre["dfs_time"]) > 0.0
     assert float(pre["final_r_squared"]) > 2.9
+
+
+def test_import_loads_neither_scipy_nor_mpmath():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import qfc.cli, sys; print(sorted({m.split('.')[0] for m in sys.modules}"
+            " & {'scipy', 'mpmath'}))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 """Rapid purification: conditioned Bloch dynamics and the two protocols."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -38,11 +39,9 @@ def test_bloch_step_algebra():
 def test_impurity_and_phase():
     assert pf.impurity(np.zeros(3)) == 0.5
     assert pf.impurity(np.array([0.0, 0.0, 1.0])) == 0.0
-    v = np.array([0.5, 0.5, 0.0])
-    assert abs(pf.transverse_phase(v) - np.pi / 4.0) < 1e-12
-    # the monitoring preserves the transverse phase
-    out = pf.bloch_sme_step(v, 1.0, 1e-4, 0.01)
-    assert abs(pf.transverse_phase(out) - np.pi / 4.0) < 1e-12
+    # the monitoring preserves the transverse phase atan2(a_x, a_y)
+    out = pf.bloch_sme_step(np.array([0.5, 0.5, 0.0]), 1.0, 1e-4, 0.01)
+    assert abs(np.arctan2(out[0], out[1]) - np.pi / 4.0) < 1e-12
 
 
 FROZEN_IMPURITY = {
@@ -71,6 +70,33 @@ def test_nofeedback_impurity_frozen_values():
         pf.nofeedback_impurity(1.0, 0.0)
 
 
+def mp_nofeedback_impurity(kt):
+    """The no-feedback impurity at k t = kt by 30-digit mpmath quadrature."""
+    with mpmath.workdps(30):
+        kt = mpmath.mpf(kt)
+        a = mpmath.sqrt(8 * kt)
+        val = mpmath.quad(lambda u: mpmath.exp(-u * u / 2) * mpmath.sech(a * u),
+                          [0, 1, mpmath.inf])
+        return 2 * val * mpmath.exp(-4 * kt) / mpmath.sqrt(8 * mpmath.pi)
+
+
+@pytest.mark.parametrize("kt", [1e-8, 1e-4, 0.01, 0.1, 0.5, 1, 2, 3, 10, 50, 100])
+def test_nofeedback_impurity_matches_mpmath_quadrature(kt):
+    ref = mp_nofeedback_impurity(kt)
+    got = pf.nofeedback_impurity(kt, 1.0)
+    assert abs(got - ref) <= 1e-13 * ref, (kt, got, ref)
+
+
+def test_nofeedback_impurity_curve_is_the_scalar_function():
+    ts = np.concatenate([[0.0], np.geomspace(1e-6, 60.0, 97), np.linspace(0.0, 2.0, 201)])
+    for k in (0.3, 1.0, 2.5):
+        curve = pf.nofeedback_impurity_curve(ts, k)
+        assert np.array_equal(curve, [pf.nofeedback_impurity(t, k) for t in ts])
+    assert pf.nofeedback_impurity_curve([0.0, 0.0], 1.0).tolist() == [0.5, 0.5]
+    with pytest.raises(ValueError):
+        pf.nofeedback_impurity_curve([0.1, -0.1], 1.0)
+
+
 def test_mc_ensemble_matches_quadrature():
     times, mean, var = pf.mc_nofeedback_impurity(
         1.0, 1e-3, 1000, 600, base_seed=11, sample_every=100)
@@ -97,17 +123,6 @@ def test_feedback_path_is_deterministic_exponential():
     other = pf.feedback_impurity_path(
         pf.PurificationRun(k=1.0, dt=1e-4, horizon=2.0, seed=99))
     assert np.array_equal(imp, other[1])
-
-
-def test_finite_strength_feedback_approaches_ideal():
-    run = pf.PurificationRun(k=1.0, dt=1e-4, horizon=0.5, seed=3)
-    times, imp = pf.feedback_purify_finite(run, max_rate=5000.0)
-    ideal = 0.5 * np.exp(-8.0 * times[-1])
-    assert imp[-1] < 5.0 * ideal  # strong feedback tracks the ideal scaling
-    _, weak = pf.feedback_purify_finite(run, max_rate=500.0)
-    assert imp[-1] < weak[-1]  # more rotation authority purifies faster
-    with pytest.raises(ValueError):
-        pf.feedback_purify_finite(run, max_rate=0.0)
 
 
 def test_times_to_target_and_ratio():

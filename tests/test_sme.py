@@ -1,5 +1,6 @@
 """The master-equation engine: superoperators, steps, spin models."""
 
+import mpmath
 import numpy as np
 import pytest
 from conftest import random_density, random_hermitian, random_unitary
@@ -69,6 +70,21 @@ def test_channel_free_step_preserves_entropy_exactly():
     for _ in range(1000):
         rho = sme.lindblad_step(model, rho, 1e-3)
     assert abs(von_neumann_entropy(rho) - s0) < 1e-10
+
+
+def test_channel_free_step_is_the_exact_unitary():
+    rng = np.random.default_rng(5)
+    h, dt = random_hermitian(rng, 4), 0.37
+    rho = random_density(rng, 4)
+    model = sme.SmeModel(dim=4, hamiltonian_base=h)
+    with mpmath.workdps(30):
+        u_mp = mpmath.expm(mpmath.matrix(-1j * dt * h))
+        u = np.array(u_mp.tolist(), dtype=complex)
+    got = sme.lindblad_step(model, rho, dt)
+    assert np.max(np.abs(got - u @ rho @ u.conj().T)) < 1e-13
+    # the step maps the identity to U U^dag, which is the identity only if
+    # the step's U is unitary
+    assert np.max(np.abs(sme.lindblad_step(model, np.eye(4), dt) - np.eye(4))) < 1e-13
 
 
 def test_maximally_mixed_is_fixed():
