@@ -16,6 +16,12 @@ rotations.
 
 Basis order throughout is |00>, |01>, |10>, |11|, first qubit most
 significant, matching states.tensor_product.
+
+entangle_protocol runs on the 16 real coordinates of the state
+(sme.to_coords): its Euler step, feedback rotations and reads are fixed real
+maps, built on first use by applying the matrix helpers here to the basis
+matrices, so the helpers stay their one definition.  which_block_vector,
+block_components, _r_squared and _q2_equator_purity are test oracles only.
 """
 
 from __future__ import annotations
@@ -26,9 +32,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sme import Channel, SmeModel, sme_step
+# perfbench/tracer.py patches this module's sme_step, clip_psd and RngStream
+from .sme import Channel, SmeModel, from_coords, sme_step, to_coords
 from .states import HADAMARD, SI, SX, SY, SZ, check_density, tensor_product
-from .stochastic import RngStream
+from .stochastic import IntegrationError, RngStream
 
 I4 = np.eye(4, dtype=complex)
 ZZ = tensor_product(SZ, SZ)
@@ -89,12 +96,16 @@ class EncodedQubits:
     dominant: str
 
 
+def _monitor(op, k):
+    if k <= 0:
+        raise ValueError("k must be positive")
+    return SmeModel(dim=4, channels=[Channel(op=op, rate=2.0 * k, efficiency=1.0)])
+
+
 @lru_cache
 def parity_model(k):
     """Parity monitor with dephasing strength k, unit efficiency; cached per k."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    return SmeModel(dim=4, channels=[Channel(op=ZZ, rate=2.0 * k, efficiency=1.0)])
+    return _monitor(ZZ, k)
 
 
 @lru_cache
@@ -105,9 +116,7 @@ def toggled_parity_model(k):
     running this model is identical to toggling the state with
     hadamard_toggle, running parity_model, and toggling back.
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
-    return SmeModel(dim=4, channels=[Channel(op=XX, rate=2.0 * k, efficiency=1.0)])
+    return _monitor(XX, k)
 
 
 def two_qubit_sme_step(rho, k, dt, dw):
@@ -204,10 +213,7 @@ def encoded_coords(rho):
     wm = float((rho[1, 1] + rho[2, 2]).real)
     dominant = "minus" if wm >= wp else "plus"
     x, y, z, w = block_components(rho, dominant)
-    if w < 1e-12:
-        q2 = np.zeros(3)
-    else:
-        q2 = np.array([x, y, z]) / w
+    q2 = np.zeros(3) if w < 1e-12 else np.array([x, y, z]) / w
     return EncodedQubits(q1=q1, q2=q2, dominant=dominant)
 
 
@@ -310,11 +316,51 @@ def _r_squared(rho):
     return 4.0 * float(np.vdot(rho, rho).real) - 1.0
 
 
+def _equator_purity(x, y, z, w):
+    # of the D- qubit, from its unnormalized block_components (x, y, z, w)
+    return 0.5 if w < 1e-12 else 0.5 * (1.0 + (x * x + y * y) / (w * w))
+
+
 def _q2_equator_purity(rho):
-    x, y, _, w = block_components(rho, "minus")
-    if w < 1e-12:
-        return 0.5
-    return 0.5 * (1.0 + (x * x + y * y) / (w * w))
+    return _equator_purity(*block_components(rho, "minus"))
+
+
+def _rotation_map(rotation, freqs, basis):
+    """(x, beta) -> to_coords(u rho u^dag), u = rotation(beta), as one product
+    x @ [R_0 | R_1 | ...] with fixed real maps, summed with the weights
+    f(beta) = (1, cos(w beta), sin(w beta) for w in freqs)."""
+    def harmonics(beta):
+        return [1.0] + [f(w * beta) for w in freqs for f in (math.cos, math.sin)]
+
+    # the weights are orthogonal on 8 angles a quarter turn apart (the 4 pi
+    # period of the half angles); the R_j hold 0, +-1/2 and +-1, snapped
+    betas = 0.5 * math.pi * np.arange(8)
+    weights = np.array([harmonics(b) for b in betas])
+    images = [to_coords(u @ basis @ u.conj().T).ravel() for u in map(rotation, betas)]
+    fit = (weights.T @ images) / (weights * weights).sum(axis=0)[:, None]
+    stack = np.hstack(np.round(2.0 * fit).reshape(-1, 16, 16) / 2.0)
+
+    def rotate(x, beta):
+        return np.array(harmonics(beta)) @ (x @ stack).reshape(-1, 16)
+    return rotate
+
+
+# columns of x @ reads: trace, q1, the D- block_components, Bell fidelity
+_TR, _Q1X, _Q1Y, _Q1Z, _MX, _MY, _MZ, _MW, _FID = range(9)
+
+
+@lru_cache
+def _coordinate_maps():
+    """(reads, gram, leak, q1 map, q2 map) from the helpers applied to the
+    basis E_k = from_coords(e_k): x @ reads gives the linear observables,
+    Tr rho^2 is x . (gram x) and the leakage is x . (leak x)."""
+    basis = from_coords(np.eye(16))
+    ops = (I4,) + Q1_TRIPLE + MINUS_TRIPLE + (MINUS_PROJECTOR, BELL_TARGET)
+    return (np.array([np.trace(op @ basis, axis1=1, axis2=2).real for op in ops]).T,
+            np.array([np.vdot(e, e).real for e in basis]),
+            np.array([leakage_weight(e) for e in basis]),
+            _rotation_map(q1_rotation, (1.0,), basis),
+            _rotation_map(q2_rotation, (0.5, 1.0), basis))
 
 
 def entangle_protocol(rho0, k, dt, horizon, seed, *, q1_threshold=0.999,
@@ -335,9 +381,12 @@ def entangle_protocol(rho0, k, dt, horizon, seed, *, q1_threshold=0.999,
     target returns immediately, before any step.  Raises
     ProtocolBudgetError (carrying the partial trajectory) if the horizon
     runs out first.
+
+    One Euler step, sme.step for one row, is y = x @ K with the fused
+    K = [I + dt S | M | w] of the stage's model, then y[:16] + dW (y[16:32]
+    - y[32] x) over its trace.  The state becomes a matrix again only for
+    final_state and for the clip_psd repair when Tr rho^2 > 1 + 1e-12.
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if k * dt > 1e-3 * (1.0 + 1e-12):
@@ -349,76 +398,60 @@ def entangle_protocol(rho0, k, dt, horizon, seed, *, q1_threshold=0.999,
     rho = check_density(rho0)
     if rho.shape != (4, 4):
         raise ValueError("state must be two-qubit")
-    stage1 = parity_model(k)
-    stage2 = toggled_parity_model(k)
+    # parity_model(k) rejects k <= 0
+    reads, gram, leak, rotate_q1, rotate_q2 = _coordinate_maps()
+
+    def fused_step(model):
+        ((meas, w),) = model.generator.monitored
+        return np.hstack([np.eye(16) + dt * model.generator.drift, meas, w[:, None]])
+
+    stages = {
+        1: (fused_step(parity_model(k)), rotate_q1, equator_hold_angle, _Q1Y, _Q1Z),
+        2: (fused_step(toggled_parity_model(k)), rotate_q2, phase_hold_angle, _MX, _MY)}
     n_max = int(round(horizon / dt))
     dws = RngStream(seed, 0).wiener(dt, n_max)
-
-    times, r2s, leaks, q1zs, purities, fids = [], [], [], [], [], []
-
-    def sample(t):
-        if times and times[-1] == t:
-            # a rotation at a sample time supersedes the row just written
-            for seq in (times, r2s, leaks, q1zs, purities, fids):
-                seq.pop()
-        times.append(t)
-        r2s.append(_r_squared(rho))
-        leaks.append(leakage_weight(rho))
-        q1zs.append(which_block_vector(rho)[2])
-        purities.append(_q2_equator_purity(rho))
-        fids.append(bell_fidelity(rho))
+    samples = {}  # t -> x; a rotation at a sample time supersedes the row
 
     def package():
+        xs = np.array(list(samples.values()))
+        obs, squares, final_state = xs @ reads, xs * xs, from_coords(x)
+        purity = [_equator_purity(*o[_MX:_FID]) for o in obs.tolist()]
         return ProtocolResult(
-            times=np.array(times),
-            r_squared=np.array(r2s),
-            leakage=np.array(leaks),
-            q1_z=np.array(q1zs),
-            q2_purity=np.array(purities),
-            bell_fidelity=np.array(fids),
-            dfs_time=dfs_time,
-            final_state=rho.copy(),
-            final_fidelity=bell_fidelity(rho),
-        )
+            times=np.array(list(samples)), r_squared=4.0 * (squares @ gram) - 1.0,
+            leakage=squares @ leak, q1_z=obs[:, _Q1Z], q2_purity=np.array(purity),
+            bell_fidelity=obs[:, _FID], dfs_time=dfs_time, final_state=final_state,
+            final_fidelity=bell_fidelity(final_state))
 
-    stage = 1
-    dfs_time = None
-    sample(0.0)
+    stage, dfs_time = 1, None
+    samples[0.0] = x = to_coords(rho)
+    r = (x @ reads).tolist()
     for step in range(n_max + 1):
         t = step * dt
-        if stage == 1:
-            q1 = which_block_vector(rho)
-            if float(np.linalg.norm(q1)) >= q1_threshold:
-                beta = align_down_angle(q1[1], q1[2])
-                u = q1_rotation(beta)
-                candidate = u @ rho @ u.conj().T
-                if leakage_weight(candidate) <= leakage_threshold:
-                    rho = candidate
-                    stage = 2
-                    dfs_time = t if step > 0 else None
-                    sample(t)
-        if stage == 2:
-            if _q2_equator_purity(rho) >= purity_threshold:
-                x, y, _, _ = block_components(rho, "minus")
-                u = q2_rotation(azimuth_align_angle(x, y))
-                rho = u @ rho @ u.conj().T
-                sample(t)
-                return package()
+        if stage == 1 and math.hypot(*r[_Q1X:_Q1Z + 1]) >= q1_threshold:
+            candidate = rotate_q1(x, align_down_angle(r[_Q1Y], r[_Q1Z]))
+            if candidate @ (leak * candidate) <= leakage_threshold:
+                samples[t] = x = candidate
+                r = (x @ reads).tolist()
+                stage = 2
+                dfs_time = t if step > 0 else None
+        if stage == 2 and _equator_purity(*r[_MX:_FID]) >= purity_threshold:
+            samples[t] = x = rotate_q2(x, azimuth_align_angle(r[_MX], r[_MY]))
+            return package()
         if step == n_max:
             break
-        if stage == 1:
-            rho = sme_step(stage1, rho, dt, dws[step])
-            q1 = which_block_vector(rho)
-            u = q1_rotation(equator_hold_angle(q1[1], q1[2]))
-        else:
-            rho = sme_step(stage2, rho, dt, dws[step])
-            x, y, _, _ = block_components(rho, "minus")
-            u = q2_rotation(phase_hold_angle(x, y))
-        rho = u @ rho @ u.conj().T
-        if float(np.vdot(rho, rho).real) > 1.0 + 1e-12:
-            rho = clip_psd(rho)
+        fused, rotate, hold, a, b = stages[stage]
+        y = x @ fused
+        out = y[:16] + dws[step] * (y[16:32] - y[32] * x)
+        r = (out @ reads).tolist()
+        if not 0.0 < r[_TR] < math.inf:  # NaN fails too
+            raise IntegrationError("trace lost during SME step")
+        # the hold angles are scale-free, so they read the unnormalized out
+        x = rotate(out / r[_TR], hold(r[a], r[b]))
+        if x @ (gram * x) > 1.0 + 1e-12:
+            x = to_coords(clip_psd(from_coords(x)))
+        r = (x @ reads).tolist()
         if (step + 1) % sample_every == 0:
-            sample(t + dt)
+            samples[t + dt] = x
     raise ProtocolBudgetError(
         f"thresholds not reached within horizon {horizon:g} (stage {stage})",
         package(),

@@ -146,10 +146,3 @@ def continuous_meas_kraus(k_strength, dt, observable, mu):
     weights = amp * np.exp(-2.0 * k * dt * (evals - float(mu)) ** 2)
     return (vecs * weights[None, :]) @ vecs.conj().T
 
-
-def record_increment(x_expect, k_strength, dt, dw):
-    """Measurement record increment dy = <X> dt + dW / sqrt(8k)."""
-    k = float(k_strength)
-    if k <= 0:
-        raise ValueError("k_strength must be positive")
-    return float(x_expect) * dt + dw / np.sqrt(8.0 * k)

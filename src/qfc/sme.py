@@ -232,11 +232,6 @@ def sme_step(model, rho, dt, dws, t=0.0):
     return from_coords(step(model, to_coords(rho)[None], dt, dws, t))[0]
 
 
-def innovation_increment(record_dy, x_expect, rate, efficiency, dt):
-    """Recover dW = dY - 2 sqrt(rate eta) <X> dt from a readout increment."""
-    return float(record_dy) - 2.0 * np.sqrt(rate * efficiency) * float(x_expect) * dt
-
-
 @dataclass
 class TrajectoryResult:
     times: np.ndarray
@@ -324,13 +319,6 @@ def spin_ensemble_model(two_j, u_law=None, s=0.0, strength=1.0, eta=1.0,
         control_law=u_law,
         channels=channels,
     )
-
-
-def fidelity_bound_parameter(strength, eta, extra_rate):
-    """l = gamma / (M eta), the knob controlling the long-run fidelity bound."""
-    if strength <= 0 or eta <= 0:
-        raise ValueError("strength and eta must be positive")
-    return float(extra_rate) / (float(strength) * float(eta))
 
 
 def purity_derivative_check(model, rho, dt=1e-5, t=0.0):

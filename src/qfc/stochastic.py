@@ -47,10 +47,6 @@ class RngStream:
         return self.gen.uniform(size=size)
 
 
-def wiener_increment(rng, dt):
-    return float(rng.wiener(dt))
-
-
 def ito_quadratic_variation(rng, t_total, n_steps):
     """Sum of squared increments of one discretized Wiener path over [0, t_total].
 
@@ -63,16 +59,6 @@ def ito_quadratic_variation(rng, t_total, n_steps):
         raise ValueError("n_steps must be at least 1")
     dw = rng.wiener(t_total / n_steps, n_steps)
     return float(np.dot(dw, dw))
-
-
-def euler_maruyama_step(state, drift, diffusion, dt, dw):
-    """state + f(state) dt + g(state) dw with both coefficients at the left endpoint."""
-    state = np.asarray(state, dtype=float)
-    out = state + np.asarray(drift(state), dtype=float) * dt \
-        + np.asarray(diffusion(state), dtype=float) * dw
-    if not np.all(np.isfinite(out)):
-        raise IntegrationError("non-finite state after Euler-Maruyama step")
-    return out
 
 
 @dataclass

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_density, random_unitary
+from conftest import random_density, random_hermitian, random_unitary
 
 import qfc.entanglement as en
 import qfc.states as st
-from qfc.sme import sme_step
+from qfc.sme import sme_step, to_coords
+from qfc.stochastic import IntegrationError, RngStream
 
 
 def embed_block(rho2, block):
@@ -408,3 +409,128 @@ def test_protocol_input_guards():
         en.entangle_protocol(np.eye(2) / 2.0, 1.0, 1e-3, 1.0, seed=0)
     with pytest.raises(ValueError):
         en.entangle_protocol(np.eye(4), 1.0, 1e-3, 1.0, seed=0)
+
+
+def matrix_protocol(rho0, k, dt, horizon, seed, q1_threshold=0.999,
+                    leakage_threshold=1e-3, purity_threshold=0.995,
+                    sample_every=10):
+    """entangle_protocol's loop written on 4 x 4 matrices with the matrix
+    helpers: the reference its coordinate loop is checked against."""
+    rho = st.check_density(rho0)
+    stage1, stage2 = en.parity_model(k), en.toggled_parity_model(k)
+    n_max = int(round(horizon / dt))
+    dws = RngStream(seed, 0).wiener(dt, n_max)
+    rows = []
+
+    def sample(t):
+        if rows and rows[-1][0] == t:
+            rows.pop()
+        rows.append((t, en._r_squared(rho), en.leakage_weight(rho),
+                     en.which_block_vector(rho)[2], en._q2_equator_purity(rho),
+                     en.bell_fidelity(rho)))
+
+    def package():
+        cols = [np.array(c) for c in zip(*rows)]
+        return en.ProtocolResult(*cols, dfs_time=dfs_time, final_state=rho.copy(),
+                                 final_fidelity=en.bell_fidelity(rho))
+
+    stage, dfs_time = 1, None
+    sample(0.0)
+    for step in range(n_max + 1):
+        t = step * dt
+        if stage == 1:
+            q1 = en.which_block_vector(rho)
+            if float(np.linalg.norm(q1)) >= q1_threshold:
+                u = en.q1_rotation(en.align_down_angle(q1[1], q1[2]))
+                candidate = u @ rho @ u.conj().T
+                if en.leakage_weight(candidate) <= leakage_threshold:
+                    rho, stage = candidate, 2
+                    dfs_time = t if step > 0 else None
+                    sample(t)
+        if stage == 2 and en._q2_equator_purity(rho) >= purity_threshold:
+            x, y, _, _ = en.block_components(rho, "minus")
+            u = en.q2_rotation(en.azimuth_align_angle(x, y))
+            rho = u @ rho @ u.conj().T
+            sample(t)
+            return package()
+        if step == n_max:
+            break
+        if stage == 1:
+            rho = sme_step(stage1, rho, dt, dws[step])
+            q1 = en.which_block_vector(rho)
+            u = en.q1_rotation(en.equator_hold_angle(q1[1], q1[2]))
+        else:
+            rho = sme_step(stage2, rho, dt, dws[step])
+            x, y, _, _ = en.block_components(rho, "minus")
+            u = en.q2_rotation(en.phase_hold_angle(x, y))
+        rho = u @ rho @ u.conj().T
+        if float(np.vdot(rho, rho).real) > 1.0 + 1e-12:
+            rho = en.clip_psd(rho)
+        if (step + 1) % sample_every == 0:
+            sample(t + dt)
+    raise en.ProtocolBudgetError("horizon", package())
+
+
+def run_both(rho0, horizon, seed):
+    out = []
+    for run in (en.entangle_protocol, matrix_protocol):
+        try:
+            out.append((run(rho0, 1.0, 1e-3, horizon, seed), False))
+        except en.ProtocolBudgetError as err:
+            out.append((err.result, True))
+    return out
+
+
+MIXED = np.eye(4, dtype=complex) / 4.0
+
+
+@pytest.mark.parametrize("rho0, horizon, seed", [
+    (MIXED, 10.0, 0), (MIXED, 10.0, 1), (MIXED, 10.0, 2),
+    (MIXED, 10.0, 31),  # leaves the PSD set, see the xfail above
+    (random_density(np.random.default_rng(41), 4), 10.0, 41),
+    (random_density(np.random.default_rng(42), 4), 10.0, 42),
+    (MIXED, 0.01, 0),  # budget error with a partial result
+])
+def test_coordinate_loop_matches_matrix_loop(rho0, horizon, seed):
+    (res, failed), (ref, ref_failed) = run_both(rho0, horizon, seed)
+    assert failed == ref_failed
+    assert np.array_equal(res.times, ref.times)
+    assert res.dfs_time == ref.dfs_time
+    for name in ("r_squared", "leakage", "q1_z", "q2_purity", "bell_fidelity",
+                 "final_state", "final_fidelity"):
+        assert np.max(np.abs(getattr(res, name) - getattr(ref, name))) <= 1e-12, name
+
+
+def test_loop_repairs_through_the_module_clip_psd(monkeypatch):
+    # seeds 0 and 1 of the oracle cases each take the clip_psd path once
+    calls = []
+    clip = en.clip_psd
+    monkeypatch.setattr(en, "clip_psd", lambda rho: calls.append(1) or clip(rho))
+    for seed in (0, 1):
+        en.entangle_protocol(MIXED, 1.0, 1e-3, 10.0, seed=seed)
+    assert len(calls) == 2
+
+
+def test_loop_draws_through_the_module_rng_stream(monkeypatch):
+    class NanStream:
+        def __init__(self, seed, stream_id):
+            pass
+
+        def wiener(self, dt, size):
+            return np.full(size, np.nan)
+
+    monkeypatch.setattr(en, "RngStream", NanStream)
+    with pytest.raises(IntegrationError):
+        en.entangle_protocol(MIXED, 1.0, 1e-3, 1.0, seed=0)
+
+
+def test_rotation_maps_match_conjugation():
+    _, _, _, rotate_q1, rotate_q2 = en._coordinate_maps()
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        beta = rng.uniform(-2.0 * math.pi, 2.0 * math.pi)
+        rho = random_hermitian(rng, 4)
+        for rotate, make in ((rotate_q1, en.q1_rotation), (rotate_q2, en.q2_rotation)):
+            u = make(beta)
+            expect = to_coords(u @ rho @ u.conj().T)
+            assert np.max(np.abs(rotate(to_coords(rho), beta) - expect)) <= 1e-14

@@ -123,12 +123,3 @@ def test_continuous_kraus_readout_statistics():
     assert np.allclose(p_mix, p_mix[::-1], atol=1e-12)
     second = (mus ** 2 * p_mix).sum() * dmu
     assert abs(second - (1.0 + 1.0 / (8.0 * k * dt))) < 1e-3 * second
-
-
-def test_record_increment_round_trip():
-    k, dt, dw = 2.0, 1e-3, 0.02
-    dy = ms.record_increment(0.7, k, dt, dw)
-    assert abs(dy - (0.7 * dt + dw / np.sqrt(8.0 * k))) < 1e-15
-    recovered = (dy - 0.7 * dt) * np.sqrt(8.0 * k)
-    assert abs(recovered - dw) < 1e-12
-    assert abs(ms.record_increment(0.7, k, dt, 0.0) - 0.7 * dt) < 1e-15

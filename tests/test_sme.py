@@ -162,10 +162,7 @@ def test_run_trajectory_record_round_trip():
     # dY = 2 sqrt(rate eta) <X> dt + dW, accumulated
     rate = 2.0 * k
     dy = np.diff(res.record[:, 0])
-    implied_dw = np.array([
-        sme.innovation_increment(dy[i], res.observables[i, 0], rate, 1.0, 1e-3)
-        for i in range(50)
-    ])
+    implied_dw = dy - 2.0 * np.sqrt(rate) * res.observables[:-1, 0] * 1e-3
     assert np.allclose(implied_dw, res.noise[:, 0], atol=1e-12)
 
 
@@ -204,7 +201,6 @@ def test_spin_model_control_law_and_extra_channel():
     assert len(model.channels) == 2
     assert model.channels[1].efficiency == 0.0
     assert len(model.measured()) == 1
-    assert abs(sme.fidelity_bound_parameter(1.0, 0.5, 0.1) - 0.2) < 1e-12
 
 
 def test_purity_derivative_check():

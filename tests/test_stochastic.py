@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from qfc.stochastic import (EnsembleStats, IntegrationError, RngStream,
-                            euler_maruyama_step, ito_quadratic_variation,
-                            run_ensemble, wiener_increment, wiener_steps)
+from qfc.stochastic import (EnsembleStats, RngStream, ito_quadratic_variation,
+                            run_ensemble, wiener_steps)
 
 
 def test_stream_reproducibility():
@@ -32,7 +31,6 @@ def test_wiener_moments():
     xs = RngStream(1).wiener(dt, 200_000)
     assert abs(xs.mean()) < 3.0 * np.sqrt(dt / xs.size)
     assert abs(xs.var() - dt) < 3.0 * dt * np.sqrt(2.0 / xs.size)
-    assert isinstance(wiener_increment(RngStream(2), dt), float)
 
 
 def test_quadratic_variation_concentrates():
@@ -40,14 +38,6 @@ def test_quadratic_variation_concentrates():
     assert abs(qv - 1.0) < 3.0 * np.sqrt(2.0 / 100_000)
     with pytest.raises(ValueError):
         ito_quadratic_variation(RngStream(3), -1.0, 10)
-
-
-def test_euler_maruyama_step():
-    out = euler_maruyama_step([1.0], lambda s: -2.0 * s, lambda s: 0.5 * s,
-                              0.01, 0.1)
-    assert np.allclose(out, [1.0 - 0.02 + 0.05])
-    with pytest.raises(IntegrationError):
-        euler_maruyama_step([1.0], lambda s: s * np.nan, lambda s: s, 0.01, 0.0)
 
 
 def test_run_ensemble_matches_direct_loop():
