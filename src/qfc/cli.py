@@ -2,11 +2,11 @@
 
 Configuration is resolved in increasing precedence: built-in defaults, an
 optional flat ``key=value`` config file (``#`` starts a comment), then
-command-line flags.  Unknown keys and out-of-range values are rejected with
-one message per offending field.  Every run embeds its resolved configuration
-as ``# key=value`` lines in the output files, and identical configuration plus
-seed gives byte-identical files for any ``--threads`` value (thread count is
-therefore the one setting not echoed).
+command-line flags.  Unknown keys, non-finite floats and out-of-range values
+are rejected with one message per offending field.  Every run embeds its
+resolved configuration as ``# key=value`` lines in the output files, and
+identical configuration plus seed gives byte-identical files for any
+``--threads`` value (thread count is therefore the one setting not echoed).
 """
 
 from __future__ import annotations
@@ -207,13 +207,11 @@ def _run_sme(cfg):
     n_steps = int(round(cfg["t_max"] / dt))
     times, mean, var = sme.run_dephasing_ensemble(
         k, dt, n_steps, cfg["trajectories"], cfg["seed"],
-        threads=cfg["threads"])
+        sample_every=cfg["sample_every"], threads=cfg["threads"])
     sem = np.sqrt(var / cfg["trajectories"])
-    stride = cfg["sample_every"]
-    idx = np.arange(0, n_steps + 1, stride)
-    analytic = 0.5 * np.exp(-4.0 * k * times[idx])
+    analytic = 0.5 * np.exp(-4.0 * k * times)
     header = ["t", "mean_coherence", "std_error", "analytic_coherence"]
-    return [("csv", header, [times[idx], mean[idx], sem[idx], analytic])], {}
+    return [("csv", header, [times, mean, sem, analytic])], {}
 
 
 def _run_spin_collapse(cfg):
@@ -449,9 +447,13 @@ def resolve_config(command, cli_values, config_path):
             cfg[f.name] = value
 
     for f in fields:
-        if f.check is None or cfg[f.name] is None:
+        value = cfg[f.name]
+        if value is None:
             continue
-        message = f.check(cfg[f.name])
+        if f.parse is float and not math.isfinite(value):
+            message = "must be finite"
+        else:
+            message = f.check and f.check(value)
         if message:
             problems.append(f"{f.name}: {message}")
     if not problems:

@@ -44,7 +44,6 @@ IX = tensor_product(SI, SX)
 ZY = tensor_product(SZ, SY)
 HH = tensor_product(HADAMARD, HADAMARD)
 
-PLUS_PROJECTOR = np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
 MINUS_PROJECTOR = np.diag([0.0, 1.0, 1.0, 0.0]).astype(complex)
 
 # Which-block qubit: (I x X, Z x Y, Z x Z) obey the Pauli algebra on the
@@ -68,32 +67,6 @@ MINUS_TRIPLE = (
 
 BELL_TARGET = np.zeros((4, 4), dtype=complex)
 BELL_TARGET[1:3, 1:3] = 0.5
-
-
-@dataclass(frozen=True)
-class DfsDecomposition:
-    """Block weights and off-block coherence of a two-qubit state.
-
-    leakage is the Frobenius weight of the off-block corners, zero exactly
-    for block-diagonal states.  member names the block the state lives in,
-    or None when it is not confined to either.
-    """
-
-    plus_block: np.ndarray
-    minus_block: np.ndarray
-    plus_weight: float
-    minus_weight: float
-    leakage: float
-    member: str | None
-
-
-@dataclass(frozen=True)
-class EncodedQubits:
-    """Bloch vectors of the which-block qubit and the dominant-block qubit."""
-
-    q1: np.ndarray
-    q2: np.ndarray
-    dominant: str
 
 
 def _monitor(op, k):
@@ -135,33 +108,6 @@ def leakage_weight(rho):
     return 2.0 * float(sum(abs(c) ** 2 for c in corners))
 
 
-def dfs_membership(rho, tol=1e-9):
-    """Decompose a two-qubit state over the parity blocks.
-
-    Membership requires essentially all weight in one block and off-block
-    coherence below tol; block-diagonal but split states (I/4 for instance)
-    belong to neither.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    wp = float((rho[0, 0] + rho[3, 3]).real)
-    wm = float((rho[1, 1] + rho[2, 2]).real)
-    leak = leakage_weight(rho)
-    member = None
-    if leak <= tol:
-        if wp >= 1.0 - tol:
-            member = "plus"
-        elif wm >= 1.0 - tol:
-            member = "minus"
-    return DfsDecomposition(
-        plus_block=PLUS_PROJECTOR.copy(),
-        minus_block=MINUS_PROJECTOR.copy(),
-        plus_weight=wp,
-        minus_weight=wm,
-        leakage=leak,
-        member=member,
-    )
-
-
 def hadamard_toggle(rho):
     """Conjugate by H x H.  Involutive; swaps the roles of ZZ and XX."""
     rho = np.asarray(rho, dtype=complex)
@@ -198,23 +144,6 @@ def which_block_vector(rho):
     y = 2.0 * float((rho[2, 3] - rho[0, 1]).imag)
     z = float((rho[0, 0] - rho[1, 1] - rho[2, 2] + rho[3, 3]).real)
     return np.array([x, y, z])
-
-
-def encoded_coords(rho):
-    """Encoded-qubit Bloch vectors of a two-qubit state.
-
-    q1 is the reduced which-block qubit; q2 is the conditional within-block
-    qubit of the heavier block (ties go to minus, the block holding the
-    protocol target).  A block with negligible weight yields q2 = 0.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    q1 = which_block_vector(rho)
-    wp = float((rho[0, 0] + rho[3, 3]).real)
-    wm = float((rho[1, 1] + rho[2, 2]).real)
-    dominant = "minus" if wm >= wp else "plus"
-    x, y, z, w = block_components(rho, dominant)
-    q2 = np.zeros(3) if w < 1e-12 else np.array([x, y, z]) / w
-    return EncodedQubits(q1=q1, q2=q2, dominant=dominant)
 
 
 def bell_fidelity(rho):

@@ -232,71 +232,36 @@ def sme_step(model, rho, dt, dws, t=0.0):
     return from_coords(step(model, to_coords(rho)[None], dt, dws, t))[0]
 
 
-@dataclass
-class TrajectoryResult:
-    times: np.ndarray
-    states: list | None
-    observables: np.ndarray | None
-    record: np.ndarray  # cumulative readout per monitored channel
-    noise: np.ndarray   # the Wiener increments actually used
-
-
-def run_trajectory(model, rho0, dt, n_steps, stream, observable_ops=None,
-                   store_states=False):
-    """Integrate one conditioned trajectory with ``step``.
-
-    observable_ops, if given, is a list of Hermitian operators whose
-    expectations are sampled at every step (including t=0).  The record
-    accumulates the readout dY = 2 sqrt(rate eta) <(c + c^dag)/2> dt + dW,
-    which is (x . w) dt + dW in coordinates.
-    """
-    n_steps = int(n_steps)
-    gen = model.generator
-    d2 = model.dim * model.dim
-    dWs = stream.wiener(dt, (n_steps, len(gen.monitored)))
-    times = dt * np.arange(n_steps + 1)
-    xs = np.empty((n_steps + 1, d2))
-    xs[0] = to_coords(check_density(rho0))
-    for i in range(n_steps):
-        xs[i + 1] = step(model, xs[i:i + 1], dt, dWs[i:i + 1], times[i])[0]
-    weights = np.reshape([w for _, w in gen.monitored], (-1, d2)).T
-    record = np.zeros((n_steps + 1, len(gen.monitored)))
-    np.cumsum(dt * xs[:-1] @ weights + dWs, axis=0, out=record[1:])
-    rhos = from_coords(xs)
-    obs = None
-    if observable_ops is not None:
-        obs = np.stack([np.trace(op @ rhos, axis1=1, axis2=2).real
-                        for op in observable_ops], axis=1)
-    return TrajectoryResult(times=times, states=list(rhos) if store_states else None,
-                            observables=obs, record=record, noise=dWs)
-
-
 def run_dephasing_ensemble(k, dt, n_steps, n_traj, base_seed, rho0=None,
-                           chunk=2000, threads=1):
+                           sample_every=1, chunk=2000, threads=1):
     """Qubit dephasing trajectories (sigma_z, rate 2k), stepped by ``step``
     in batches of chunk trajectories.
 
-    Returns (times, mean, var) of Re rho_01, reduced by ``run_ensemble``.
+    Returns (times, mean, var) of Re rho_01 at every sample_every-th step,
+    reduced by ``run_ensemble``.
     """
     k = float(k)
     if k <= 0:
         raise ValueError("k must be positive")
     n_steps = int(n_steps)
+    sample_every = max(1, int(sample_every))
+    idx = np.arange(0, n_steps + 1, sample_every)
     x0 = to_coords(check_density(np.full((2, 2), 0.5) if rho0 is None else rho0))
     model = SmeModel(dim=2, channels=[
         Channel(op=np.diag([1.0, -1.0]), rate=2.0 * k, efficiency=1.0)])
 
     def batch(streams):
         x = np.tile(x0, (len(streams), 1))
-        coh = np.empty((len(streams), n_steps + 1))
+        coh = np.empty((len(streams), len(idx)))
         coh[:, 0] = x[:, 2]  # Re rho_01
         for s, dw in enumerate(wiener_steps(streams, dt, n_steps), 1):
             x = step(model, x, dt, dw[:, None])
-            coh[:, s] = x[:, 2]
+            if s % sample_every == 0:
+                coh[:, s // sample_every] = x[:, 2]
         return coh
 
     stats = run_ensemble(batch, n_traj, base_seed, chunk=chunk, threads=threads)
-    return dt * np.arange(n_steps + 1), stats.mean, stats.var
+    return dt * idx, stats.mean, stats.var
 
 
 def spin_ensemble_model(two_j, u_law=None, s=0.0, strength=1.0, eta=1.0,

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import MeasurementOperatorSet, apply_measurement
 from .states import SZ, dag, density
 
 _HALF_PI = 0.5 * np.pi
@@ -121,19 +120,6 @@ def correction_pair(p, theta, chi):
     """Rotations applied after outcomes 0 and 1 of the weak measurement."""
     eta = feedback_angle(p, theta, chi)
     return _z_half(eta), _z_half(-eta)
-
-
-def weak_feedback_correct(rho, p, theta, chi, rng):
-    """Sample the weak measurement on rho and apply the paired correction.
-
-    Returns (outcome, corrected_state).  rho is the (already noisy) input.
-    """
-    m0, m1 = weak_operator_pair(chi)
-    mset = MeasurementOperatorSet(operators=[m0, m1])
-    outcome, post, _ = apply_measurement(rho, mset, rng)
-    z0, z1 = correction_pair(p, theta, chi)
-    z = z0 if outcome == 0 else z1
-    return outcome, z @ post @ dag(z)
 
 
 def channel_average_fidelity(p, theta, chi):

@@ -15,7 +15,6 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-PAULIS = (SI, SX, SY, SZ)
 
 
 def dag(a):
@@ -28,12 +27,6 @@ def tensor_product(a, b, *rest):
     for m in rest:
         out = np.kron(out, np.asarray(m, dtype=complex))
     return out
-
-
-# 4x4x4x4 array of two-qubit Pauli products sigma_i (x) sigma_j.
-TWO_QUBIT_PAULIS = np.array(
-    [[tensor_product(a, b) for b in PAULIS] for a in PAULIS]
-)
 
 
 def check_density(rho, trace_tol=1e-9, herm_tol=1e-9, psd_tol=1e-9, raw=False):
@@ -156,29 +149,6 @@ def density_from_bloch(v, tol=1e-9):
     if n2 > 1.0 + tol:
         raise ValueError(f"Bloch vector squared length {n2} exceeds 1")
     return 0.5 * (SI + v[0] * SX + v[1] * SY + v[2] * SZ)
-
-
-def fano_decompose(rho):
-    """4x4 real table r[i,j] = Tr((sigma_i (x) sigma_j) rho), i,j in {I,x,y,z}."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got {rho.shape}")
-    return np.einsum("ijkl,lk->ij", TWO_QUBIT_PAULIS, rho).real
-
-
-def density_from_fano(r):
-    r = np.asarray(r, dtype=float)
-    return np.einsum("ij,ijkl->kl", r, TWO_QUBIT_PAULIS) / 4.0
-
-
-def fano_r_squared(r):
-    """Squared Frobenius norm of the 3x3 correlation block.
-
-    1 for product pure states, 3 for Bell states; the single-qubit rows and
-    column do not enter.
-    """
-    r = np.asarray(r)
-    return float((r[1:, 1:] ** 2).sum())
 
 
 def angular_momentum_ops(two_j):

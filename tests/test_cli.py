@@ -142,6 +142,24 @@ def test_resolve_config_aggregates_every_problem(tmp_path):
         assert fragment in text
 
 
+def test_non_finite_floats_are_rejected(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("re_min=nan\n")
+    with pytest.raises(cli.ConfigError) as info:
+        cli.resolve_config("julia", {"p_re": math.inf, "cycle_tol": -1.0}, str(path))
+    assert info.value.problems == ["p_re: must be finite",
+                                   "cycle_tol: must be positive",
+                                   "re_min: must be finite"]
+    for argv, bad in ((["julia", "--re-min", "nan", "--p-re", "inf", "--grid", "8x8"],
+                       ("p_re", "re_min")),
+                      (["purify", "--t-max", "inf", "--k", "-inf"], ("k", "t_max")),
+                      (["entangle", "--horizon", "inf", "--dt", "nan"], ("dt", "horizon"))):
+        assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert [f"{name}: must be finite" in err for name in bad] == [True, True]
+    assert not list(tmp_path.glob("x.*"))
+
+
 def test_resolve_config_unreadable_file():
     with pytest.raises(cli.ConfigError) as info:
         cli.resolve_config("julia", {}, "/nonexistent/qfc.cfg")

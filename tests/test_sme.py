@@ -6,8 +6,8 @@ import pytest
 from conftest import random_density, random_hermitian, random_unitary
 
 from qfc import sme
-from qfc.states import (SZ, angular_momentum_ops, density, pure_state,
-                        tensor_product, von_neumann_entropy)
+from qfc.states import (SZ, angular_momentum_ops, density, tensor_product,
+                        von_neumann_entropy)
 from qfc.stochastic import IntegrationError, RngStream
 
 ZZ = tensor_product(SZ, SZ)
@@ -150,20 +150,15 @@ def test_dephasing_ensemble_thread_invariance():
         assert np.array_equal(x, y)
 
 
-def test_run_trajectory_record_round_trip():
-    k = 0.5
-    model = dephasing_model(k)
-    rho0 = density(pure_state([1.0, 0.0]))
-    res = sme.run_trajectory(model, rho0, 1e-3, 50, RngStream(5),
-                             observable_ops=[SZ], store_states=True)
-    assert res.observables.shape == (51, 1)
-    assert np.allclose(res.observables[:, 0], 1.0, atol=1e-9)  # fixed point
-    assert len(res.states) == 51
-    # dY = 2 sqrt(rate eta) <X> dt + dW, accumulated
-    rate = 2.0 * k
-    dy = np.diff(res.record[:, 0])
-    implied_dw = dy - 2.0 * np.sqrt(rate) * res.observables[:-1, 0] * 1e-3
-    assert np.allclose(implied_dw, res.noise[:, 0], atol=1e-12)
+def test_dephasing_ensemble_samples_inside_the_loop():
+    # 50 steps is not a multiple of 7; 300 trajectories in chunks of 64 is 5 chunks
+    full = sme.run_dephasing_ensemble(1.0, 1e-3, 50, 300, 29, chunk=64)
+    for threads in (1, 2):
+        sampled = sme.run_dephasing_ensemble(1.0, 1e-3, 50, 300, 29, sample_every=7,
+                                             chunk=64, threads=threads)
+        assert len(sampled[0]) == 8
+        for x, y in zip(sampled, full):
+            assert np.array_equal(x, y[::7])
 
 
 def test_spin_model_collapse_and_fixed_points():

@@ -75,14 +75,6 @@ def test_optimized_channel_reaches_closed_form():
         assert 0.0 < chi < np.pi / 2.0
 
 
-def test_weak_feedback_correct_returns_state():
-    rng = RngStream(4)
-    rho = sb.dephase(density(sb.protected_pair(0.7)[0]), 0.1, rng)
-    outcome, out = sb.weak_feedback_correct(rho, 0.1, 0.7, 0.5, rng)
-    assert outcome in (0, 1)
-    assert abs(np.trace(out) - 1.0) < 1e-9
-
-
 def test_mc_matches_closed_forms():
     rng_p = np.random.default_rng(2024)
     for _ in range(3):

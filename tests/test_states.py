@@ -14,12 +14,6 @@ def test_pauli_algebra():
     assert np.allclose(st.HADAMARD @ st.SZ @ st.HADAMARD, st.SX)
 
 
-def test_two_qubit_pauli_basis_orthogonality():
-    flat = st.TWO_QUBIT_PAULIS.reshape(16, 4, 4)
-    gram = np.einsum("aij,bji->ab", flat, flat)
-    assert np.allclose(gram, 4.0 * np.eye(16))
-
-
 def test_pure_state_rejects_unnormalized():
     with pytest.raises(ValueError):
         st.pure_state([1.0, 1.0])
@@ -80,19 +74,6 @@ def test_bloch_round_trip():
         assert np.allclose(st.bloch_from_density(rho), v)
     with pytest.raises(ValueError):
         st.density_from_bloch([1.0, 1.0, 0.0])
-
-
-def test_fano_round_trip_and_r_squared():
-    rng = np.random.default_rng(9)
-    rho = random_density(rng, 4)
-    r = st.fano_decompose(rho)
-    assert abs(r[0, 0] - 1.0) < 1e-12
-    assert np.allclose(st.density_from_fano(r), rho)
-    # product pure state: correlation block weight 1; Bell state: 3
-    prod = st.density(np.kron(random_pure(rng, 2), random_pure(rng, 2)))
-    assert abs(st.fano_r_squared(st.fano_decompose(prod)) - 1.0) < 1e-10
-    bell = st.density(st.bell_state("psi+"))
-    assert abs(st.fano_r_squared(st.fano_decompose(bell)) - 3.0) < 1e-10
 
 
 def test_entropy_and_purity():
