@@ -12,11 +12,11 @@ acting on the Riemann sphere.  The module provides both pictures plus the
 tools hung off them: Bell-state purification by iteration, convergence-time
 rasters whose slow set draws the Julia set of F_p, a box-counting dimension
 estimate for its boundary, and Lyapunov exponents.  The orbit iteration for
-Lyapunov work runs in arbitrary precision: a repelling orbit loses roughly
-one bit per step, so float64 orbits fall off the Julia set after about
-fifty steps no matter how accurately they start.  mpmath is imported only
-by the Lyapunov estimator (``lyapunov_estimate`` and its helper
-``_rescale``), so the rest of the module, and the CLI, load without it.
+Lyapunov work runs in arbitrary precision, as Python-int fixed point: a
+repelling orbit loses roughly one bit per step, so float64 orbits fall off
+the Julia set after about fifty steps no matter how accurately they start.
+mpmath is imported only by ``lyapunov_estimate``, to parse its start point
+and parameter, so the rest of the module, and the CLI, load without it.
 """
 
 from __future__ import annotations
@@ -487,8 +487,10 @@ class LyapunovResult:
     terminated: bool
 
 
-# Bits for the logs, the chordal distances, the phase and the pull factor.
+# Bits each step keeps in the quantities it takes logs of.
 _LOG_PREC = 64
+_PULL_BITS = 62  # fixed-point bits of the pull-back factors
+_FLOOR = 1e-300  # lower clamp of the derivative and the separation before their logs
 
 
 def _bits_below_one(x):
@@ -496,22 +498,36 @@ def _bits_below_one(x):
     return max(0, math.ceil(-math.log2(x)))
 
 
-def _rescale(u, v):
-    """Scale a homogeneous pair by an exact power of two, largest part ~1."""
-    import mpmath
-
-    s = mpmath.ldexp(1, -max(mpmath.mag(u), mpmath.mag(v)))
-    return u * s, v * s
+def _fixed(x, bits):
+    """The float x times 2**bits as an int, truncated; exact from 2**53 in size up."""
+    m, e = math.frexp(x)
+    return int(m * 2.0**53) << (e - 53 + bits) if e - 53 + bits >= 0 else int(math.ldexp(x, bits))
 
 
-def _advance(u, v, pm, pc):
-    """One step of F_p on homogeneous coordinates, z = u/v."""
-    uu, vv = u * u, v * v
-    return _rescale(uu + pm * vv, vv - pc * uu)
+def _scaled(pair, bits):
+    """Shift the int parts of a homogeneous pair so that the largest has `bits` bits."""
+    s = max(map(int.bit_length, pair)) - bits
+    return [x >> s for x in pair] if s >= 0 else [x << -s for x in pair]
 
 
-def _abs2(z):
-    return z.real * z.real + z.imag * z.imag
+def _fp_step(pair, pr, pi, bits):
+    """F_p on (Re u, Im u, Re v, Im v), z = u/v, with p = (pr + i pi) / 2**bits."""
+    ur, ui, vr, vi = _scaled(pair, bits)
+    uur, uui = ((ur + ui) * (ur - ui)) >> bits, (ur * ui) >> (bits - 1)
+    vvr, vvi = ((vr + vi) * (vr - vi)) >> bits, (vr * vi) >> (bits - 1)
+    return _scaled((uur + ((pr * vvr - pi * vvi) >> bits), uui + ((pr * vvi + pi * vvr) >> bits),
+                    vvr - ((pr * uur + pi * uui) >> bits), vvi - ((pr * uui - pi * uur) >> bits)),
+                   bits)
+
+
+def _float_parts(f, g, bits):
+    """u and v of pairs f and g at scale 2**bits, and their cross product f_u g_v - g_u f_v."""
+    (fur, fui, fvr, fvi), (gur, gui, gvr, gvi) = f, g
+    s, s2 = 1 << bits, 1 << 2 * bits
+    return (complex(fur / s, fui / s), complex(fvr / s, fvi / s),
+            complex(gur / s, gui / s), complex(gvr / s, gvi / s),
+            complex((fur * gvr - fui * gvi - gur * fvr + gui * fvi) / s2,
+                    (fur * gvi + fui * gvr - gur * fvi - gui * fvr) / s2))
 
 
 def lyapunov_estimate(z0, p, n_iters, offset=1e-9, supersink_tol=1e-12):
@@ -535,106 +551,92 @@ def lyapunov_estimate(z0, p, n_iters, offset=1e-9, supersink_tol=1e-12):
     rounded up: the separation of the two orbits, and a coordinate next to
     a critical point, are that much smaller than the state and so are
     known to that many fewer bits.  Every step thus sees the quantities it
-    takes logs of to about 64 bits.  The logs, the chordal
-    distances, the phase and the pull factor are taken at 64 bits.  The
-    homogeneous pairs are rescaled by exact powers of two rather than
-    normalized, and every quantity formed from them is invariant under
-    that scaling.
+    takes logs of to about 64 bits.
+
+    Each homogeneous pair (u, v) is four Python ints at scale 2^P, P the
+    step's bits, shifted exactly so that its largest part has P bits; p is
+    held the same way.  The map and the cross product are exact int
+    arithmetic.  The norms, distances, phase and pull factor are float64,
+    each correctly rounded from its int, so the logs carry 53 bits (summed
+    by math.fsum); the pull factors are applied as 62-bit fixed-point ints.
 
     z0 and p may be complex numbers, mpmath values, strings, or
     zero-argument callables evaluated at the top working precision,
-    n_iters + g bits.  The callable form matters for points on thin
-    invariant sets: a double-rounded e^{0.7i} sits 1e-16 off the unit
-    circle, and squaring doubles that error every step, so pass
-    lambda: mpmath.exp(0.7j) instead.
+    n_iters + g bits; a non-finite z0 is the point at infinity.  The
+    callable form matters for points on thin invariant sets: a
+    double-rounded e^{0.7i} sits 1e-16 off the unit circle, and squaring
+    doubles that error every step, so pass lambda: mpmath.exp(0.7j)
+    instead.  mpmath's global precision is neither read nor changed.  One
+    ValueError names every bad n_iters, offset and supersink_tol; a
+    non-finite p raises ValueError too.
     """
-    import mpmath
-
-    if n_iters < 1:
-        raise ValueError("n_iters must be at least 1")
-    if offset <= 0:
-        raise ValueError("offset must be positive")
-    if supersink_tol <= 0:
-        raise ValueError("supersink_tol must be positive")
+    problems = [f"{name} must be positive and finite, got {value!r}"
+                for name, value in (("offset", offset), ("supersink_tol", supersink_tol))
+                if not 0 < value < math.inf]
+    if not 1 <= n_iters < math.inf:
+        problems.insert(0, f"n_iters must be at least 1, got {n_iters!r}")
+    if problems:
+        raise ValueError("; ".join(problems))
     n = int(n_iters)
     guard = (_LOG_PREC + n.bit_length()
              + _bits_below_one(offset) + _bits_below_one(supersink_tol))
-    ctx = mpmath.mp
-    with mpmath.workprec(n + guard):
+    top = n + guard
+    one = 1 << top
+
+    import mpmath
+
+    with mpmath.workprec(top):
         pm = mpmath.mpc(p() if callable(p) else p)
-        pc = mpmath.conj(pm)
-
-        zraw = z0() if callable(z0) else z0
-        zm = None if (isinstance(zraw, complex) and is_infinity(zraw)) else mpmath.mpc(zraw)
-        if zm is not None and (mpmath.isinf(zm.real) or mpmath.isinf(zm.imag)):
-            zm = None
-        if zm is None:
-            fu, fv = mpmath.mpc(1), mpmath.mpc(0)
-            gu, gv = _rescale(mpmath.mpc(1), mpmath.mpc(offset))
+        zm = mpmath.mpc(z0() if callable(z0) else z0)
+        if not mpmath.isfinite(pm):
+            raise ValueError(f"p must be finite, got {p!r}")
+        pr, pi = (int(mpmath.ldexp(x, top)) for x in (pm.real, pm.imag))
+        off = _fixed(offset, top)
+        if not mpmath.isfinite(zm):
+            f, g = (one, 0, 0, 0), (one, 0, off, 0)
         else:
-            fu, fv = _rescale(zm, mpmath.mpc(1))
-            # companion start: offset in the chart that keeps it well scaled
-            if abs(zm) <= 1.0:
-                gu, gv = _rescale(zm + offset, mpmath.mpc(1))
-            else:
-                gu, gv = _rescale(mpmath.mpc(1), 1 / zm + offset)
-        cross = fu * gv - gu * fv
+            zr, zi = (int(mpmath.ldexp(x, top)) for x in (zm.real, zm.imag))
+            f = (zr, zi, one, 0)
+            # companion start: offset in the chart that keeps it well scaled,
+            # (z + offset, 1), or (1, 1/z + offset) as (z, 1 + offset z)
+            g = ((zr + off, zi, one, 0) if abs(zm) <= 1
+                 else (zr, zi, one + ((off * zr) >> top), (off * zi) >> top))
 
-        ctx.prec = _LOG_PREC
-        fa, fb = _abs2(+fu), _abs2(+fv)
-        d0 = 2 * abs(cross) / mpmath.sqrt((fa + fb) * (_abs2(+gu) + _abs2(+gv)))
-        tol2 = mpmath.mpf(supersink_tol) ** 2 / 4
-        floor = mpmath.mpf("1e-300")
-        chain_sum = mpmath.mpf(0)
-        shadow_sum = mpmath.mpf(0)
-        n_used = 0
-        terminated = False
-        for k in range(n):
-            # chordal distance to 0 or infinity, 2|u|/|(u, v)| or 2|v|/|(u, v)|,
-            # below supersink_tol
-            if fa < tol2 * (fa + fb) or fb < tol2 * (fa + fb):
-                terminated = True
-                break
-            # spherical derivative of z^2, hence of F_p, at z = u/v
-            fsharp = 2 * mpmath.sqrt(fa * fb) * (fa + fb) / (fa * fa + fb * fb)
-            chain_sum += mpmath.log(max(fsharp, floor))
+    f, g = _scaled(f, top), _scaled(g, top)
+    fu, fv, gu, gv, cross = _float_parts(f, g, top)
+    a, b = abs(fu), abs(fv)  # |u| and |v|, not their squares, so that neither underflows
+    d0 = 2 * abs(cross) / (math.hypot(a, b) * math.hypot(abs(gu), abs(gv)))
+    chain_logs, shadow_logs, terminated = [], [], False
+    for k in range(n):
+        # chordal distance to 0 or infinity, 2|u|/|(u, v)| or 2|v|/|(u, v)|,
+        # below supersink_tol
+        if 2 * min(a, b) < supersink_tol * math.hypot(a, b):
+            terminated = True
+            break
+        # spherical derivative of z^2, hence of F_p, at z = u/v
+        fsharp = 2 * a * b * (a * a + b * b) / (a ** 4 + b ** 4)
+        chain_logs.append(math.log(max(fsharp, _FLOOR)))
+        bits = top - k
+        f = _fp_step(f, pr >> k, pi >> k, bits)
+        g = _fp_step(g, pr >> k, pi >> k, bits)
+        # the cross product cancels about log2(1/offset) bits
+        fu, fv, gu, gv, cross = _float_parts(f, g, bits)
+        a, b = abs(fu), abs(fv)
+        nf, ng = math.hypot(a, b), math.hypot(abs(gu), abs(gv))
+        d = max(2 * abs(cross) / (nf * ng), _FLOOR)
+        shadow_logs.append(math.log(d / d0))
+        # pull the companion back to distance d0 along the phase-aligned
+        # chord: g <- f (1 - pull) + g pull e^{-i arg<f, g>} |f|/|g|
+        pull = d0 / d
+        inner = fu.conjugate() * gu + fv.conjugate() * gv
+        c = pull * nf / ng * (inner.conjugate() / abs(inner) if inner else 1)
+        keep = (1 << _PULL_BITS) - _fixed(pull, _PULL_BITS)
+        cr, ci = _fixed(c.real, _PULL_BITS), _fixed(c.imag, _PULL_BITS)
+        (fur, fui, fvr, fvi), (gur, gui, gvr, gvi) = f, g
+        g = (fur * keep + gur * cr - gui * ci, fui * keep + gur * ci + gui * cr,
+             fvr * keep + gvr * cr - gvi * ci, fvi * keep + gvr * ci + gvi * cr)
 
-            ctx.prec = n - k + guard
-            # round p down with the precision; the orbit pairs come out of
-            # this step's arithmetic already rounded to it
-            pm, pc = +pm, +pc
-            fu, fv = _advance(fu, fv, pm, pc)
-            gu, gv = _advance(gu, gv, pm, pc)
-            cross = fu * gv - gu * fv  # cancels about log2(1/offset) bits
-
-            ctx.prec = _LOG_PREC
-            fu64, fv64, gu64, gv64 = +fu, +fv, +gu, +gv
-            fa, fb = _abs2(fu64), _abs2(fv64)
-            ratio = mpmath.sqrt((fa + fb) / (_abs2(gu64) + _abs2(gv64)))
-            d = max(2 * abs(cross) / (fa + fb) * ratio, floor)
-            shadow_sum += mpmath.log(d / d0)
-            # pull the companion back to distance d0 along the phase-aligned
-            # chord: g <- f (1 - pull) + g pull e^{-i arg<f, g>} |f|/|g|
-            pull = d0 / d
-            inner = mpmath.conj(fu64) * gu64 + mpmath.conj(fv64) * gv64
-            scale = abs(inner)
-            c = pull * ratio
-            if scale > 0:
-                c = c * mpmath.conj(inner) / scale
-
-            ctx.prec = n - k + guard
-            keep = 1 - pull
-            gu, gv = _rescale(fu * keep + gu * c, fv * keep + gv * c)
-            ctx.prec = _LOG_PREC
-            n_used += 1
-
-        if n_used == 0:
-            return LyapunovResult(
-                chain=math.nan, shadow=math.nan, n_used=0, terminated=terminated
-            )
-        return LyapunovResult(
-            chain=float(chain_sum / n_used),
-            shadow=float(shadow_sum / n_used),
-            n_used=n_used,
-            terminated=terminated,
-        )
+    n_used = len(shadow_logs)
+    return LyapunovResult(chain=math.fsum(chain_logs) / n_used if n_used else math.nan,
+                          shadow=math.fsum(shadow_logs) / n_used if n_used else math.nan,
+                          n_used=n_used, terminated=terminated)

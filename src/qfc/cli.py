@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chaos, purification, sme, stabilization
-from .entanglement import ProtocolBudgetError, entangle_protocol
+from .entanglement import entangle_protocol
 from .output import format_value, write_csv, write_pgm
 from .stochastic import RngStream, run_ensemble, wiener_steps
 
@@ -564,9 +564,6 @@ def main(argv=None):
 
     try:
         artifacts, results = COMMANDS[command].run(cfg)
-    except ProtocolBudgetError as exc:
-        sys.stderr.write(f"error: {command}: {exc}\n")
-        return 1
     except Exception as exc:  # surface module errors with context
         sys.stderr.write(f"error: {command}: {exc}\n")
         return 1

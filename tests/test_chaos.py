@@ -469,3 +469,147 @@ def test_lyapunov_guards():
 def test_lyapunov_rejects_nonpositive_supersink_tol():
     with pytest.raises(ValueError):
         ch.lyapunov_estimate(0.5, 0.0, 10, supersink_tol=0.0)
+
+
+def test_lyapunov_names_every_bad_argument():
+    with pytest.raises(ValueError) as info:
+        ch.lyapunov_estimate(0.5, 0.0, 10, offset=math.nan, supersink_tol=math.nan)
+    assert "offset" in str(info.value) and "supersink_tol" in str(info.value)
+    with pytest.raises(ValueError) as info:
+        ch.lyapunov_estimate(0.5, 0.0, 0, offset=math.inf, supersink_tol=-1.0)
+    for name in ("n_iters", "offset", "supersink_tol"):
+        assert name in str(info.value)
+    with pytest.raises(ValueError, match="p must be finite"):
+        ch.lyapunov_estimate(0.5, complex(math.inf, 0.0), 10)
+
+
+def test_lyapunov_ignores_and_keeps_global_mpmath_precision():
+    cases = [(lambda: mpmath.exp(0.7j), 0.0, 100), (0.25 + 0.5j, 1j, 100), ("0.5", 0.0, 50)]
+    reference = [ch.lyapunov_estimate(*case) for case in cases]
+    saved = mpmath.mp.prec
+    try:
+        mpmath.mp.prec = 30
+        assert [ch.lyapunov_estimate(*case) for case in cases] == reference
+        assert mpmath.mp.prec == 30
+        with pytest.raises(ValueError):
+            ch.lyapunov_estimate(0.5, 0.0, 10, offset=math.nan)
+        with pytest.raises(ValueError):
+            ch.lyapunov_estimate(0.5, math.inf, 10)
+        assert mpmath.mp.prec == 30
+    finally:
+        mpmath.mp.prec = saved
+
+
+def _lyapunov_mpmath(z0, p, n_iters, offset=1e-9, supersink_tol=1e-12):
+    """The estimator's loop on mpmath numbers: the reference for the int loop.
+
+    Same tapered precision and guard; the logs, chordal distances, phase
+    and pull factor are 64-bit mpmath numbers, and the homogeneous pairs
+    are rescaled by exact powers of two.
+    """
+    def rescale(u, v):
+        s = mpmath.ldexp(1, -max(mpmath.mag(u), mpmath.mag(v)))
+        return u * s, v * s
+
+    def advance(u, v, pm, pc):
+        uu, vv = u * u, v * v
+        return rescale(uu + pm * vv, vv - pc * uu)
+
+    def abs2(z):
+        return z.real * z.real + z.imag * z.imag
+
+    n = int(n_iters)
+    guard = (ch._LOG_PREC + n.bit_length()
+             + ch._bits_below_one(offset) + ch._bits_below_one(supersink_tol))
+    ctx = mpmath.mp
+    with mpmath.workprec(n + guard):
+        pm = mpmath.mpc(p() if callable(p) else p)
+        pc = mpmath.conj(pm)
+
+        zraw = z0() if callable(z0) else z0
+        zm = None if (isinstance(zraw, complex) and ch.is_infinity(zraw)) else mpmath.mpc(zraw)
+        if zm is not None and (mpmath.isinf(zm.real) or mpmath.isinf(zm.imag)):
+            zm = None
+        if zm is None:
+            fu, fv = mpmath.mpc(1), mpmath.mpc(0)
+            gu, gv = rescale(mpmath.mpc(1), mpmath.mpc(offset))
+        else:
+            fu, fv = rescale(zm, mpmath.mpc(1))
+            if abs(zm) <= 1.0:
+                gu, gv = rescale(zm + offset, mpmath.mpc(1))
+            else:
+                gu, gv = rescale(mpmath.mpc(1), 1 / zm + offset)
+        cross = fu * gv - gu * fv
+
+        ctx.prec = ch._LOG_PREC
+        fa, fb = abs2(+fu), abs2(+fv)
+        d0 = 2 * abs(cross) / mpmath.sqrt((fa + fb) * (abs2(+gu) + abs2(+gv)))
+        tol2 = mpmath.mpf(supersink_tol) ** 2 / 4
+        floor = mpmath.mpf("1e-300")
+        chain_sum = mpmath.mpf(0)
+        shadow_sum = mpmath.mpf(0)
+        n_used = 0
+        terminated = False
+        for k in range(n):
+            if fa < tol2 * (fa + fb) or fb < tol2 * (fa + fb):
+                terminated = True
+                break
+            fsharp = 2 * mpmath.sqrt(fa * fb) * (fa + fb) / (fa * fa + fb * fb)
+            chain_sum += mpmath.log(max(fsharp, floor))
+
+            ctx.prec = n - k + guard
+            pm, pc = +pm, +pc
+            fu, fv = advance(fu, fv, pm, pc)
+            gu, gv = advance(gu, gv, pm, pc)
+            cross = fu * gv - gu * fv
+
+            ctx.prec = ch._LOG_PREC
+            fu64, fv64, gu64, gv64 = +fu, +fv, +gu, +gv
+            fa, fb = abs2(fu64), abs2(fv64)
+            ratio = mpmath.sqrt((fa + fb) / (abs2(gu64) + abs2(gv64)))
+            d = max(2 * abs(cross) / (fa + fb) * ratio, floor)
+            shadow_sum += mpmath.log(d / d0)
+            pull = d0 / d
+            inner = mpmath.conj(fu64) * gu64 + mpmath.conj(fv64) * gv64
+            scale = abs(inner)
+            c = pull * ratio
+            if scale > 0:
+                c = c * mpmath.conj(inner) / scale
+
+            ctx.prec = n - k + guard
+            keep = 1 - pull
+            gu, gv = rescale(fu * keep + gu * c, fv * keep + gv * c)
+            ctx.prec = ch._LOG_PREC
+            n_used += 1
+
+        if n_used == 0:
+            return ch.LyapunovResult(chain=math.nan, shadow=math.nan, n_used=0,
+                                     terminated=terminated)
+        return ch.LyapunovResult(chain=float(chain_sum / n_used),
+                                 shadow=float(shadow_sum / n_used),
+                                 n_used=n_used, terminated=terminated)
+
+
+# The frozen-value starts, a supersink start given as a string (also with a
+# tolerance whose square is below the float64 range), and infinity.
+@pytest.mark.parametrize("z0, p, offset, tol", [
+    (lambda: mpmath.exp(0.7j), 0.0, 1e-9, 1e-12),
+    (-0.390625 - 0.578125j, 1.0, 1e-9, 1e-12),
+    (0.453125 - 0.734375j, 1.0, 1e-9, 1e-12),
+    (0.25 + 0.5j, 1j, 1e-9, 1e-12),
+    (0.25 + 0.5j, 1j, 1e-30, 1e-12),
+    (-0.5 + 0.75j, 0.3 + 0.2j, 1e-9, 1e-12),
+    ("0.5", 0.0, 1e-9, 1e-12),
+    ("0.5", 0.0, 1e-9, 1e-200),
+    (ch.INFINITY, 1.0, 1e-9, 1e-12),
+], ids=["circle", "p1-boundary-a", "p1-boundary-b", "pi", "pi-offset-1e-30",
+        "attracting-cycle", "supersink-string", "supersink-tol-1e-200", "infinity"])
+def test_lyapunov_matches_mpmath_loop(z0, p, offset, tol):
+    res = ch.lyapunov_estimate(z0, p, 200, offset=offset, supersink_tol=tol)
+    ref = _lyapunov_mpmath(z0, p, 200, offset=offset, supersink_tol=tol)
+    assert (res.n_used, res.terminated) == (ref.n_used, ref.terminated)
+    if ref.n_used == 0:
+        assert math.isnan(res.chain) and math.isnan(res.shadow)
+    else:
+        assert abs(res.chain - ref.chain) <= 1e-12
+        assert abs(res.shadow - ref.shadow) <= 1e-6
