@@ -567,12 +567,17 @@ def lyapunov_estimate(z0, p, n_iters, offset=1e-9, supersink_tol=1e-12):
     double-rounded e^{0.7i} sits 1e-16 off the unit circle, and squaring
     doubles that error every step, so pass lambda: mpmath.exp(0.7j)
     instead.  mpmath's global precision is neither read nor changed.  One
-    ValueError names every bad n_iters, offset and supersink_tol; a
-    non-finite p raises ValueError too.
+    ValueError names every bad n_iters, offset and supersink_tol, including
+    an offset below 1e-290 / supersink_tol; a non-finite p raises
+    ValueError too.
     """
     problems = [f"{name} must be positive and finite, got {value!r}"
                 for name, value in (("offset", offset), ("supersink_tol", supersink_tol))
                 if not 0 < value < math.inf]
+    # a step next to a supersink shrinks the separation by about supersink_tol,
+    # and at _FLOOR the clamp would feed the shadow sum a gain (slack: rounding)
+    if not problems and offset * supersink_tol < 1e-290 * (1 - 1e-12):
+        problems.append(f"offset must be at least 1e-290 / supersink_tol, got {offset!r}")
     if not 1 <= n_iters < math.inf:
         problems.insert(0, f"n_iters must be at least 1, got {n_iters!r}")
     if problems:

@@ -22,7 +22,7 @@ import numpy as np
 from . import chaos, purification, sme, stabilization
 from .entanglement import entangle_protocol
 from .output import format_value, write_csv, write_pgm
-from .stochastic import RngStream, run_ensemble, wiener_steps
+from .stochastic import RngStream, run_ensemble
 
 
 class ConfigError(Exception):
@@ -220,32 +220,19 @@ def _run_spin_collapse(cfg):
                                     strength=cfg["strength"], eta=cfg["eta"])
     fz_diag = np.diag(model.channels[0].op).real
     dt = cfg["dt"]
-    n_steps = int(round(cfg["t_max"] / dt))
-    stride = cfg["sample_every"]
-    n_samples = n_steps // stride + 1
-    x0 = sme.to_coords(np.eye(d) / d)
-
-    def batch(streams):
-        x = np.tile(x0, (len(streams), 1))
-        pops = np.empty((len(streams), n_samples, d))
-        pops[:, 0] = x0[:d]
-        for i, dw in enumerate(wiener_steps(streams, dt, n_steps), 1):
-            x = sme.step(model, x, dt, dw[:, None])
-            if i % stride == 0:
-                pops[:, i // stride] = x[:, :d]
-        outcome = np.zeros((len(streams), d))
-        outcome[np.arange(len(streams)), np.argmax(x[:, :d], axis=1)] = 1.0
-        track = np.stack([pops.max(axis=2), pops @ fz_diag], axis=2)
-        return np.concatenate([track.reshape(len(streams), -1), outcome], axis=1)
-
-    stats = run_ensemble(batch, cfg["trajectories"], cfg["seed"],
-                         threads=cfg["threads"])
+    times, stats = run_ensemble(
+        sme.to_coords(np.eye(d) / d),
+        lambda x, dw: sme.step(model, x, dt, dw[:, None]),
+        lambda x: np.stack([x[:, :d].max(axis=1), x[:, :d] @ fz_diag], axis=1),
+        dt, int(round(cfg["t_max"] / dt)), cfg["trajectories"], cfg["seed"],
+        sample_every=cfg["sample_every"], threads=cfg["threads"],
+        final=lambda x: np.eye(d)[np.argmax(x[:, :d], axis=1)])  # one-hot outcome
+    n_samples = len(times)
     track_mean = stats.mean[:2 * n_samples].reshape(n_samples, 2)
     track_sem = stats.sem[:2 * n_samples].reshape(n_samples, 2)
     counts = np.rint(stats.mean[2 * n_samples:] * stats.n_traj).astype(int)
     results = {"final_counts": ",".join(str(c) for c in counts),
                "fz_eigenvalues": ",".join("%g" % v for v in fz_diag)}
-    times = dt * stride * np.arange(n_samples)
     header = ["t", "mean_max_population", "sem_max_population", "mean_fz"]
     columns = [times, track_mean[:, 0], track_sem[:, 0], track_mean[:, 1]]
     return [("csv", header, columns)], results

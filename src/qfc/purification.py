@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # perfbench/tracer.py patches the RngStream it finds here
-from .stochastic import RngStream, run_ensemble, wiener_steps  # noqa: F401
+from .stochastic import RngStream, run_ensemble  # noqa: F401
 
 
 @dataclass
@@ -30,8 +30,6 @@ class PurificationRun:
     k: float
     dt: float
     horizon: float
-    feedback: bool = False
-    target_impurity: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
@@ -41,37 +39,10 @@ class PurificationRun:
             raise ValueError("dt must satisfy 0 < k dt <= 1e-3")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        if not 0.0 < self.target_impurity < 0.5:
-            raise ValueError("target impurity must lie in (0, 0.5)")
 
     @property
     def n_steps(self):
         return int(round(self.horizon / self.dt))
-
-
-def bloch_sme_step(v, k, dt, dw):
-    """One Euler step of the conditioned Bloch equations.
-
-    Works on arrays of shape (..., 3) with matching dw shape (...); the result
-    is clamped back onto the unit ball.
-    """
-    v = np.asarray(v, dtype=float)
-    a_z = v[..., 2]
-    amp = np.sqrt(8.0 * k)
-    factor = 1.0 - 4.0 * k * dt - a_z * amp * np.asarray(dw)
-    out = np.empty_like(v)
-    out[..., 0] = v[..., 0] * factor
-    out[..., 1] = v[..., 1] * factor
-    out[..., 2] = a_z + (1.0 - a_z * a_z) * amp * np.asarray(dw)
-    norm = np.sqrt((out * out).sum(axis=-1))
-    scale = np.where(norm > 1.0, norm, 1.0)
-    return out / scale[..., None]
-
-
-def impurity(v):
-    """(1 - |a|^2) / 2 for Bloch vectors with shape (..., 3)."""
-    v = np.asarray(v, dtype=float)
-    return 0.5 * (1.0 - (v * v).sum(axis=-1))
 
 
 # Trapezoid nodes j h: with h = min(0.25, 0.28/a) the cut-off min(9, 40/a)
@@ -116,31 +87,24 @@ def nofeedback_impurity_curve(ts, k):
 
 def mc_nofeedback_impurity(k, dt, n_steps, n_traj, base_seed, sample_every=1,
                            chunk=1000, threads=1):
-    """Monte-Carlo ensemble of the no-feedback scheme from the mixed state.
+    """Monte-Carlo ensemble of the no-feedback scheme from the mixed state,
+    run by ``run_ensemble``.
 
     From the origin the transverse components stay zero, so each trajectory
-    reduces to its a_z component.  Returns (times, mean, var) of the impurity
-    at every sample_every-th step, reduced by ``run_ensemble``.
+    is its a_z component alone, stepped in place and clamped to [-1, 1].
+    Returns (times, mean, var) of the impurity at every sample_every-th step.
     """
-    k = float(k)
-    n_steps = int(n_steps)
-    sample_every = max(1, int(sample_every))
-    idx = np.arange(0, n_steps + 1, sample_every)
-    amp = np.sqrt(8.0 * k)
+    amp = np.sqrt(8.0 * float(k))
 
-    def batch(streams):
-        a_z = np.zeros(len(streams))
-        imp = np.empty((len(streams), len(idx)))
-        imp[:, 0] = 0.5
-        for s, dw in enumerate(wiener_steps(streams, dt, n_steps), 1):
-            a_z += (1.0 - a_z * a_z) * amp * dw
-            np.minimum(np.maximum(a_z, -1.0, out=a_z), 1.0, out=a_z)  # np.clip, faster
-            if s % sample_every == 0:
-                imp[:, s // sample_every] = 0.5 * (1.0 - a_z * a_z)
-        return imp
+    def advance(a_z, dw):
+        a_z += (1.0 - a_z * a_z) * amp * dw[:, None]
+        return np.minimum(np.maximum(a_z, -1.0, out=a_z), 1.0, out=a_z)  # np.clip, faster
 
-    stats = run_ensemble(batch, n_traj, base_seed, chunk=chunk, threads=threads)
-    return dt * idx, stats.mean, stats.var
+    times, stats = run_ensemble(
+        np.zeros(1), advance, lambda a_z: 0.5 * (1.0 - a_z * a_z),
+        dt, n_steps, n_traj, base_seed, sample_every=sample_every,
+        chunk=chunk, threads=threads)
+    return times, stats.mean, stats.var
 
 
 def feedback_impurity_path(run):

@@ -29,10 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import angular_momentum_ops, check_density, dag
+from .states import angular_momentum_ops, dag
 # perfbench/tracer.py counts the draws of the RngStream it finds here
-from .stochastic import (IntegrationError, RngStream,  # noqa: F401
-                         run_ensemble, wiener_steps)
+from .stochastic import IntegrationError, RngStream, run_ensemble  # noqa: F401
 
 
 def dissipator(c, rho):
@@ -232,36 +231,25 @@ def sme_step(model, rho, dt, dws, t=0.0):
     return from_coords(step(model, to_coords(rho)[None], dt, dws, t))[0]
 
 
-def run_dephasing_ensemble(k, dt, n_steps, n_traj, base_seed, rho0=None,
-                           sample_every=1, chunk=2000, threads=1):
-    """Qubit dephasing trajectories (sigma_z, rate 2k), stepped by ``step``
-    in batches of chunk trajectories.
+def run_dephasing_ensemble(k, dt, n_steps, n_traj, base_seed, sample_every=1,
+                           chunk=2000, threads=1):
+    """Qubit dephasing trajectories (sigma_z, rate 2k) from the |+> state,
+    run by ``run_ensemble`` with ``step`` as the advance.
 
-    Returns (times, mean, var) of Re rho_01 at every sample_every-th step,
-    reduced by ``run_ensemble``.
+    Returns (times, mean, var) of Re rho_01 at every sample_every-th step.
     """
     k = float(k)
     if k <= 0:
         raise ValueError("k must be positive")
-    n_steps = int(n_steps)
-    sample_every = max(1, int(sample_every))
-    idx = np.arange(0, n_steps + 1, sample_every)
-    x0 = to_coords(check_density(np.full((2, 2), 0.5) if rho0 is None else rho0))
     model = SmeModel(dim=2, channels=[
         Channel(op=np.diag([1.0, -1.0]), rate=2.0 * k, efficiency=1.0)])
-
-    def batch(streams):
-        x = np.tile(x0, (len(streams), 1))
-        coh = np.empty((len(streams), len(idx)))
-        coh[:, 0] = x[:, 2]  # Re rho_01
-        for s, dw in enumerate(wiener_steps(streams, dt, n_steps), 1):
-            x = step(model, x, dt, dw[:, None])
-            if s % sample_every == 0:
-                coh[:, s // sample_every] = x[:, 2]
-        return coh
-
-    stats = run_ensemble(batch, n_traj, base_seed, chunk=chunk, threads=threads)
-    return dt * idx, stats.mean, stats.var
+    times, stats = run_ensemble(
+        to_coords(np.full((2, 2), 0.5)),
+        lambda x, dw: step(model, x, dt, dw[:, None]),
+        lambda x: x[:, 2],  # Re rho_01
+        dt, n_steps, n_traj, base_seed, sample_every=sample_every,
+        chunk=chunk, threads=threads)
+    return times, stats.mean, stats.var
 
 
 def spin_ensemble_model(two_j, u_law=None, s=0.0, strength=1.0, eta=1.0,

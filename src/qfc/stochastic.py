@@ -1,8 +1,9 @@
-"""Seeded Wiener increments and fixed-step Ito integration.
+"""Seeded Wiener increments and the one Monte-Carlo ensemble driver.
 
-Trajectory i of an ensemble always draws from the counter-based stream
-(base_seed, stream_id=i), so results are bit-for-bit reproducible no matter
-how trajectories are scheduled or batched.
+``run_ensemble`` owns the streams, the Wiener loop, the sample grid and the
+reducer; a study supplies a start row and an advance/read pair.  Trajectory
+i always draws from the counter-based stream (base_seed, stream_id=i), so
+results are bit-for-bit reproducible however trajectories are scheduled.
 """
 
 from __future__ import annotations
@@ -86,23 +87,43 @@ def wiener_steps(streams, dt, n_steps):
         yield from rows
 
 
-def run_ensemble(batch, n_traj, base_seed, chunk=256, threads=1):
-    """Mean and variance of batch's rows over trajectories 0 .. n_traj-1.
+def run_ensemble(x0, advance, read, dt, n_steps, n_traj, base_seed,
+                 sample_every=1, chunk=256, threads=1, final=None):
+    """Mean and variance over trajectories 0 .. n_traj-1, all started at x0.
 
-    Trajectories run in chunks of consecutive indices: batch receives the
-    streams RngStream(base_seed, i) of one chunk and returns one float row
-    (of fixed shape) per trajectory.  The chunks' means and sums of squared
-    deviations are merged pairwise in fixed chunk order (Chan, Golub &
-    LeVeque 1979), so the result is identical for any thread count.
+    Trajectory i is row i of a chunk's stacked copies of the row x0 and
+    draws from RngStream(base_seed, i): each of the n_steps steps does
+    x = advance(x, dw), dw one increment per row.  The samples are read(x)
+    at step 0 and every sample_every-th step, copied as taken, then final(x)
+    after the last step if given; each is one row (or value) per trajectory.
+    The chunks' means and sums of squared deviations are merged pairwise in
+    fixed chunk order (Chan, Golub & LeVeque 1979), so the result is
+    identical for any thread count.  Returns (times, EnsembleStats): times
+    are dt * step at the sampled steps, and the stats run over the samples
+    in step order, then the final values.
     """
     n_traj = int(n_traj)
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
-    chunk = max(1, int(chunk))
+    n_steps, sample_every, chunk = int(n_steps), max(1, int(sample_every)), max(1, int(chunk))
+    times = dt * np.arange(0, n_steps + 1, sample_every)
 
     def run_chunk(lo):
         streams = [RngStream(base_seed, i) for i in range(lo, min(lo + chunk, n_traj))]
-        rows = np.asarray(batch(streams), dtype=float)
+        x = np.tile(x0, (len(streams), 1))
+        first = read(x)
+        # one array for all samples: per-sample arrays allocated between the
+        # Wiener blocks raised peak RSS by about 6 MB on the default purify
+        samples = np.empty(first.shape[:1] + times.shape + first.shape[1:])
+        samples[:, 0] = first
+        for s, dw in enumerate(wiener_steps(streams, dt, n_steps), 1):
+            x = advance(x, dw)
+            if s % sample_every == 0:
+                samples[:, s // sample_every] = read(x)
+        dw = None  # a view of the last Wiener block: free it before the reduction
+        rows = samples.reshape(len(streams), -1)
+        if final is not None:
+            rows = np.hstack([rows, final(x)])
         mean = rows.mean(axis=0)
         return len(rows), mean, ((rows - mean) ** 2).sum(axis=0)
 
@@ -118,4 +139,4 @@ def run_ensemble(batch, n_traj, base_seed, chunk=256, threads=1):
         mean = mean + delta * (n_b / total)
         m2 = m2 + m2_b + delta * delta * (n * n_b / total)
         n = total
-    return EnsembleStats(mean=mean, var=m2 / n, n_traj=n_traj)
+    return times, EnsembleStats(mean=mean, var=m2 / n, n_traj=n_traj)

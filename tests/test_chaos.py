@@ -481,6 +481,14 @@ def test_lyapunov_names_every_bad_argument():
         assert name in str(info.value)
     with pytest.raises(ValueError, match="p must be finite"):
         ch.lyapunov_estimate(0.5, complex(math.inf, 0.0), 10)
+    # an offset whose separation, shrunk by supersink_tol, reaches the
+    # 1e-300 clamp before the logs (the shadow read 0.34 and 22.6 there)
+    for offset in (1e-300, 1e-310):
+        with pytest.raises(ValueError) as info:
+            ch.lyapunov_estimate(0.25 + 0.5j, 1j, 100, offset=offset)
+        assert "offset" in str(info.value)
+    near = ch.lyapunov_estimate(0.25 + 0.5j, 1j, 100, offset=1e-278)
+    assert abs(near.shadow - ch.lyapunov_estimate(0.25 + 0.5j, 1j, 100).shadow) < 1e-6
 
 
 def test_lyapunov_ignores_and_keeps_global_mpmath_precision():

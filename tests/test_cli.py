@@ -1,6 +1,7 @@
 """Tests for the artifact writers and the command-line front end."""
 
 import hashlib
+import importlib.util
 import math
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 
 import qfc.cli as cli
 import qfc.output as out
+from qfc.stochastic import RngStream
 
 
 def read_lines(path):
@@ -297,6 +299,17 @@ FROZEN_CSVS = {
              "0463c46272b02f71013506f579f50adef87fbc5443616ff9bc8ebd41a3ef7ea6"),
     "b": (["bellpurify"],
           "8766fd7baddffb57dc9eee7b844d83375a03c25c30864eeef66ee7941be0ebed"),
+    # the ensemble commands as each wrote them with its own trajectory loop:
+    # two chunks of trajectories and a stride that does not divide the steps
+    "m": (["sme-run", "--t-max", "0.2", "--trajectories", "2100",
+           "--sample-every", "7"],
+          "24283032111e4329855f8c2e3d765b2a465f6f777f788712d469ca240c31804f"),
+    "p": (["purify", "--t-max", "0.05", "--trajectories", "1500",
+           "--sample-every", "7"],
+          "b597090887d2f35632bf26890873da27f8a8345371279eae87fb9c8764cced1c"),
+    "c": (["spin-collapse", "--t-max", "0.05", "--trajectories", "300",
+           "--sample-every", "7"],
+          "35219107b231ae2e168cbd6fc77f541a5b62453c77472c0990d6aebd76c5beb2"),
 }
 
 
@@ -406,3 +419,17 @@ def test_import_loads_neither_scipy_nor_mpmath():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_benchmark_tracer_names_resolve(monkeypatch):
+    # perfbench/tracer.py wraps these names by string; one that no longer
+    # resolves only shows up as a failed traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # for its dataclasses
+    spec.loader.exec_module(tracer)
+    for module, attr, _ in tracer.SPANS + tracer.LEAVES:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+    for module in tracer.RNG_MODULES:
+        assert getattr(importlib.import_module(module), "RngStream", None) is RngStream, module

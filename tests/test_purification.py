@@ -12,36 +12,8 @@ def test_run_guards():
         pf.PurificationRun(k=-1.0, dt=1e-4, horizon=1.0)
     with pytest.raises(ValueError):
         pf.PurificationRun(k=1.0, dt=1e-2, horizon=1.0)  # k dt too large
-    with pytest.raises(ValueError):
-        pf.PurificationRun(k=1.0, dt=1e-4, horizon=1.0, target_impurity=0.7)
     run = pf.PurificationRun(k=2.0, dt=1e-4, horizon=1.0)
     assert run.n_steps == 10_000
-
-
-def test_bloch_step_algebra():
-    k, dt, dw = 0.7, 1e-4, 0.002
-    v = np.array([0.3, -0.1, 0.4])
-    out = pf.bloch_sme_step(v, k, dt, dw)
-    amp = np.sqrt(8.0 * k)
-    factor = 1.0 - 4.0 * k * dt - 0.4 * amp * dw
-    assert abs(out[0] - 0.3 * factor) < 1e-14
-    assert abs(out[1] - (-0.1) * factor) < 1e-14
-    assert abs(out[2] - (0.4 + (1.0 - 0.16) * amp * dw)) < 1e-14
-    # from the origin only the z component moves
-    origin = pf.bloch_sme_step(np.zeros(3), k, dt, dw)
-    assert origin[0] == 0.0 and origin[1] == 0.0
-    assert abs(origin[2] - amp * dw) < 1e-15
-    # a large kick is clamped back onto the ball, preserving direction
-    kicked = pf.bloch_sme_step(np.array([0.0, 0.0, 0.9]), k, 1e-4, 1.0)
-    assert abs(np.linalg.norm(kicked) - 1.0) < 1e-12
-
-
-def test_impurity_and_phase():
-    assert pf.impurity(np.zeros(3)) == 0.5
-    assert pf.impurity(np.array([0.0, 0.0, 1.0])) == 0.0
-    # the monitoring preserves the transverse phase atan2(a_x, a_y)
-    out = pf.bloch_sme_step(np.array([0.5, 0.5, 0.0]), 1.0, 1e-4, 0.01)
-    assert abs(np.arctan2(out[0], out[1]) - np.pi / 4.0) < 1e-12
 
 
 FROZEN_IMPURITY = {
@@ -116,7 +88,7 @@ def test_mc_ensemble_thread_invariance():
 
 
 def test_feedback_path_is_deterministic_exponential():
-    run = pf.PurificationRun(k=1.0, dt=1e-4, horizon=2.0, feedback=True)
+    run = pf.PurificationRun(k=1.0, dt=1e-4, horizon=2.0)
     times, imp = pf.feedback_impurity_path(run)
     ref = 0.5 * np.exp(-8.0 * times)
     assert np.max(np.abs(imp / ref - 1.0)) < 1e-9

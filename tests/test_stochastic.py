@@ -40,27 +40,34 @@ def test_quadratic_variation_concentrates():
         ito_quadratic_variation(RngStream(3), -1.0, 10)
 
 
+def walk(x, dw):
+    """Advance for a plain Wiener path: each row adds its increment."""
+    return x + dw[:, None]
+
+
+def first(x):
+    return x[:, 0]
+
+
 def test_run_ensemble_matches_direct_loop():
-    def traj(stream):
-        return stream.normal(size=5).cumsum()
-
-    def batch(streams):
-        return [traj(s) for s in streams]
-
-    stats = run_ensemble(batch, 100, base_seed=5, chunk=16)
-    direct = np.array([traj(RngStream(5, i)) for i in range(100)])
+    dt, n = 0.01, 5
+    times, stats = run_ensemble([0.0], walk, first, dt, n, 100, base_seed=5,
+                                chunk=16)
+    direct = np.array([np.concatenate([[0.0], RngStream(5, i).wiener(dt, n).cumsum()])
+                       for i in range(100)])
     assert np.allclose(stats.mean, direct.mean(axis=0))
     assert np.allclose(stats.var, direct.var(axis=0))
     assert isinstance(stats, EnsembleStats)
-    assert stats.sem.shape == (5,)
+    assert stats.sem.shape == times.shape == (6,)
 
 
 def test_run_ensemble_thread_count_is_invisible():
-    def batch(streams):
-        return [s.normal(size=8) for s in streams]
+    def run(threads):
+        return run_ensemble([1.0, 2.0], lambda x, dw: x * (1.0 + dw[:, None]),
+                            lambda x: x, 0.1, 8, 333, base_seed=9, chunk=10,
+                            threads=threads)[1]
 
-    one = run_ensemble(batch, 333, base_seed=9, chunk=10, threads=1)
-    many = run_ensemble(batch, 333, base_seed=9, chunk=10, threads=7)
+    one, many = run(1), run(7)
     assert np.array_equal(one.mean, many.mean)
     assert np.array_equal(one.var, many.var)
 
@@ -68,12 +75,28 @@ def test_run_ensemble_thread_count_is_invisible():
 def test_run_ensemble_variance_of_a_large_offset():
     # E[x^2] - mean^2 loses every digit of a variance 1e-16 times the
     # squared mean; merging per-chunk deviations keeps it
-    def batch(streams):
-        return [[1e8 + s.normal()] for s in streams]
+    _, stats = run_ensemble([1e8], walk, first, 1.0, 1, 200, base_seed=3, chunk=7)
+    direct = np.array([1e8 + RngStream(3, i).wiener(1.0, 1)[0] for i in range(200)])
+    assert abs(stats.var[-1] / np.var(direct) - 1.0) < 1e-6
 
-    stats = run_ensemble(batch, 200, base_seed=3, chunk=7)
-    direct = np.array([1e8 + RngStream(3, i).normal() for i in range(200)])
-    assert abs(stats.var[0] / np.var(direct) - 1.0) < 1e-6
+
+def test_run_ensemble_appends_final_once():
+    _, plain = run_ensemble([0.0], walk, first, 0.1, 4, 50, base_seed=2, chunk=8)
+    _, both = run_ensemble([0.0], walk, first, 0.1, 4, 50, base_seed=2, chunk=8,
+                           final=lambda x: np.hstack([x, -x]))
+    assert both.mean.shape == (5 + 2,)
+    assert np.array_equal(both.mean[:5], plain.mean)
+    assert np.array_equal(both.mean[5:], [plain.mean[-1], -plain.mean[-1]])
+    assert np.array_equal(both.var[5:], [plain.var[-1], plain.var[-1]])
+
+
+def test_run_ensemble_time_grid_at_a_non_dividing_stride():
+    dt, n = 0.1, 10  # samples at steps 0, 3, 6, 9; step 10 is not recorded
+    times, stats = run_ensemble([0.0], walk, first, dt, n, 1, base_seed=4,
+                                sample_every=3)
+    assert times.tolist() == [dt * s for s in (0, 3, 6, 9)]
+    path = np.concatenate([[0.0], RngStream(4, 0).wiener(dt, n).cumsum()])
+    assert np.allclose(stats.mean, path[[0, 3, 6, 9]])
 
 
 def test_wiener_steps_match_one_block_draw():
