@@ -59,7 +59,7 @@ class MapParams:
     @classmethod
     def from_rotation(cls, x, phi):
         """p = tan(x) e^{i phi} from the SU(2) rotation angles."""
-        return cls(p=complex(math.tan(x) * np.exp(1j * phi)))
+        return cls(p=math.tan(x) * complex(math.cos(phi), math.sin(phi)))
 
 
 def su2_unitary(x, phi):
@@ -156,43 +156,18 @@ def bell_purify_iterate(rho0, n_steps, x=math.pi / 4, phi=math.pi / 2, raw=False
 def fp_map(z, p):
     """Evaluate F_p(z) = (z^2 + p)/(1 - conj(p) z^2) on the sphere.
 
-    The point at infinity maps to -1/conj(p) (to infinity when p = 0), and
-    a vanishing denominator yields infinity; no input raises.
+    One _step on the normalized homogeneous coordinates of z, read back as
+    u/v.  The point at infinity maps to -1/conj(p) (to infinity when
+    p = 0), and a vanishing denominator yields infinity; no input raises.
     """
     p = complex(p)
-    if is_infinity(z):
-        return INFINITY if p == 0 else -1.0 / p.conjugate()
-    z = complex(z)
-    if abs(z) > 1e100:
-        # z^2 would overflow; indistinguishable from infinity at this scale
-        return INFINITY if p == 0 else -1.0 / p.conjugate()
-    z2 = z * z
-    den = 1.0 - p.conjugate() * z2
-    if den == 0:
-        return INFINITY
-    return (z2 + p) / den
-
-
-def fp_derivative_abs(z, p):
-    """|F_p'(z)| = 2|z|(1 + |p|^2)/|1 - conj(p) z^2|^2, with inf at poles."""
-    p = complex(p)
-    if is_infinity(z):
-        return 0.0 if p != 0 else math.inf
-    z = complex(z)
-    if abs(z) > 1e100:
-        return 0.0 if p != 0 else math.inf
-    den = abs(1.0 - p.conjugate() * z * z) ** 2
-    num = 2.0 * abs(z) * (1.0 + abs(p) ** 2)
-    if den == 0.0:
-        return math.inf
-    return num / den
+    u, v = _step(*_to_uv(z), p, p.conjugate())
+    return u / v if v else INFINITY
 
 
 def chordal_distance(a, b):
     """Riemann-sphere chordal distance, diameter 2, infinity regular."""
-    ua, va = _to_uv(a)
-    ub, vb = _to_uv(b)
-    return 2.0 * abs(ua * vb - ub * va)
+    return _chord(*_to_uv(a), *_to_uv(b))
 
 
 def _to_uv(z):
@@ -263,10 +238,15 @@ _CRITICAL_BUDGETS = 4
 
 
 def _step(u, v, p, pc):
-    """One step of F_p on normalized homogeneous coordinates, z = u/v."""
-    nu = u * u + p * (v * v)
-    nv = v * v - pc * (u * u)
-    norm = np.sqrt(np.abs(nu) ** 2 + np.abs(nv) ** 2)
+    """One step of F_p on normalized homogeneous coordinates, z = u/v.
+
+    u and v are complex scalars (the critical orbits) or arrays of pixels.
+    np.sqrt takes both and is correctly rounded, like math.sqrt; a Python
+    float's ** 0.5 calls C pow, which is not.
+    """
+    uu, vv = u * u, v * v
+    nu, nv = uu + p * vv, vv - pc * uu
+    norm = np.sqrt(abs(nu) ** 2 + abs(nv) ** 2)
     # a zero norm cannot occur for finite p: u^2 = -p v^2 and
     # v^2 = conj(p) u^2 together force u = v = 0
     return nu / norm, nv / norm
@@ -274,7 +254,17 @@ def _step(u, v, p, pc):
 
 def _chord(au, av, bu, bv):
     """Chordal distance of normalized homogeneous points a and b."""
-    return 2.0 * np.abs(au * bv - bu * av)
+    return 2.0 * abs(au * bv - bu * av)
+
+
+def _sphere_derivative(a, b):
+    """Spherical derivative of F_p at z = u/v, from a = |u| and b = |v|.
+
+    F_p is z^2 followed by a rotation of the sphere, so this is the
+    derivative of z^2, 2|z|(1 + |z|^2)/(1 + |z|^4), written in |u| and |v|
+    rather than their squares so that neither underflows.
+    """
+    return 2 * a * b * (a * a + b * b) / (a ** 4 + b ** 4)
 
 
 def _periods(tail_u, tail_v, tol):
@@ -292,34 +282,20 @@ def _periods(tail_u, tail_v, tol):
     return period
 
 
-def _orbit(u, v, p, steps):
-    """The points of each orbit from its start to step `steps`, oldest first."""
-    pc = np.conj(p)
-    out_u = np.empty((steps + 1,) + u.shape, dtype=complex)
-    out_v = np.empty_like(out_u)
-    out_u[0], out_v[0] = u, v
-    for k in range(1, steps + 1):
-        u, v = _step(u, v, p, pc)
-        out_u[k], out_v[k] = u, v
-    return out_u, out_v
-
-
 def _orbit_tail(u, v, p, steps):
-    """The last _TAIL points (u, v) of one orbit of `steps` steps, oldest first.
+    """The last _TAIL points (u, v) of an orbit of `steps` steps, oldest first.
 
-    Plain complex scalars, with the arithmetic of _step.  An orbit that
-    repeats a point exactly is periodic from there on, so it stops _TAIL
-    steps later, once its last points are all on that cycle.
+    An orbit that repeats a point exactly is periodic from there on, so it
+    stops _TAIL steps later, once its last points are all on that cycle.
+    That test needs complex scalars; u and v may be arrays of pixels when
+    steps < _TAIL, which never reaches it.
     """
     pc = p.conjugate()
     tail = [(u, v)]
     left = steps
     while left:
         left -= 1
-        uu, vv = u * u, v * v
-        nu, nv = uu + p * vv, vv - pc * uu
-        norm = math.sqrt(abs(nu) ** 2 + abs(nv) ** 2)
-        u, v = nu / norm, nv / norm
+        u, v = _step(u, v, p, pc)
         if left > _TAIL and (u, v) in tail:
             left = _TAIL
         tail.append((u, v))
@@ -349,8 +325,7 @@ def _attracting_cycles(p, tol, steps=_CRITICAL_STEPS):
         if q == 0:
             continue
         cu, cv = tail_u[-q:, orbit], tail_v[-q:, orbit]
-        a, b = np.abs(cu) ** 2, np.abs(cv) ** 2
-        if np.prod(2.0 * np.sqrt(a * b) * (a + b) / (a * a + b * b)) >= 1.0:
+        if np.prod(_sphere_derivative(abs(cu), abs(cv))) >= 1.0:
             continue
         if any((_chord(cu[-1], cv[-1], ou, ov) < tol).any() for ou, ov in cycles):
             continue
@@ -390,7 +365,7 @@ def _raster_rows(job, cycles, row_lo, row_hi):
     # the last _TAIL steps: a pixel whose newest points pass the tail test
     # settles at its first step within tol of one period of them
     if active.size:
-        tail_u, tail_v = _orbit(u, v, p, n - first_tail)
+        tail_u, tail_v = np.array(_orbit_tail(u, v, p, n - first_tail)).swapaxes(0, 1)
         period = _periods(tail_u, tail_v, tol)
         tail_counts = np.full(active.size, -1, dtype=np.int64)
         for k in range(len(tail_u)):
@@ -618,9 +593,7 @@ def lyapunov_estimate(z0, p, n_iters, offset=1e-9, supersink_tol=1e-12):
         if 2 * min(a, b) < supersink_tol * math.hypot(a, b):
             terminated = True
             break
-        # spherical derivative of z^2, hence of F_p, at z = u/v
-        fsharp = 2 * a * b * (a * a + b * b) / (a ** 4 + b ** 4)
-        chain_logs.append(math.log(max(fsharp, _FLOOR)))
+        chain_logs.append(math.log(max(_sphere_derivative(a, b), _FLOOR)))
         bits = top - k
         f = _fp_step(f, pr >> k, pi >> k, bits)
         g = _fp_step(g, pr >> k, pi >> k, bits)

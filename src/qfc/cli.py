@@ -176,8 +176,7 @@ def _run_entangle(cfg):
 def _run_bellpurify(cfg):
     fids = chaos.bell_purify_iterate(chaos.PERTURBED_BELL, cfg["steps"],
                                      x=cfg["x"], phi=cfg["phi"], raw=True)
-    p = math.tan(cfg["x"]) * complex(math.cos(cfg["phi"]),
-                                     math.sin(cfg["phi"]))
+    p = chaos.MapParams.from_rotation(cfg["x"], cfg["phi"]).p
     results = {"p_re": p.real, "p_im": p.imag,
                "final_fidelity": float(fids[-1])}
     columns = [np.arange(len(fids)), fids]

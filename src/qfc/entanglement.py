@@ -276,6 +276,9 @@ def _rotation_map(rotation, freqs, basis):
 
 # columns of x @ reads: trace, q1, the D- block_components, Bell fidelity
 _TR, _Q1X, _Q1Y, _Q1Z, _MX, _MY, _MZ, _MW, _FID = range(9)
+# stage thresholds: |q1| for the D- rotation, the leakage that accepts it,
+# and the D- qubit's equatorial purity that ends stage two
+_Q1_THRESHOLD, _LEAKAGE_THRESHOLD, _PURITY_THRESHOLD = 0.999, 1e-3, 0.995
 
 
 @lru_cache
@@ -292,19 +295,17 @@ def _coordinate_maps():
             _rotation_map(q2_rotation, (0.5, 1.0), basis))
 
 
-def entangle_protocol(rho0, k, dt, horizon, seed, *, q1_threshold=0.999,
-                      leakage_threshold=1e-3, purity_threshold=0.995,
-                      sample_every=10):
+def entangle_protocol(rho0, k, dt, horizon, seed, *, sample_every=10):
     """Drive an arbitrary two-qubit state onto the symmetric Bell state.
 
     Stage one measures the parity while x-rotations of the second qubit
-    hold the which-block qubit on its equator; once |q1| passes
-    q1_threshold the vector is rotated onto the D- pole, accepted when the
-    off-block leakage is at most leakage_threshold.  Stage two toggles the
-    monitored operator to XX via local Hadamards (run here directly as the
-    toggled model) and holds the D- qubit's x component at zero with
-    opposite local z-rotations until its equatorial purity passes
-    purity_threshold; a last phase rotation lands on (|01> + |10>)/sqrt(2).
+    hold the which-block qubit on its equator; once |q1| passes 0.999 the
+    vector is rotated onto the D- pole, accepted when the off-block leakage
+    is at most 1e-3.  Stage two toggles the monitored operator to XX via
+    local Hadamards (run here directly as the toggled model) and holds the
+    D- qubit's x component at zero with opposite local z-rotations until
+    its equatorial purity passes 0.995; a last phase rotation lands on
+    (|01> + |10>)/sqrt(2).
 
     Thresholds are checked before stepping, so a state already at the
     target returns immediately, before any step.  Raises
@@ -356,14 +357,14 @@ def entangle_protocol(rho0, k, dt, horizon, seed, *, q1_threshold=0.999,
     r = (x @ reads).tolist()
     for step in range(n_max + 1):
         t = step * dt
-        if stage == 1 and math.hypot(*r[_Q1X:_Q1Z + 1]) >= q1_threshold:
+        if stage == 1 and math.hypot(*r[_Q1X:_Q1Z + 1]) >= _Q1_THRESHOLD:
             candidate = rotate_q1(x, align_down_angle(r[_Q1Y], r[_Q1Z]))
-            if candidate @ (leak * candidate) <= leakage_threshold:
+            if candidate @ (leak * candidate) <= _LEAKAGE_THRESHOLD:
                 samples[t] = x = candidate
                 r = (x @ reads).tolist()
                 stage = 2
                 dfs_time = t if step > 0 else None
-        if stage == 2 and _equator_purity(*r[_MX:_FID]) >= purity_threshold:
+        if stage == 2 and _equator_purity(*r[_MX:_FID]) >= _PURITY_THRESHOLD:
             samples[t] = x = rotate_q2(x, azimuth_align_angle(r[_MX], r[_MY]))
             return package()
         if step == n_max:

@@ -22,6 +22,8 @@ import numpy as np
 # perfbench/tracer.py patches the RngStream it finds here
 from .stochastic import RngStream, run_ensemble  # noqa: F401
 
+_TOL_KT = 1e-4  # bisection tolerance of time_to_target_nofeedback, in k t
+
 
 @dataclass
 class PurificationRun:
@@ -131,8 +133,8 @@ def time_to_target_feedback(target, k, start=0.5):
     return float(np.log(start / target) / (8.0 * k))
 
 
-def time_to_target_nofeedback(target, k, tol_kt=1e-4):
-    """Bisection solve of nofeedback_impurity(t) = target (tolerance in k t)."""
+def time_to_target_nofeedback(target, k):
+    """Bisection solve of nofeedback_impurity(t) = target, to 1e-4 in k t."""
     if not 0 < target < 0.5:
         raise ValueError("target must lie in (0, 0.5)")
     lo = 0.0
@@ -143,7 +145,7 @@ def time_to_target_nofeedback(target, k, tol_kt=1e-4):
         hi *= 2.0
     else:
         raise RuntimeError("failed to bracket the target impurity")
-    while (hi - lo) * k > tol_kt:
+    while (hi - lo) * k > _TOL_KT:
         mid = 0.5 * (lo + hi)
         if nofeedback_impurity(mid, k) > target:
             lo = mid

@@ -23,6 +23,7 @@ import numpy as np
 from .states import SZ, dag, density
 
 _HALF_PI = 0.5 * np.pi
+_CHI_TOL = 1e-4  # final golden-section bracket of optimize_chi
 
 
 def protected_pair(theta):
@@ -124,28 +125,20 @@ def correction_pair(p, theta, chi):
 
 def channel_average_fidelity(p, theta, chi):
     """Exact average of scheme 4 at fixed chi (both inputs equally likely)."""
-    psis = protected_pair(theta)
-    m_ops = weak_operator_pair(chi)
-    z_ops = correction_pair(p, theta, chi)
-    total = 0.0
-    for psi in psis:
-        rho = dephase(density(psi), p)
-        for m, z in zip(m_ops, z_ops):
-            k = z @ m
-            out = k @ rho @ dag(k)
-            total += 0.5 * np.vdot(psi, out @ psi).real
-    return float(total)
+    probs, vals = _branch_table("weak", p, theta, chi)
+    return float(probs @ vals)
 
 
-def optimize_chi(p, theta, tol=1e-4):
-    """Golden-section maximization of the scheme-4 channel average over chi."""
+def optimize_chi(p, theta):
+    """Golden-section maximization of the scheme-4 channel average over chi,
+    to a final bracket of 1e-4."""
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = 1e-9, _HALF_PI - 1e-9
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc = channel_average_fidelity(p, theta, c)
     fd = channel_average_fidelity(p, theta, d)
-    while b - a > tol:
+    while b - a > _CHI_TOL:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -255,12 +248,13 @@ class GapSurface:
         return float(self.p[i]), float(self.theta[j]), float(self.gap[i, j])
 
 
-def gap_surface(n_p=201, n_theta=201, p_max=0.5, theta_max=_HALF_PI):
-    """Evaluate the advantage F4 - max(F1, F3) on a regular grid."""
+def gap_surface(n_p=201, n_theta=201):
+    """Evaluate the advantage F4 - max(F1, F3) on a regular grid over
+    p in [0, 1/2] and theta in [0, pi/2]."""
     if n_p < 50 or n_theta < 50:
         raise ValueError("grid must be at least 50x50")
-    ps = np.linspace(0.0, p_max, int(n_p))
-    ts = np.linspace(0.0, theta_max, int(n_theta))
+    ps = np.linspace(0.0, 0.5, int(n_p))
+    ts = np.linspace(0.0, _HALF_PI, int(n_theta))
     pg = ps[:, None]
     tg = ts[None, :]
     f1 = np.broadcast_to(f1_do_nothing(pg, tg), (len(ps), len(ts))).copy()

@@ -29,25 +29,31 @@ def tensor_product(a, b, *rest):
     return out
 
 
-def check_density(rho, trace_tol=1e-9, herm_tol=1e-9, psd_tol=1e-9, raw=False):
+_DENSITY_TOL = 1e-9  # trace, Hermiticity and negative-eigenvalue tolerance
+_ENTROPY_CUTOFF = 1e-12  # eigenvalues at or below this are left out of the entropy
+
+
+def check_density(rho, raw=False):
     """Validate a density matrix and return it as a complex array.
 
-    raw=True skips the Hermiticity and positivity checks.  It exists for one
-    deliberately asymmetric benchmark input of the purification-cycle demo
-    (chaos.PERTURBED_BELL) and should not be used for anything else.
+    The trace must be 1, rho Hermitian and its eigenvalues non-negative,
+    each to within 1e-9.  raw=True skips the Hermiticity and positivity
+    checks.  It exists for one deliberately asymmetric benchmark input of
+    the purification-cycle demo (chaos.PERTURBED_BELL) and should not be
+    used for anything else.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"trace {tr} deviates from 1 beyond {trace_tol}")
+    if abs(tr - 1.0) > _DENSITY_TOL:
+        raise ValueError(f"trace {tr} deviates from 1 beyond {_DENSITY_TOL}")
     if not raw:
-        if np.max(np.abs(rho - rho.conj().T)) > herm_tol:
-            raise ValueError(f"matrix not Hermitian within {herm_tol}")
+        if np.max(np.abs(rho - rho.conj().T)) > _DENSITY_TOL:
+            raise ValueError(f"matrix not Hermitian within {_DENSITY_TOL}")
         lo = np.linalg.eigvalsh(rho).min()
-        if lo < -psd_tol:
-            raise ValueError(f"negative eigenvalue {lo} below -{psd_tol}")
+        if lo < -_DENSITY_TOL:
+            raise ValueError(f"negative eigenvalue {lo} below -{_DENSITY_TOL}")
     return rho
 
 
@@ -123,10 +129,10 @@ def purity(rho):
     return float(np.trace(rho @ rho).real)
 
 
-def von_neumann_entropy(rho, cutoff=1e-12):
-    """Entropy in nats; eigenvalues at or below cutoff are dropped."""
+def von_neumann_entropy(rho):
+    """Entropy in nats; eigenvalues at or below 1e-12 are dropped."""
     evals = np.linalg.eigvalsh(np.asarray(rho))
-    evals = evals[evals > cutoff]
+    evals = evals[evals > _ENTROPY_CUTOFF]
     return float(-(evals * np.log(evals)).sum())
 
 

@@ -128,14 +128,50 @@ def test_fp_map_special_points():
     assert ch.is_infinity(ch.fp_map(1e200, 0.0))
 
 
-def test_fp_derivative_matches_difference_quotient():
-    h = 1e-7
-    for z, p in [(0.4 - 0.2j, 0.3 + 0.1j), (1.2 + 0.5j, 1j), (0.9, 0.0)]:
-        num = abs(ch.fp_map(z + h, p) - ch.fp_map(z - h, p)) / (2.0 * h)
-        assert ch.fp_derivative_abs(z, p) == pytest.approx(num, rel=1e-5)
-    assert ch.fp_derivative_abs(1.0, 1.0) == math.inf
-    assert ch.fp_derivative_abs(ch.INFINITY, 1j) == 0.0
-    assert ch.fp_derivative_abs(ch.INFINITY, 0.0) == math.inf
+def _pairs(zs):
+    """Normalized homogeneous coordinates of the points zs, as two arrays."""
+    return tuple(np.array(c) for c in zip(*(ch._to_uv(z) for z in zs)))
+
+
+def test_step_and_chord_serve_scalars_and_arrays():
+    # one definition serves the critical orbits (complex scalars) and the
+    # raster (pixel arrays).  numpy's vectorised complex multiply, divide
+    # and abs may round differently from Python's scalar ones, so the two
+    # forms agree bit for bit only where the arithmetic is exact, as at the
+    # critical points 0 and infinity, and to rounding elsewhere
+    rng = np.random.default_rng(5)
+    generic = list(rng.normal(size=40) + 1j * rng.normal(size=40))
+    for p in (0j, 1 + 0j, 1j, -1 + 0j, 0.5j, 0.3 + 0.1j, -0.7 + 0.2j):
+        pc = p.conjugate()
+        for zs, tol in (([0.0, ch.INFINITY], 0.0), (generic, 1e-15)):
+            u, v = _pairs(zs)
+            au, av = ch._step(u, v, p, pc)
+            chords = ch._chord(au, av, u[::-1], v[::-1])
+            for i in range(len(zs)):
+                su, sv = ch._step(complex(u[i]), complex(v[i]), p, pc)
+                assert type(su) is type(sv) is complex
+                assert abs(su - au[i]) <= tol and abs(sv - av[i]) <= tol
+                chord = ch._chord(su, sv, complex(u[-1 - i]), complex(v[-1 - i]))
+                assert abs(chord - chords[i]) <= 2 * tol
+    assert ch.chordal_distance(0.0, ch.INFINITY) == ch._chord(0j, 1 + 0j, 1 + 0j, 0j) == 2.0
+
+
+@pytest.mark.parametrize("p", [1 + 0j, 1j, 0.3 + 0.1j])
+def test_orbit_tail_of_pixel_array_matches_scalar_tails(p):
+    # the raster's last _TAIL - 1 steps run _orbit_tail on arrays; for the
+    # study parameters 1 and i the points 0, infinity, +-1 and +-i stay
+    # exact, and a generic p agrees to rounding grown over the steps
+    zs = [0.0, ch.INFINITY, 1.0, -1.0, 1j, -1j, 0.4 - 0.2j, -1.3 + 0.5j]
+    n_exact = 6 if p in (1, 1j) else 0
+    u, v = _pairs(zs)
+    steps = ch._TAIL - 1
+    tail_u, tail_v = np.array(ch._orbit_tail(u, v, p, steps)).swapaxes(0, 1)
+    assert tail_u.shape == (steps + 1, len(zs))
+    for i in range(len(zs)):
+        su, sv = np.array(ch._orbit_tail(complex(u[i]), complex(v[i]), p, steps)).T
+        tol = 0.0 if i < n_exact else 1e-12
+        assert np.abs(su - tail_u[:, i]).max() <= tol
+        assert np.abs(sv - tail_v[:, i]).max() <= tol
 
 
 def test_chordal_distance():

@@ -206,6 +206,9 @@ def test_purity_derivative_check():
     for _ in range(20):
         rho = random_density(rng, 2)
         assert sme.purity_derivative_check(model, rho) <= 1e-8
+        # the dephasing alone acts: rho_01 decays at twice the rate 0.8
+        assert sme.purity_derivative_check(model, rho) == pytest.approx(
+            -8.0 * 0.8 * abs(rho[0, 1]) ** 2, rel=1e-12, abs=1e-15)
     assert abs(sme.purity_derivative_check(model, np.eye(2) / 2.0)) < 1e-10
     noncommuting = sme.SmeModel(
         dim=2, hamiltonian_base=np.array([[0.0, 1.0], [1.0, 0.0]]),
