@@ -94,7 +94,7 @@ def _shared_fields(command):
     return [
         Field("seed", int, 0, _seed_check, "base seed for all random streams"),
         Field("threads", int, None, _at_least(1),
-              "worker threads (default: QFC_THREADS or 1); never changes output bytes"),
+              "julia worker threads (default: QFC_THREADS or 1); never changes output bytes"),
         Field("out", str, "qfc_" + command.replace("-", "_"), None,
               "output base path; files are written as <out>.csv (and <out>.pgm)"),
     ]
@@ -144,7 +144,7 @@ def _run_purify(cfg):
     n_steps = int(round(cfg["t_max"] / dt))
     times, mean, var = purification.mc_nofeedback_impurity(
         k, dt, n_steps, cfg["trajectories"], cfg["seed"],
-        sample_every=cfg["sample_every"], threads=cfg["threads"])
+        sample_every=cfg["sample_every"])
     sem = np.sqrt(var / cfg["trajectories"])
     quad_ref = purification.nofeedback_impurity_curve(times, k)
     fb_ref = 0.5 * np.exp(-8.0 * k * times)
@@ -206,7 +206,7 @@ def _run_sme(cfg):
     n_steps = int(round(cfg["t_max"] / dt))
     times, mean, var = sme.run_dephasing_ensemble(
         k, dt, n_steps, cfg["trajectories"], cfg["seed"],
-        sample_every=cfg["sample_every"], threads=cfg["threads"])
+        sample_every=cfg["sample_every"])
     sem = np.sqrt(var / cfg["trajectories"])
     analytic = 0.5 * np.exp(-4.0 * k * times)
     header = ["t", "mean_coherence", "std_error", "analytic_coherence"]
@@ -214,18 +214,28 @@ def _run_sme(cfg):
 
 
 def _run_spin_collapse(cfg):
+    # F_z is measured non-demolition (s_detuning F_z commutes with it): from
+    # the maximally mixed state a trajectory's level m is uniform, its record
+    # is y = a m t + B_t, and p_m ~ exp(a m y - a^2 m^2 t / 2)
     d = cfg["two_j"] + 1
-    model = sme.spin_ensemble_model(cfg["two_j"], s=cfg["s_detuning"],
-                                    strength=cfg["strength"], eta=cfg["eta"])
-    fz_diag = np.diag(model.channels[0].op).real
+    fz_diag = 0.5 * cfg["two_j"] - np.arange(d)  # F_z eigenvalues m = j .. -j
+    amp = 2.0 * math.sqrt(cfg["strength"] * cfg["eta"])
+
+    def log_weights(y, t):  # log p_m, up to one constant per trajectory and time
+        return amp * fz_diag * (y[..., None] - 0.5 * amp * fz_diag * np.asarray(t)[..., None])
+
+    def read(y, t):
+        lw = log_weights(y, t)
+        p = np.exp(lw - lw.max(axis=-1, keepdims=True))
+        p /= p.sum(axis=-1, keepdims=True)
+        return np.stack([p.max(axis=-1), p @ fz_diag], axis=-1)
+
     dt = cfg["dt"]
     times, stats = run_ensemble(
-        sme.to_coords(np.eye(d) / d),
-        lambda x, dw: sme.step(model, x, dt, dw[:, None]),
-        lambda x: np.stack([x[:, :d].max(axis=1), x[:, :d] @ fz_diag], axis=1),
-        dt, int(round(cfg["t_max"] / dt)), cfg["trajectories"], cfg["seed"],
-        sample_every=cfg["sample_every"], threads=cfg["threads"],
-        final=lambda x: np.eye(d)[np.argmax(x[:, :d], axis=1)])  # one-hot outcome
+        lambda stream: amp * fz_diag[min(int(stream.uniform() * d), d - 1)],
+        read, dt, int(round(cfg["t_max"] / dt)), cfg["trajectories"], cfg["seed"],
+        sample_every=cfg["sample_every"],
+        final=lambda y, t: np.eye(d)[np.argmax(log_weights(y, t), axis=1)])  # one-hot outcome
     n_samples = len(times)
     track_mean = stats.mean[:2 * n_samples].reshape(n_samples, 2)
     track_sem = stats.sem[:2 * n_samples].reshape(n_samples, 2)
@@ -294,7 +304,8 @@ for _cmd in [
     Command(
         "purify",
         [Field("k", float, 1.0, _positive, "measurement strength"),
-         Field("dt", float, 1e-4, _positive, "integration step"),
+         Field("dt", float, 1e-4, _positive,
+               "time step; samples fall at t = dt * step"),
          Field("t_max", float, 2.0, _positive, "simulated time span"),
          Field("trajectories", int, 1000, _at_least(2), "ensemble size"),
          Field("sample_every", int, 100, _at_least(1),
@@ -342,7 +353,8 @@ for _cmd in [
     Command(
         "sme-run",
         [Field("k", float, 1.0, _positive, "dephasing strength"),
-         Field("dt", float, 1e-3, _positive, "integration step"),
+         Field("dt", float, 1e-3, _positive,
+               "time step; samples fall at t = dt * step"),
          Field("t_max", float, 1.0, _positive, "simulated time span"),
          Field("trajectories", int, 2000, _at_least(2), "ensemble size"),
          Field("sample_every", int, 10, _at_least(1),
@@ -357,7 +369,8 @@ for _cmd in [
          Field("eta", float, 1.0, _in_closed(1e-12, 1.0, "(0, 1]"),
                "detector efficiency"),
          Field("s_detuning", float, 0.0, None, "static F_z coefficient"),
-         Field("dt", float, 1e-3, _positive, "integration step"),
+         Field("dt", float, 1e-3, _positive,
+               "time step; samples fall at t = dt * step"),
          Field("t_max", float, 8.0, _positive, "simulated time span"),
          Field("trajectories", int, 100, _at_least(2), "ensemble size"),
          Field("sample_every", int, 10, _at_least(1),

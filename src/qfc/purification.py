@@ -1,15 +1,14 @@
 """Rapid purification of a qubit under continuous sigma_z monitoring.
 
-The Bloch components of the conditioned state obey
-
-    da_x = -(4k dt + a_z sqrt(8k) dW) a_x        (same for a_y)
-    da_z = (1 - a_z^2) sqrt(8k) dW
-
-and the impurity is (1 - |a|^2)/2.  Without feedback the ensemble-average
-impurity from the maximally mixed state is nofeedback_impurity, an integral
-over the measurement record evaluated by the trapezoid rule; with the
-idealized feedback that keeps the state on the equator the transverse
-diffusion cancels exactly, leaving the deterministic law
+The measurement is quantum non-demolition: sigma_z commutes with every other
+term, so the conditioned state is a closed-form function of the integrated
+record y_t = +-c t + B_t, c = sqrt(8k).  From the maximally mixed state the
+Bloch component is a_z = tanh(c y), the transverse ones stay zero, and the
+impurity (1 - |a|^2)/2 is sech^2(c y) / 2; by the symmetry of B the sign of
+the drift does not change its law.  The ensemble-average impurity is then
+nofeedback_impurity, an integral over the record evaluated by the trapezoid
+rule; with the idealized feedback that keeps the state on the equator the
+transverse diffusion cancels exactly, leaving the deterministic law
 impurity(t) = impurity(0) exp(-8 k t).
 """
 
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # perfbench/tracer.py patches the RngStream it finds here
-from .stochastic import RngStream, run_ensemble  # noqa: F401
+from .stochastic import RngStream, run_ensemble, sech  # noqa: F401
 
 _TOL_KT = 1e-4  # bisection tolerance of time_to_target_nofeedback, in k t
 
@@ -87,25 +86,17 @@ def nofeedback_impurity_curve(ts, k):
     return np.where(t == 0.0, 0.5, imp)
 
 
-def mc_nofeedback_impurity(k, dt, n_steps, n_traj, base_seed, sample_every=1,
-                           chunk=1000, threads=1):
+def mc_nofeedback_impurity(k, dt, n_steps, n_traj, base_seed, sample_every=1):
     """Monte-Carlo ensemble of the no-feedback scheme from the mixed state,
-    run by ``run_ensemble``.
+    run by ``run_ensemble`` on the record y = c t + B_t, c = sqrt(8k).
 
-    From the origin the transverse components stay zero, so each trajectory
-    is its a_z component alone, stepped in place and clamped to [-1, 1].
-    Returns (times, mean, var) of the impurity at every sample_every-th step.
+    Returns (times, mean, var) of the impurity sech^2(c y) / 2 at every
+    sample_every-th step of dt.
     """
     amp = np.sqrt(8.0 * float(k))
-
-    def advance(a_z, dw):
-        a_z += (1.0 - a_z * a_z) * amp * dw[:, None]
-        return np.minimum(np.maximum(a_z, -1.0, out=a_z), 1.0, out=a_z)  # np.clip, faster
-
     times, stats = run_ensemble(
-        np.zeros(1), advance, lambda a_z: 0.5 * (1.0 - a_z * a_z),
-        dt, n_steps, n_traj, base_seed, sample_every=sample_every,
-        chunk=chunk, threads=threads)
+        amp, lambda y, t: 0.5 * sech(amp * y) ** 2, dt, n_steps, n_traj,
+        base_seed, sample_every=sample_every)
     return times, stats.mean, stats.var
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .states import angular_momentum_ops, dag
 # perfbench/tracer.py counts the draws of the RngStream it finds here
-from .stochastic import IntegrationError, RngStream, run_ensemble  # noqa: F401
+from .stochastic import IntegrationError, RngStream, run_ensemble, sech  # noqa: F401
 
 
 def dissipator(c, rho):
@@ -231,24 +231,22 @@ def sme_step(model, rho, dt, dws, t=0.0):
     return from_coords(step(model, to_coords(rho)[None], dt, dws, t))[0]
 
 
-def run_dephasing_ensemble(k, dt, n_steps, n_traj, base_seed, sample_every=1,
-                           chunk=2000, threads=1):
+def run_dephasing_ensemble(k, dt, n_steps, n_traj, base_seed, sample_every=1):
     """Qubit dephasing trajectories (sigma_z, rate 2k) from the |+> state,
-    run by ``run_ensemble`` with ``step`` as the advance.
+    run by ``run_ensemble``.
 
-    Returns (times, mean, var) of Re rho_01 at every sample_every-th step.
+    sigma_z is measured non-demolition, so the conditioned state is exact in
+    the record y = +-c t + B_t, c = sqrt(8k): Re rho_01 = sech(c y) / 2,
+    which is even in y, so the sign of the drift needs no draw.  Returns
+    (times, mean, var) of Re rho_01 at every sample_every-th step of dt.
     """
     k = float(k)
     if k <= 0:
         raise ValueError("k must be positive")
-    model = SmeModel(dim=2, channels=[
-        Channel(op=np.diag([1.0, -1.0]), rate=2.0 * k, efficiency=1.0)])
+    amp = math.sqrt(8.0 * k)
     times, stats = run_ensemble(
-        to_coords(np.full((2, 2), 0.5)),
-        lambda x, dw: step(model, x, dt, dw[:, None]),
-        lambda x: x[:, 2],  # Re rho_01
-        dt, n_steps, n_traj, base_seed, sample_every=sample_every,
-        chunk=chunk, threads=threads)
+        amp, lambda y, t: 0.5 * sech(amp * y), dt, n_steps, n_traj, base_seed,
+        sample_every=sample_every)
     return times, stats.mean, stats.var
 
 

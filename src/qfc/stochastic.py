@@ -1,14 +1,17 @@
 """Seeded Wiener increments and the one Monte-Carlo ensemble driver.
 
-``run_ensemble`` owns the streams, the Wiener loop, the sample grid and the
-reducer; a study supplies a start row and an advance/read pair.  Trajectory
-i always draws from the counter-based stream (base_seed, stream_id=i), so
-results are bit-for-bit reproducible however trajectories are scheduled.
+Every ensemble monitors an observable that commutes with the rest of its
+model (a quantum non-demolition measurement), so its conditioned state is a
+closed-form function of the integrated record y_t = mu t + B_t, with mu set
+by the monitored eigenvalue and B a Wiener process (Jacobs & Steck, Contemp.
+Phys. 47, 279 (2006)).  ``run_ensemble`` samples the records exactly and
+reduces a study's reads of them.  Trajectory i always draws from the
+counter-based stream (base_seed, stream_id=i), so results are bit-for-bit
+reproducible.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +39,10 @@ class RngStream:
         self.gen = np.random.Generator(np.random.Philox(key=key))
 
     def wiener(self, dt, size=None):
-        """Normal(0, dt) increment(s)."""
-        if dt <= 0:
+        """Normal(0, dt) increment(s); dt may be an array of variances,
+        one per increment, each drawn in turn."""
+        dt = np.asarray(dt, dtype=float)
+        if not np.all(dt > 0):
             raise ValueError("dt must be positive")
         return self.gen.normal(0.0, np.sqrt(dt), size)
 
@@ -75,64 +80,50 @@ class EnsembleStats:
         return np.sqrt(self.var / self.n_traj)
 
 
-def wiener_steps(streams, dt, n_steps):
-    """Yield n_steps rows (m,) of Wiener increments, one per stream and step.
-
-    Each stream is drawn in blocks of 1000 steps: the values of one draw of
-    all n_steps, in O(1000 m) memory."""
-    for lo in range(0, n_steps, 1000):
-        rows = np.empty((min(1000, n_steps - lo), len(streams)))
-        for q, stream in enumerate(streams):
-            rows[:, q] = stream.wiener(dt, len(rows))
-        yield from rows
+def sech(x):
+    """sech x without overflow: 2 e^-|x| / (1 + e^-2|x|)."""
+    e = np.exp(-np.abs(x))
+    return 2.0 * e / (1.0 + e * e)
 
 
-def run_ensemble(x0, advance, read, dt, n_steps, n_traj, base_seed,
-                 sample_every=1, chunk=256, threads=1, final=None):
-    """Mean and variance over trajectories 0 .. n_traj-1, all started at x0.
+def run_ensemble(drift, read, dt, n_steps, n_traj, base_seed, sample_every=1,
+                 chunk=256, final=None):
+    """Mean and variance over trajectories 0 .. n_traj-1 of reads of their
+    measurement records.
 
-    Trajectory i is row i of a chunk's stacked copies of the row x0 and
-    draws from RngStream(base_seed, i): each of the n_steps steps does
-    x = advance(x, dw), dw one increment per row.  The samples are read(x)
-    at step 0 and every sample_every-th step, copied as taken, then final(x)
-    after the last step if given; each is one row (or value) per trajectory.
-    The chunks' means and sums of squared deviations are merged pairwise in
-    fixed chunk order (Chan, Golub & LeVeque 1979), so the result is
-    identical for any thread count.  Returns (times, EnsembleStats): times
-    are dt * step at the sampled steps, and the stats run over the samples
-    in step order, then the final values.
+    The grid is steps 0, sample_every, ... <= n_steps, plus n_steps if the
+    stride misses it.  Trajectory i draws from RngStream(base_seed, i): first
+    mu = drift(stream) (or drift itself, if a number), then in one wiener call
+    one increment dB ~ N(0, tau) per grid interval tau; its record starts at
+    y = 0 and advances y += mu tau + dB.  A chunk's records are rows:
+    read(y, t) takes them at the sampled times t = dt * step and gives a value
+    (or row) per trajectory and time; final(y, t), if given, takes them at
+    t = dt * n_steps and gives a row per trajectory.  Chunks bound the memory,
+    and their means and sums of squared deviations are merged pairwise in
+    fixed order (Chan, Golub & LeVeque 1979).  Returns (times, EnsembleStats)
+    over the samples in time order, then the final values.
     """
     n_traj = int(n_traj)
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
     n_steps, sample_every, chunk = int(n_steps), max(1, int(sample_every)), max(1, int(chunk))
-    times = dt * np.arange(0, n_steps + 1, sample_every)
+    steps = np.arange(0, n_steps + 1, sample_every)
+    times = dt * steps
+    taus = dt * np.diff(np.append(steps, n_steps) if steps[-1] < n_steps else steps)
 
-    def run_chunk(lo):
-        streams = [RngStream(base_seed, i) for i in range(lo, min(lo + chunk, n_traj))]
-        x = np.tile(x0, (len(streams), 1))
-        first = read(x)
-        # one array for all samples: per-sample arrays allocated between the
-        # Wiener blocks raised peak RSS by about 6 MB on the default purify
-        samples = np.empty(first.shape[:1] + times.shape + first.shape[1:])
-        samples[:, 0] = first
-        for s, dw in enumerate(wiener_steps(streams, dt, n_steps), 1):
-            x = advance(x, dw)
-            if s % sample_every == 0:
-                samples[:, s // sample_every] = read(x)
-        dw = None  # a view of the last Wiener block: free it before the reduction
-        rows = samples.reshape(len(streams), -1)
+    parts = []
+    for lo in range(0, n_traj, chunk):
+        ids = range(lo, min(lo + chunk, n_traj))
+        y = np.zeros((len(ids), len(taus) + 1))
+        for row, i in zip(y, ids):
+            stream = RngStream(base_seed, i)
+            mu = drift(stream) if callable(drift) else drift
+            np.cumsum(mu * taus + stream.wiener(taus), out=row[1:])
+        rows = read(y[:, :len(times)], times).reshape(len(ids), -1)
         if final is not None:
-            rows = np.hstack([rows, final(x)])
+            rows = np.hstack([rows, final(y[:, -1], dt * n_steps)])
         mean = rows.mean(axis=0)
-        return len(rows), mean, ((rows - mean) ** 2).sum(axis=0)
-
-    starts = range(0, n_traj, chunk)
-    if threads and threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            parts = list(pool.map(run_chunk, starts))
-    else:
-        parts = [run_chunk(lo) for lo in starts]
+        parts.append((len(rows), mean, ((rows - mean) ** 2).sum(axis=0)))
     n, mean, m2 = parts[0]
     for n_b, mean_b, m2_b in parts[1:]:
         delta, total = mean_b - mean, n + n_b

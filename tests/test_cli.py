@@ -299,17 +299,17 @@ FROZEN_CSVS = {
              "0463c46272b02f71013506f579f50adef87fbc5443616ff9bc8ebd41a3ef7ea6"),
     "b": (["bellpurify"],
           "8766fd7baddffb57dc9eee7b844d83375a03c25c30864eeef66ee7941be0ebed"),
-    # the ensemble commands as each wrote them with its own trajectory loop:
+    # the ensemble commands as they write them from exactly sampled records:
     # two chunks of trajectories and a stride that does not divide the steps
     "m": (["sme-run", "--t-max", "0.2", "--trajectories", "2100",
            "--sample-every", "7"],
-          "24283032111e4329855f8c2e3d765b2a465f6f777f788712d469ca240c31804f"),
+          "94fe9a8395f50c19cedcf52217babcc7d6117efaefc2d9ca8785f3f9ac8fb5ac"),
     "p": (["purify", "--t-max", "0.05", "--trajectories", "1500",
            "--sample-every", "7"],
-          "b597090887d2f35632bf26890873da27f8a8345371279eae87fb9c8764cced1c"),
+          "2c9fc0b68a6fd01181f796bc3e9b3f63d6f3178fc169e18524b9dfc822d7939b"),
     "c": (["spin-collapse", "--t-max", "0.05", "--trajectories", "300",
            "--sample-every", "7"],
-          "35219107b231ae2e168cbd6fc77f541a5b62453c77472c0990d6aebd76c5beb2"),
+          "d4b7457b4e2edec98129b9212217ce20d54a165caf39e110a4ff8563440b6c1f"),
 }
 
 
@@ -398,6 +398,27 @@ def test_spin_collapse_run(tmp_path):
     counts = [int(c) for c in pre["final_counts"].split(",")]
     assert len(counts) == 3
     assert sum(counts) == 3
+
+
+def test_spin_collapse_matches_the_exact_mean(tmp_path):
+    # 2j = 4 at eta = 0.5 and t = 2: the mean max population over the uniform
+    # start level m and y = a m t + sqrt(t) z, z ~ N(0, 1), by the trapezoid
+    # rule in z; a = 2 sqrt(strength eta) as pinned against sme.step
+    base, n_traj = tmp_path / "c", 4000
+    assert cli.main(["spin-collapse", "--eta", "0.5", "--t-max", "2",
+                     "--trajectories", str(n_traj), "--seed", "41",
+                     "--out", str(base)]) == 0
+    lines = read_lines(base.with_suffix(".csv"))
+    last = [float(v) for v in lines[-1].split(",")]
+    fz, a, t = 2.0 - np.arange(5), 2.0 * np.sqrt(0.5), 2.0
+    z = np.linspace(-12.0, 12.0, 24001)
+    y = a * fz[:, None, None] * t + np.sqrt(t) * z[:, None]
+    lw = a * fz * (y - 0.5 * a * fz * t)
+    p = np.exp(lw - lw.max(axis=-1, keepdims=True))
+    p_max = (p.max(axis=-1) / p.sum(axis=-1)).mean(axis=0)
+    exact = np.sum(p_max * np.exp(-0.5 * z * z)) * (z[1] - z[0]) / np.sqrt(2.0 * np.pi)
+    assert last[0] == t
+    assert abs(last[1] - exact) < 4.0 * last[2], (last[1], exact, last[2])
 
 
 def test_entangle_run(tmp_path):

@@ -78,15 +78,6 @@ def test_mc_ensemble_matches_quadrature():
         assert abs(mean[i] - ref[i]) <= 4.0 * sem[i], times[i]
 
 
-def test_mc_ensemble_thread_invariance():
-    a = pf.mc_nofeedback_impurity(1.0, 1e-3, 200, 300, 7, sample_every=50,
-                                  chunk=64, threads=1)
-    b = pf.mc_nofeedback_impurity(1.0, 1e-3, 200, 300, 7, sample_every=50,
-                                  chunk=64, threads=4)
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
-
-
 def test_feedback_path_is_deterministic_exponential():
     run = pf.PurificationRun(k=1.0, dt=1e-4, horizon=2.0)
     times, imp = pf.feedback_impurity_path(run)

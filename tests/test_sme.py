@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import random_density, random_hermitian, random_unitary
 
+from qfc import purification as pf
 from qfc import sme
 from qfc.states import (SZ, angular_momentum_ops, density, tensor_product,
                         von_neumann_entropy)
@@ -143,22 +144,94 @@ def test_ensemble_mean_matches_lindblad():
     assert np.all(np.abs(mean[idx] - det[idx]) <= 3.0 * sem[idx] + 1e-12)
 
 
-def test_dephasing_ensemble_thread_invariance():
-    a = sme.run_dephasing_ensemble(1.0, 1e-3, 50, 500, 23, chunk=64, threads=1)
-    b = sme.run_dephasing_ensemble(1.0, 1e-3, 50, 500, 23, chunk=64, threads=5)
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
+def qnd_update(rho, eigs, a, dt, dw):
+    """The closed-form update of a state monitored non-demolition: record
+    increment dy = a <L> dt + dw, rho -> K rho K / Tr, K = exp(a L dy / 2 -
+    a^2 L^2 dt / 4), for L = diag(eigs); on the diagonal p_m ~ p_m exp(a m dy
+    - a^2 m^2 dt / 2), the law the ensemble commands read from the record."""
+    dy = a * (np.diag(rho).real @ eigs) * dt + dw
+    kraus = np.exp(0.5 * a * eigs * dy - 0.25 * a * a * eigs ** 2 * dt)
+    out = kraus[:, None] * rho * kraus[None, :]
+    return out / np.trace(out).real
 
 
-def test_dephasing_ensemble_samples_inside_the_loop():
-    # 50 steps is not a multiple of 7; 300 trajectories in chunks of 64 is 5 chunks
-    full = sme.run_dephasing_ensemble(1.0, 1e-3, 50, 300, 29, chunk=64)
-    for threads in (1, 2):
-        sampled = sme.run_dephasing_ensemble(1.0, 1e-3, 50, 300, 29, sample_every=7,
-                                             chunk=64, threads=threads)
-        assert len(sampled[0]) == 8
-        for x, y in zip(sampled, full):
-            assert np.array_equal(x, y[::7])
+def test_qnd_closed_form_is_the_euler_step_to_first_order():
+    # one Euler step with a small dw moves the state as the closed form
+    # does, to first order in dw: this pins a = sqrt(8k) for dephasing and
+    # a = 2 sqrt(strength eta) for the spin, eta < 1 included
+    dt, dw = 1e-12, 1e-6
+    two_j, strength, eta = 4, 0.7, 0.5
+    spin = sme.spin_ensemble_model(two_j, s=0.3, strength=strength, eta=eta)
+    diagonal = np.diag([0.1, 0.3, 0.25, 0.15, 0.2]).astype(complex)
+    theta = 0.6  # cos(theta)|0> + sin(theta)|1>: |+> coherence, uneven populations
+    psi = np.array([np.cos(theta), np.sin(theta)])
+    k = 0.8
+    for model, rho, eigs, a in [
+            (spin, diagonal, 0.5 * two_j - np.arange(two_j + 1),
+             2.0 * np.sqrt(strength * eta)),
+            (dephasing_model(k), np.outer(psi, psi).astype(complex),
+             np.array([1.0, -1.0]), np.sqrt(8.0 * k))]:
+        euler = sme.sme_step(model, rho, dt, [dw]) - rho
+        exact = qnd_update(rho, eigs, a, dt, dw) - rho
+        assert np.max(np.abs(euler)) > 1e-7
+        assert np.max(np.abs(euler - exact)) < 1e-4 * np.max(np.abs(euler))
+
+
+def euler_bias(oracle, exact, amp, run, k, t_end, n, n_traj, seed, strides):
+    """(bias, sem) of the Euler filter per stride, against the exact read of
+    the same measurement records.
+
+    The records are the ones ``run(k, t_end / n, n, ...)`` samples, y = amp t
+    + B_t on the grid of dt = t_end / n, and ``run`` must average the exact
+    read of them (checked on the first 100).  oracle = (x0, advance, read, z):
+    the filter takes stride grid steps at a time, h = stride dt, with the
+    innovation dw = dy - amp z(x) h, z(x) its <sigma_z>.
+    """
+    x0, advance, read, z = oracle
+    dt = t_end / n
+    dy = np.array([amp * dt + RngStream(seed, i).wiener(np.full(n, dt))
+                   for i in range(n_traj)])
+    exact_t = exact(np.cumsum(dy, axis=1)[:, -1])
+    _, mean, _ = run(k, dt, n, 100, seed)
+    assert abs(mean[-1] - exact_t[:100].mean()) < 1e-14
+    out = []
+    for stride in strides:
+        h = stride * dt
+        x = np.tile(x0, (n_traj, 1))
+        for block in dy.reshape(n_traj, -1, stride).sum(axis=2).T:
+            x = advance(x, h, block - amp * z(x) * h)
+        diff = read(x) - exact_t
+        out.append((diff.mean(), diff.std() / np.sqrt(n_traj)))
+    return np.array(out).T
+
+
+def test_euler_oracles_converge_weakly_to_the_exact_sampler():
+    # the per-step Euler loops that the purify and sme-run ensembles ran
+    # before they sampled their records exactly, fed the same records; the
+    # dephasing step loses the trace at k h = 4e-3, so its steps are finer
+    # and its ensemble larger
+    k, t_end, seed = 1.0, 0.5, 12
+    amp = np.sqrt(8.0 * k)
+    model = dephasing_model(k)
+
+    def purify_advance(a_z, h, dw):
+        a_z = a_z + (1.0 - a_z * a_z) * amp * dw[:, None]
+        return np.minimum(np.maximum(a_z, -1.0), 1.0)
+
+    purify = (np.zeros(1), purify_advance, lambda a_z: 0.5 * (1.0 - a_z[:, 0] ** 2),
+              lambda a_z: a_z[:, 0])
+    dephasing = (sme.to_coords(np.full((2, 2), 0.5)),
+                 lambda x, h, dw: sme.step(model, x, h, dw[:, None]),
+                 lambda x: x[:, 2], lambda x: x[:, 0] - x[:, 1])
+    for oracle, exact, run, n, n_traj in [
+            (purify, lambda y: 0.5 / np.cosh(amp * y) ** 2, pf.mc_nofeedback_impurity,
+             500, 8000),
+            (dephasing, lambda y: 0.5 / np.cosh(amp * y), sme.run_dephasing_ensemble,
+             1000, 12000)]:
+        bias, sem = euler_bias(oracle, exact, amp, run, k, t_end, n, n_traj, seed,
+                               (4, 2, 1))
+        assert 3.0 * sem[0] < abs(bias[0])
+        assert np.all(np.abs(bias[1:]) < np.abs(bias[:-1]))
 
 
 def test_spin_model_collapse_and_fixed_points():

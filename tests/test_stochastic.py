@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qfc.stochastic import (EnsembleStats, RngStream, ito_quadratic_variation,
-                            run_ensemble, wiener_steps)
+                            run_ensemble, sech)
 
 
 def test_stream_reproducibility():
@@ -24,6 +24,8 @@ def test_stream_guards():
         RngStream(0, 2**64)
     with pytest.raises(ValueError):
         RngStream(0).wiener(0.0)
+    with pytest.raises(ValueError):
+        RngStream(0).wiener([0.1, 0.0])
 
 
 def test_wiener_moments():
@@ -40,50 +42,65 @@ def test_quadratic_variation_concentrates():
         ito_quadratic_variation(RngStream(3), -1.0, 10)
 
 
-def walk(x, dw):
-    """Advance for a plain Wiener path: each row adds its increment."""
-    return x + dw[:, None]
+def test_wiener_takes_one_variance_per_increment():
+    taus = np.array([0.01, 0.04, 0.01])
+    got = RngStream(6, 2).wiener(taus)
+    gen = RngStream(6, 2).gen
+    assert np.array_equal(got, [gen.normal(0.0, np.sqrt(tau)) for tau in taus])
+    assert np.array_equal(RngStream(6, 2).wiener(np.full(3, 0.01)),
+                          RngStream(6, 2).wiener(0.01, 3))
 
 
-def first(x):
-    return x[:, 0]
+def test_sech_is_finite_and_exact():
+    x = np.array([0.0, 0.3, -2.0, 40.0, -800.0])
+    assert np.allclose(sech(x[:4]), 1.0 / np.cosh(x[:4]), rtol=1e-15, atol=0.0)
+    assert sech(x)[-1] == 0.0
+
+
+def record(y, t):
+    """Read of a plain record: the record itself."""
+    return y
+
+
+def path(stream, taus, mu=0.0):
+    """A record at the grid points, drawn directly from the stream."""
+    return np.concatenate([[0.0], np.cumsum(mu * taus + stream.wiener(taus))])
 
 
 def test_run_ensemble_matches_direct_loop():
     dt, n = 0.01, 5
-    times, stats = run_ensemble([0.0], walk, first, dt, n, 100, base_seed=5,
-                                chunk=16)
-    direct = np.array([np.concatenate([[0.0], RngStream(5, i).wiener(dt, n).cumsum()])
-                       for i in range(100)])
+    times, stats = run_ensemble(0.0, record, dt, n, 100, base_seed=5, chunk=16)
+    direct = np.array([path(RngStream(5, i), np.full(n, dt)) for i in range(100)])
     assert np.allclose(stats.mean, direct.mean(axis=0))
     assert np.allclose(stats.var, direct.var(axis=0))
     assert isinstance(stats, EnsembleStats)
     assert stats.sem.shape == times.shape == (6,)
 
 
-def test_run_ensemble_thread_count_is_invisible():
-    def run(threads):
-        return run_ensemble([1.0, 2.0], lambda x, dw: x * (1.0 + dw[:, None]),
-                            lambda x: x, 0.1, 8, 333, base_seed=9, chunk=10,
-                            threads=threads)[1]
+def test_run_ensemble_draws_the_drift_first():
+    # the drift is drawn from the trajectory's stream before its increments
+    def drift(stream):
+        return 10.0 * stream.uniform()
 
-    one, many = run(1), run(7)
-    assert np.array_equal(one.mean, many.mean)
-    assert np.array_equal(one.var, many.var)
+    _, stats = run_ensemble(drift, record, 0.5, 3, 40, base_seed=8, chunk=16)
+    direct = [path(stream, np.full(3, 0.5), drift(stream))
+              for stream in (RngStream(8, i) for i in range(40))]
+    assert np.allclose(stats.mean, np.mean(direct, axis=0), rtol=1e-13, atol=0.0)
 
 
 def test_run_ensemble_variance_of_a_large_offset():
     # E[x^2] - mean^2 loses every digit of a variance 1e-16 times the
     # squared mean; merging per-chunk deviations keeps it
-    _, stats = run_ensemble([1e8], walk, first, 1.0, 1, 200, base_seed=3, chunk=7)
+    _, stats = run_ensemble(0.0, lambda y, t: 1e8 + y, 1.0, 1, 200, base_seed=3,
+                            chunk=7)
     direct = np.array([1e8 + RngStream(3, i).wiener(1.0, 1)[0] for i in range(200)])
     assert abs(stats.var[-1] / np.var(direct) - 1.0) < 1e-6
 
 
 def test_run_ensemble_appends_final_once():
-    _, plain = run_ensemble([0.0], walk, first, 0.1, 4, 50, base_seed=2, chunk=8)
-    _, both = run_ensemble([0.0], walk, first, 0.1, 4, 50, base_seed=2, chunk=8,
-                           final=lambda x: np.hstack([x, -x]))
+    _, plain = run_ensemble(0.0, record, 0.1, 4, 50, base_seed=2, chunk=8)
+    _, both = run_ensemble(0.0, record, 0.1, 4, 50, base_seed=2, chunk=8,
+                           final=lambda y, t: np.stack([y, -y], axis=1))
     assert both.mean.shape == (5 + 2,)
     assert np.array_equal(both.mean[:5], plain.mean)
     assert np.array_equal(both.mean[5:], [plain.mean[-1], -plain.mean[-1]])
@@ -91,16 +108,13 @@ def test_run_ensemble_appends_final_once():
 
 
 def test_run_ensemble_time_grid_at_a_non_dividing_stride():
-    dt, n = 0.1, 10  # samples at steps 0, 3, 6, 9; step 10 is not recorded
-    times, stats = run_ensemble([0.0], walk, first, dt, n, 1, base_seed=4,
-                                sample_every=3)
+    dt, n = 0.1, 10  # samples at steps 0, 3, 6, 9; final reads step 10
+    seen = []
+    times, stats = run_ensemble(
+        2.0, lambda y, t: seen.append(t) or y, dt, n, 1, base_seed=4, sample_every=3,
+        final=lambda y, t: seen.append(t) or y[:, None])
     assert times.tolist() == [dt * s for s in (0, 3, 6, 9)]
-    path = np.concatenate([[0.0], RngStream(4, 0).wiener(dt, n).cumsum()])
-    assert np.allclose(stats.mean, path[[0, 3, 6, 9]])
-
-
-def test_wiener_steps_match_one_block_draw():
-    streams = [RngStream(4, i) for i in range(3)]
-    rows = np.array(list(wiener_steps(streams, 1e-3, 2500)))  # 1000-step blocks
-    direct = np.array([RngStream(4, i).wiener(1e-3, 2500) for i in range(3)]).T
-    assert np.array_equal(rows, direct)
+    assert seen[0] is times and seen[1] == dt * n
+    # intervals of 3, 3, 3 and the one step from 9 to 10
+    direct = path(RngStream(4, 0), dt * np.array([3, 3, 3, 1]), mu=2.0)
+    assert np.array_equal(stats.mean, direct)
