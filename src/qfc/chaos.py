@@ -235,6 +235,8 @@ _CRITICAL_STEPS = 4096
 # reach it, and its points must be settled to well within cycle_tol before
 # a pixel's arrival on them can be counted.
 _CRITICAL_BUDGETS = 4
+# Pixels per raster block; blocks of this size iterate faster than whole rasters
+_BLOCK_PIXELS = 16384
 
 
 def _step(u, v, p, pc):
@@ -383,28 +385,36 @@ def julia_raster(job, threads=1):
 
     The attracting cycles come first, from the two critical orbits run
     for four times max_iters steps, at least 4096 (see _attracting_cycles);
-    with none, every pixel is -1 and nothing is iterated.  Pixels then iterate in projective sphere coordinates as a
-    shrinking active set: a pixel within cycle_tol (chordal) of a cycle
-    point at step s <= max_iters - 10 gets count s and stops.  Pixels still
-    active run to max_iters and take the tail test instead: their two
-    newest points must lie within cycle_tol of their q-back partners for
-    some period q up to 8, and the count is the first of the last ten
-    steps within cycle_tol of one period of those points; otherwise -1.
-    Pixels are independent, so the raster is deterministic for any thread
-    count.
+    with none, every pixel is -1 and nothing is iterated.  Pixels then
+    iterate in projective sphere coordinates as a shrinking active set: a
+    pixel within cycle_tol (chordal) of a cycle point at step
+    s <= max_iters - 10 gets count s and stops.  Pixels still active run to
+    max_iters and take the tail test instead: their two newest points must
+    lie within cycle_tol of their q-back partners for some period q up to
+    8, and the count is the first of the last ten steps within cycle_tol of
+    one period of those points; otherwise -1.
+
+    The rows are cut into blocks of _BLOCK_PIXELS // width rows, at least
+    one, which run in the calling thread or, for threads > 1, on a pool of
+    that many workers.  The blocks depend only on the grid and pixels are
+    independent, so the raster is the same at every thread count.
     """
-    threads = max(1, int(threads))
     cycles = _attracting_cycles(job.params.p, job.cycle_tol,
                                 max(_CRITICAL_STEPS, _CRITICAL_BUDGETS * job.max_iters))
     if not cycles:
         return RasterGrid(counts=np.full((job.height, job.width), -1, dtype=np.int64),
                           job=job)
-    if threads == 1 or job.height < 2 * threads:
-        return RasterGrid(counts=_raster_rows(job, cycles, 0, job.height), job=job)
-    bounds = np.linspace(0, job.height, threads + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda b: _raster_rows(job, cycles, b[0], b[1]),
-                              zip(bounds[:-1], bounds[1:])))
+    rows = max(1, _BLOCK_PIXELS // job.width)
+
+    def block(lo):
+        return _raster_rows(job, cycles, lo, min(lo + rows, job.height))
+
+    starts = range(0, job.height, rows)
+    if int(threads) > 1:
+        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+            parts = list(pool.map(block, starts))
+    else:
+        parts = list(map(block, starts))
     return RasterGrid(counts=np.vstack(parts), job=job)
 
 

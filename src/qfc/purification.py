@@ -14,6 +14,7 @@ impurity(t) = impurity(0) exp(-8 k t).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,11 @@ import numpy as np
 from .stochastic import RngStream, run_ensemble, sech  # noqa: F401
 
 _TOL_KT = 1e-4  # bisection tolerance of time_to_target_nofeedback, in k t
+
+
+def _check_k(k):
+    if not 0 < k < math.inf:
+        raise ValueError("k must be positive and finite")
 
 
 @dataclass
@@ -34,12 +40,11 @@ class PurificationRun:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("k must be positive")
-        if self.dt <= 0 or self.dt * self.k > 1e-3 * (1 + 1e-12):
+        _check_k(self.k)
+        if not 0 < self.dt * self.k <= 1e-3 * (1 + 1e-12):
             raise ValueError("dt must satisfy 0 < k dt <= 1e-3")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
 
     @property
     def n_steps(self):
@@ -67,8 +72,7 @@ def nofeedback_impurity_curve(ts, k):
     converges geometrically; these steps put its error near 1e-15 relative.
     t = 0 returns 1/2 exactly.
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
+    _check_k(k)
     t = np.asarray(ts, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be non-negative")
@@ -93,6 +97,7 @@ def mc_nofeedback_impurity(k, dt, n_steps, n_traj, base_seed, sample_every=1):
     Returns (times, mean, var) of the impurity sech^2(c y) / 2 at every
     sample_every-th step of dt.
     """
+    _check_k(k)
     amp = np.sqrt(8.0 * float(k))
     times, stats = run_ensemble(
         amp, lambda y, t: 0.5 * sech(amp * y) ** 2, dt, n_steps, n_traj,
@@ -101,20 +106,14 @@ def mc_nofeedback_impurity(k, dt, n_steps, n_traj, base_seed, sample_every=1):
 
 
 def feedback_impurity_path(run):
-    """Impurity path of the idealized equator-locked feedback scheme.
+    """Impurity path of the idealized equator-locked feedback scheme:
+    0.5 exp(-8 k t) at t = 0, dt, ..., n_steps dt.
 
-    The per-step update is the exact relaxation of the equatorial impurity
-    law, so the path is deterministic: the Wiener increments cancel out of
-    the impurity and two different seeds give identical results.
+    The Wiener increments cancel out of the impurity, so the path is
+    deterministic and does not depend on the seed.
     """
-    n = run.n_steps
-    times = run.dt * np.arange(n + 1)
-    decay = np.exp(-8.0 * run.k * run.dt)
-    imp = np.empty(n + 1)
-    imp[0] = 0.5
-    for i in range(n):
-        imp[i + 1] = imp[i] * decay
-    return times, imp
+    times = run.dt * np.arange(run.n_steps + 1)
+    return times, 0.5 * np.exp(-8.0 * run.k * times)
 
 
 def time_to_target_feedback(target, k, start=0.5):

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import angular_momentum_ops, dag
+from .states import dag
 # perfbench/tracer.py counts the draws of the RngStream it finds here
 from .stochastic import IntegrationError, RngStream, run_ensemble, sech  # noqa: F401
 
@@ -89,8 +89,8 @@ class Channel:
         self.op = np.asarray(self.op, dtype=complex)
         if self.op.ndim != 2 or self.op.shape[0] != self.op.shape[1]:
             raise ValueError("channel operator must be square")
-        if self.rate < 0:
-            raise ValueError("channel rate must be non-negative")
+        if not 0 < self.rate < math.inf:
+            raise ValueError("channel rate must be positive and finite")
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in [0, 1]")
 
@@ -209,7 +209,7 @@ def lindblad_step(model, rho, dt, t=0.0):
     Euler step with no noise, renormalized by the trace.
     """
     rho = np.asarray(rho, dtype=complex)
-    if any(ch.rate > 0.0 for ch in model.channels):
+    if model.channels:
         return sme_step(model, rho, dt, np.zeros(len(model.measured())), t)
     h = model.hamiltonian(t, rho)
     if h is None:
@@ -241,35 +241,13 @@ def run_dephasing_ensemble(k, dt, n_steps, n_traj, base_seed, sample_every=1):
     (times, mean, var) of Re rho_01 at every sample_every-th step of dt.
     """
     k = float(k)
-    if k <= 0:
-        raise ValueError("k must be positive")
+    if not 0 < k < math.inf:
+        raise ValueError("k must be positive and finite")
     amp = math.sqrt(8.0 * k)
     times, stats = run_ensemble(
         amp, lambda y, t: 0.5 * sech(amp * y), dt, n_steps, n_traj, base_seed,
         sample_every=sample_every)
     return times, stats.mean, stats.var
-
-
-def spin_ensemble_model(two_j, u_law=None, s=0.0, strength=1.0, eta=1.0,
-                        extra_channel=None):
-    """Collective-spin model: H = u(t) F_y + s F_z, monitored F_z channel.
-
-    The static s F_z term is folded into the base Hamiltonian.  extra_channel
-    is an optional (operator, rate) pair for unmonitored decoherence.
-    """
-    fx, fy, fz = angular_momentum_ops(two_j)
-    d = two_j + 1
-    channels = [Channel(op=fz, rate=float(strength), efficiency=float(eta))]
-    if extra_channel is not None:
-        op, rate = extra_channel
-        channels.append(Channel(op=op, rate=float(rate), efficiency=0.0))
-    return SmeModel(
-        dim=d,
-        hamiltonian_base=(s * fz) if s else None,
-        control_channel=fy if u_law is not None else None,
-        control_law=u_law,
-        channels=channels,
-    )
 
 
 def purity_derivative_check(model, rho, t=0.0):
@@ -282,7 +260,7 @@ def purity_derivative_check(model, rho, t=0.0):
     parts = [p for p in (model.hamiltonian_base, model.control_channel)
              if p is not None]
     if any(np.max(np.abs(p @ ch.op - ch.op @ p)) > 1e-10
-           for ch in model.channels if ch.rate > 0 for p in parts):
+           for ch in model.channels for p in parts):
         raise ValueError("Hamiltonian does not commute with a channel")
     x = to_coords(rho)[None]
     rho, drho = from_coords(np.concatenate([x, _drift(model, x, t)]))

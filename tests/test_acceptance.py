@@ -302,8 +302,9 @@ def test_cli_outputs_are_byte_identical_across_threads(tmp_path):
     assert raster.with_suffix(".csv").read_bytes() == csv_bytes
     assert raster.with_suffix(".pgm").read_bytes() == pgm_bytes
 
-    # spin-collapse and purify run more trajectories than one chunk (256 and
-    # 1000), so their chunks are merged and spread over the threads
+    # the ensembles run on one thread, so --threads must change nothing;
+    # spin-collapse and purify run more trajectories than one chunk of 256,
+    # so their chunks are merged
     for name, args in [
             ("ensemble", ["sme-run", "--t-max", "0.2", "--trajectories", "64"]),
             ("spin", ["spin-collapse", "--t-max", "0.05", "--trajectories", "300"]),

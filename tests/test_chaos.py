@@ -232,6 +232,28 @@ def test_julia_raster_thread_count_invariance():
     assert many.job == job
 
 
+@pytest.mark.parametrize("width, height, rows", [(100, 500, 163), (20000, 3, 1)])
+def test_julia_raster_blocks_depend_only_on_the_grid(monkeypatch, width, height, rows):
+    # 16384 // width rows per block, the last one ragged, at any thread
+    # count; a row wider than the block is a block of its own
+    job = ch.RasterJob(re_min=-2.0, re_max=2.0, im_min=-2.0, im_max=2.0,
+                       width=width, height=height, max_iters=24,
+                       params=ch.MapParams(p=1.0))
+    whole = ch._raster_rows(job, ch._attracting_cycles(1.0, job.cycle_tol), 0, height)
+    blocks = [(lo, min(lo + rows, height)) for lo in range(0, height, rows)]
+    raster_rows, calls = ch._raster_rows, []
+
+    def record(job, cycles, lo, hi):
+        calls.append((lo, hi))
+        return raster_rows(job, cycles, lo, hi)
+
+    monkeypatch.setattr(ch, "_raster_rows", record)
+    for threads in (1, 3):
+        calls.clear()
+        assert np.array_equal(ch.julia_raster(job, threads=threads).counts, whole)
+        assert sorted(calls) == blocks
+
+
 def _raster_counts(p, size, max_iters):
     job = ch.RasterJob(re_min=-2.0, re_max=2.0, im_min=-2.0, im_max=2.0,
                        width=size, height=size, max_iters=max_iters,

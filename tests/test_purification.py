@@ -12,6 +12,9 @@ def test_run_guards():
         pf.PurificationRun(k=-1.0, dt=1e-4, horizon=1.0)
     with pytest.raises(ValueError):
         pf.PurificationRun(k=1.0, dt=1e-2, horizon=1.0)  # k dt too large
+    for dt, horizon in [(np.nan, 1.0), (1e-4, np.nan), (1e-4, np.inf)]:
+        with pytest.raises(ValueError):
+            pf.PurificationRun(k=1.0, dt=dt, horizon=horizon)
     run = pf.PurificationRun(k=2.0, dt=1e-4, horizon=1.0)
     assert run.n_steps == 10_000
 

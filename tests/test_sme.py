@@ -14,6 +14,13 @@ from qfc.stochastic import IntegrationError, RngStream
 ZZ = tensor_product(SZ, SZ)
 
 
+def spin_model(two_j, strength, eta=1.0, s=0.0):
+    """Collective spin: H = s F_z and a monitored F_z channel."""
+    fz = angular_momentum_ops(two_j)[2]
+    return sme.SmeModel(dim=two_j + 1, hamiltonian_base=s * fz,
+                        channels=[sme.Channel(op=fz, rate=strength, efficiency=eta)])
+
+
 def dephasing_model(k):
     return sme.SmeModel(dim=2, channels=[sme.Channel(op=SZ, rate=2.0 * k,
                                                      efficiency=1.0)])
@@ -32,6 +39,20 @@ def test_dissipator_identities():
     blocked[0, 0] = blocked[3, 3] = 0.5
     blocked[0, 3] = blocked[3, 0] = 0.3
     assert np.max(np.abs(sme.dissipator(ZZ, blocked))) < 1e-12
+
+
+@pytest.mark.parametrize("k", [-1.0, 0.0, np.nan, np.inf])
+def test_strengths_must_be_positive_and_finite(k):
+    with pytest.raises(ValueError):
+        sme.Channel(op=SZ, rate=k)
+    with pytest.raises(ValueError):
+        sme.run_dephasing_ensemble(k, 1e-3, 10, 2, 0)
+    with pytest.raises(ValueError):
+        pf.mc_nofeedback_impurity(k, 1e-3, 10, 2, 0)
+    with pytest.raises(ValueError):
+        pf.nofeedback_impurity_curve([0.1], k)
+    with pytest.raises(ValueError):
+        pf.PurificationRun(k=k, dt=1e-4, horizon=1.0)
 
 
 def test_meas_superop_identities():
@@ -161,7 +182,7 @@ def test_qnd_closed_form_is_the_euler_step_to_first_order():
     # a = 2 sqrt(strength eta) for the spin, eta < 1 included
     dt, dw = 1e-12, 1e-6
     two_j, strength, eta = 4, 0.7, 0.5
-    spin = sme.spin_ensemble_model(two_j, s=0.3, strength=strength, eta=eta)
+    spin = spin_model(two_j, strength, eta, s=0.3)
     diagonal = np.diag([0.1, 0.3, 0.25, 0.15, 0.2]).astype(complex)
     theta = 0.6  # cos(theta)|0> + sin(theta)|1>: |+> coherence, uneven populations
     psi = np.array([np.cos(theta), np.sin(theta)])
@@ -236,8 +257,7 @@ def test_euler_oracles_converge_weakly_to_the_exact_sampler():
 
 def test_spin_model_collapse_and_fixed_points():
     two_j = 2
-    model = sme.spin_ensemble_model(two_j, strength=1.0)
-    fx, fy, fz = angular_momentum_ops(two_j)
+    model = spin_model(two_j, 1.0)
     d = two_j + 1
     # an F_z eigenstate is a fixed point of drift and diffusion
     eig = np.zeros((d, d), dtype=complex)
@@ -252,23 +272,6 @@ def test_spin_model_collapse_and_fixed_points():
         if (i + 1) % 100 == 0:
             rho = 0.5 * (rho + rho.conj().T)
     assert np.linalg.eigvalsh(rho).max() > 0.99
-
-
-def test_spin_model_control_law_and_extra_channel():
-    law_calls = []
-
-    def law(t, rho):
-        law_calls.append(t)
-        return 0.25
-
-    model = sme.spin_ensemble_model(2, u_law=law, s=0.3, strength=1.0,
-                                    eta=0.5, extra_channel=(np.eye(3), 0.1))
-    fx, fy, fz = angular_momentum_ops(2)
-    h = model.hamiltonian(0.0, None)
-    assert np.allclose(h, 0.25 * fy + 0.3 * fz)
-    assert len(model.channels) == 2
-    assert model.channels[1].efficiency == 0.0
-    assert len(model.measured()) == 1
 
 
 def test_purity_derivative_check():
