@@ -254,31 +254,37 @@ def _q2_equator_purity(rho):
     return _equator_purity(*block_components(rho, "minus"))
 
 
-def _rotation_map(rotation, freqs, basis):
-    """(x, beta) -> to_coords(u rho u^dag), u = rotation(beta), as one product
-    x @ [R_0 | R_1 | ...] with fixed real maps, summed with the weights
-    f(beta) = (1, cos(w beta), sin(w beta) for w in freqs)."""
-    def harmonics(beta):
-        return [1.0] + [f(w * beta) for w in freqs for f in (math.cos, math.sin)]
+class _RotationMap:
+    """(x, beta) -> to_coords(u rho u^dag), u = rotation(beta), as the sum
+    of the rows of x @ stack, stack = [R_0 | R_1 | ...] of fixed real maps,
+    weighted by harmonics(beta) = (1, cos(w beta), sin(w beta) for w in
+    freqs)."""
 
-    # the weights are orthogonal on 8 angles a quarter turn apart (the 4 pi
-    # period of the half angles); the R_j hold 0, +-1/2 and +-1, snapped
-    betas = 0.5 * math.pi * np.arange(8)
-    weights = np.array([harmonics(b) for b in betas])
-    images = [to_coords(u @ basis @ u.conj().T).ravel() for u in map(rotation, betas)]
-    fit = (weights.T @ images) / (weights * weights).sum(axis=0)[:, None]
-    stack = np.hstack(np.round(2.0 * fit).reshape(-1, 16, 16) / 2.0)
+    def __init__(self, rotation, freqs, basis):
+        self.freqs = freqs
+        # the weights are orthogonal on 8 angles a quarter turn apart (the
+        # 4 pi period of the half angles); the R_j hold 0, +-1/2 and +-1, snapped
+        betas = 0.5 * math.pi * np.arange(8)
+        weights = np.array([self.harmonics(b) for b in betas])
+        images = [to_coords(u @ basis @ u.conj().T).ravel() for u in map(rotation, betas)]
+        fit = (weights.T @ images) / (weights * weights).sum(axis=0)[:, None]
+        self.stack = np.hstack(np.round(2.0 * fit).reshape(-1, 16, 16) / 2.0)
 
-    def rotate(x, beta):
-        return np.array(harmonics(beta)) @ (x @ stack).reshape(-1, 16)
-    return rotate
+    def harmonics(self, beta):
+        return [1.0] + [f(w * beta) for w in self.freqs for f in (math.cos, math.sin)]
+
+    def __call__(self, x, beta):
+        return np.array(self.harmonics(beta)) @ (x @ self.stack).reshape(-1, 16)
 
 
 # columns of x @ reads: trace, q1, the D- block_components, Bell fidelity
 _TR, _Q1X, _Q1Y, _Q1Z, _MX, _MY, _MZ, _MW, _FID = range(9)
+# after them in a stage map's head row: (trace, a, b) of x K0, of x M, and x . w
+_K0, _M, _W = 9, 12, 15
 # stage thresholds: |q1| for the D- rotation, the leakage that accepts it,
 # and the D- qubit's equatorial purity that ends stage two
 _Q1_THRESHOLD, _LEAKAGE_THRESHOLD, _PURITY_THRESHOLD = 0.999, 1e-3, 0.995
+_WIENER_BLOCK = 1024  # increments entangle_protocol draws at a time
 
 
 @lru_cache
@@ -291,8 +297,21 @@ def _coordinate_maps():
     return (np.array([np.trace(op @ basis, axis1=1, axis2=2).real for op in ops]).T,
             np.array([np.vdot(e, e).real for e in basis]),
             np.array([leakage_weight(e) for e in basis]),
-            _rotation_map(q1_rotation, (1.0,), basis),
-            _rotation_map(q2_rotation, (0.5, 1.0), basis))
+            _RotationMap(q1_rotation, (1.0,), basis),
+            _RotationMap(q2_rotation, (0.5, 1.0), basis))
+
+
+def _stage_map(model, dt, rotate, a, b):
+    """B with rows (x @ B).reshape(-1, 16): x K0 R_j for each R_j of rotate,
+    then x M R_j, then x R_j, then the head row, which holds the reads of x,
+    the (trace, a, b) reads of x K0 and of x M, and x . w; K0 = I + dt S and
+    (M, w) is the monitored pair of the model's generator."""
+    reads = _coordinate_maps()[0]
+    ((meas, w),) = model.generator.monitored
+    euler = np.eye(16) + dt * model.generator.drift
+    cols = reads[:, [_TR, a, b]]
+    head = np.hstack([reads, euler @ cols, meas @ cols, w[:, None]])
+    return np.hstack([euler @ rotate.stack, meas @ rotate.stack, rotate.stack, head])
 
 
 def entangle_protocol(rho0, k, dt, horizon, seed, *, sample_every=10):
@@ -312,10 +331,15 @@ def entangle_protocol(rho0, k, dt, horizon, seed, *, sample_every=10):
     ProtocolBudgetError (carrying the partial trajectory) if the horizon
     runs out first.
 
-    One Euler step, sme.step for one row, is y = x @ K with the fused
-    K = [I + dt S | M | w] of the stage's model, then y[:16] + dW (y[16:32]
-    - y[32] x) over its trace.  The state becomes a matrix again only for
-    final_state and for the clip_psd repair when Tr rho^2 > 1 + 1e-12.
+    One step, sme.step for one row followed by the hold rotation, is one
+    product with the stage's fixed map B (_stage_map): the Euler image is
+    out = x K0 + dW (x M - (x . w) x), its reads in the head row of x @ B
+    give the trace and the hold angle beta, and the rotated, normalised
+    state is the rows of x @ B weighted by the harmonics of beta times
+    (1, dW, -dW x . w) / trace.  The Wiener increments come from
+    RngStream(seed, 0) in blocks of _WIENER_BLOCK.  The state becomes a
+    matrix again only for final_state and for the clip_psd repair when
+    Tr rho^2 > 1 + 1e-12.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -330,16 +354,12 @@ def entangle_protocol(rho0, k, dt, horizon, seed, *, sample_every=10):
         raise ValueError("state must be two-qubit")
     # parity_model(k) rejects k <= 0
     reads, gram, leak, rotate_q1, rotate_q2 = _coordinate_maps()
-
-    def fused_step(model):
-        ((meas, w),) = model.generator.monitored
-        return np.hstack([np.eye(16) + dt * model.generator.drift, meas, w[:, None]])
-
-    stages = {
-        1: (fused_step(parity_model(k)), rotate_q1, equator_hold_angle, _Q1Y, _Q1Z),
-        2: (fused_step(toggled_parity_model(k)), rotate_q2, phase_hold_angle, _MX, _MY)}
+    stages = {n: (_stage_map(model, dt, rotate, a, b), rotate.harmonics, hold, a, b)
+              for n, model, rotate, hold, a, b in (
+                  (1, parity_model(k), rotate_q1, equator_hold_angle, _Q1Y, _Q1Z),
+                  (2, toggled_parity_model(k), rotate_q2, phase_hold_angle, _MX, _MY))}
     n_max = int(round(horizon / dt))
-    dws = RngStream(seed, 0).wiener(dt, n_max)
+    stream = RngStream(seed, 0)
     samples = {}  # t -> x; a rotation at a sample time supersedes the row
 
     def package():
@@ -354,32 +374,38 @@ def entangle_protocol(rho0, k, dt, horizon, seed, *, sample_every=10):
 
     stage, dfs_time = 1, None
     samples[0.0] = x = to_coords(rho)
-    r = (x @ reads).tolist()
     for step in range(n_max + 1):
         t = step * dt
+        stage_map, harmonics, hold, a, b = stages[stage]
+        z = (x @ stage_map).reshape(-1, 16)
+        r = z[-1].tolist()
         if stage == 1 and math.hypot(*r[_Q1X:_Q1Z + 1]) >= _Q1_THRESHOLD:
             candidate = rotate_q1(x, align_down_angle(r[_Q1Y], r[_Q1Z]))
             if candidate @ (leak * candidate) <= _LEAKAGE_THRESHOLD:
                 samples[t] = x = candidate
-                r = (x @ reads).tolist()
                 stage = 2
                 dfs_time = t if step > 0 else None
+                stage_map, harmonics, hold, a, b = stages[stage]
+                z = (x @ stage_map).reshape(-1, 16)
+                r = z[-1].tolist()
         if stage == 2 and _equator_purity(*r[_MX:_FID]) >= _PURITY_THRESHOLD:
             samples[t] = x = rotate_q2(x, azimuth_align_angle(r[_MX], r[_MY]))
             return package()
         if step == n_max:
             break
-        fused, rotate, hold, a, b = stages[stage]
-        y = x @ fused
-        out = y[:16] + dws[step] * (y[16:32] - y[32] * x)
-        r = (out @ reads).tolist()
-        if not 0.0 < r[_TR] < math.inf:  # NaN fails too
+        if step % _WIENER_BLOCK == 0:
+            dws = stream.wiener(dt, min(_WIENER_BLOCK, n_max - step)).tolist()
+        dw = dws[step % _WIENER_BLOCK]
+        g = -dw * r[_W]
+        tr = r[_K0] + dw * r[_M] + g * r[_TR]
+        if not 0.0 < tr < math.inf:  # NaN fails too
             raise IntegrationError("trace lost during SME step")
         # the hold angles are scale-free, so they read the unnormalized out
-        x = rotate(out / r[_TR], hold(r[a], r[b]))
+        h = [v / tr for v in harmonics(hold(r[_K0 + 1] + dw * r[_M + 1] + g * r[a],
+                                            r[_K0 + 2] + dw * r[_M + 2] + g * r[b]))]
+        x = np.dot(h + [v * dw for v in h] + [v * g for v in h] + [0.0], z)
         if x @ (gram * x) > 1.0 + 1e-12:
             x = to_coords(clip_psd(from_coords(x)))
-        r = (x @ reads).tolist()
         if (step + 1) % sample_every == 0:
             samples[t + dt] = x
     raise ProtocolBudgetError(

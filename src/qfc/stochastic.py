@@ -21,30 +21,47 @@ class IntegrationError(RuntimeError):
     """A step produced a non-finite state."""
 
 
+def _std(dt):
+    """sqrt(dt), after checking that every variance in dt is positive."""
+    dt = np.asarray(dt, dtype=float)
+    if not np.all(dt > 0):
+        raise ValueError("dt must be positive")
+    return np.sqrt(dt)
+
+
 class RngStream:
     """One reproducible random stream per (seed, stream_id) pair.
 
-    Philox keyed on the pair gives statistically independent streams, so a
-    trajectory's noise depends only on its index, never on visiting order.
+    Philox keyed on the pair (seed, stream_id) gives statistically
+    independent streams, so a trajectory's noise depends only on its index,
+    never on visiting order.  ``rekey`` moves the stream to another id by
+    resetting the bit generator to counter 0 under the new key, which draws
+    exactly what a fresh RngStream(seed, stream_id) would and costs a state
+    write instead of a new Philox.
     """
 
     def __init__(self, seed, stream_id=0):
         self.seed = int(seed)
-        self.stream_id = int(stream_id)
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if not 0 <= self.stream_id < 2**64:
+        self.gen = np.random.Generator(np.random.Philox(key=self.seed))
+        self.rekey(stream_id)
+
+    def rekey(self, stream_id):
+        """Restart as stream (seed, stream_id), at counter 0."""
+        stream_id = int(stream_id)
+        if not 0 <= stream_id < 2**64:
             raise ValueError("stream_id must fit in an unsigned 64-bit integer")
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        self.gen = np.random.Generator(np.random.Philox(key=key))
+        self.stream_id = stream_id
+        self.gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [self.seed, stream_id]},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def wiener(self, dt, size=None):
         """Normal(0, dt) increment(s); dt may be an array of variances,
         one per increment, each drawn in turn."""
-        dt = np.asarray(dt, dtype=float)
-        if not np.all(dt > 0):
-            raise ValueError("dt must be positive")
-        return self.gen.normal(0.0, np.sqrt(dt), size)
+        return self.gen.normal(0.0, _std(dt), size)
 
     def normal(self, loc=0.0, scale=1.0, size=None):
         return self.gen.normal(loc, scale, size)
@@ -92,16 +109,18 @@ def run_ensemble(drift, read, dt, n_steps, n_traj, base_seed, sample_every=1,
     measurement records.
 
     The grid is steps 0, sample_every, ... <= n_steps, plus n_steps if the
-    stride misses it.  Trajectory i draws from RngStream(base_seed, i): first
-    mu = drift(stream) (or drift itself, if a number), then in one wiener call
-    one increment dB ~ N(0, tau) per grid interval tau; its record starts at
-    y = 0 and advances y += mu tau + dB.  A chunk's records are rows:
-    read(y, t) takes them at the sampled times t = dt * step and gives a value
-    (or row) per trajectory and time; final(y, t), if given, takes them at
-    t = dt * n_steps and gives a row per trajectory.  Chunks bound the memory,
-    and their means and sums of squared deviations are merged pairwise in
-    fixed order (Chan, Golub & LeVeque 1979).  Returns (times, EnsembleStats)
-    over the samples in time order, then the final values.
+    stride misses it.  One RngStream serves the call, rekeyed to stream
+    (base_seed, i) for trajectory i, which draws first mu = drift(stream)
+    (or takes drift itself, if a number), then in one draw one increment
+    dB ~ N(0, tau) per grid interval tau, the same numbers wiener(taus)
+    gives; its record starts at y = 0 and advances y += mu tau + dB.  A
+    chunk's records are rows: read(y, t) takes them at the sampled times
+    t = dt * step and gives a value (or row) per trajectory and time;
+    final(y, t), if given, takes them at t = dt * n_steps and gives a row per
+    trajectory.  Chunks bound the memory, and their means and sums of
+    squared deviations are merged pairwise in fixed order (Chan, Golub &
+    LeVeque 1979).  Returns (times, EnsembleStats) over the samples in time
+    order, then the final values.
     """
     n_traj = int(n_traj)
     if n_traj < 1:
@@ -110,15 +129,17 @@ def run_ensemble(drift, read, dt, n_steps, n_traj, base_seed, sample_every=1,
     steps = np.arange(0, n_steps + 1, sample_every)
     times = dt * steps
     taus = dt * np.diff(np.append(steps, n_steps) if steps[-1] < n_steps else steps)
+    sd, stream = _std(taus), RngStream(base_seed)
 
     parts = []
     for lo in range(0, n_traj, chunk):
         ids = range(lo, min(lo + chunk, n_traj))
         y = np.zeros((len(ids), len(taus) + 1))
         for row, i in zip(y, ids):
-            stream = RngStream(base_seed, i)
+            stream.rekey(i)
             mu = drift(stream) if callable(drift) else drift
-            np.cumsum(mu * taus + stream.wiener(taus), out=row[1:])
+            # sd * N(0, 1) is bit for bit what wiener(taus) draws
+            np.cumsum(mu * taus + sd * stream.gen.standard_normal(len(sd)), out=row[1:])
         rows = read(y[:, :len(times)], times).reshape(len(ids), -1)
         if final is not None:
             rows = np.hstack([rows, final(y[:, -1], dt * n_steps)])

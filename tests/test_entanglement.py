@@ -1,6 +1,7 @@
 """Tests for the parity-measurement entanglement protocol."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -476,6 +477,33 @@ def test_loop_draws_through_the_module_rng_stream(monkeypatch):
     monkeypatch.setattr(en, "RngStream", NanStream)
     with pytest.raises(IntegrationError):
         en.entangle_protocol(MIXED, 1.0, 1e-3, 1.0, seed=0)
+
+
+RESULT_FIELDS = ("times", "r_squared", "leakage", "q1_z", "q2_purity", "bell_fidelity",
+                 "final_state", "final_fidelity", "dfs_time")
+
+
+def test_block_size_of_the_draws_is_invisible(monkeypatch):
+    # seed 31 runs 1228 steps, across the edge of the first block
+    whole = en.entangle_protocol(MIXED, 1.0, 1e-3, 10.0, seed=31)
+    monkeypatch.setattr(en, "_WIENER_BLOCK", 7)
+    blocks = en.entangle_protocol(MIXED, 1.0, 1e-3, 10.0, seed=31)
+    for name in RESULT_FIELDS:
+        assert np.array_equal(getattr(blocks, name), getattr(whole, name)), name
+
+
+def test_long_horizon_draws_only_what_it_steps():
+    # 1e6 increments up front would take 8 MB; the run ends after 455 steps
+    tracemalloc.start()
+    try:
+        far = en.entangle_protocol(MIXED, 1.0, 1e-3, 1e3, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6, peak
+    near = en.entangle_protocol(MIXED, 1.0, 1e-3, 10.0, seed=3)
+    for name in RESULT_FIELDS:
+        assert np.array_equal(getattr(far, name), getattr(near, name)), name
 
 
 def test_rotation_maps_match_conjugation():

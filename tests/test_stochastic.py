@@ -28,6 +28,23 @@ def test_stream_guards():
         RngStream(0).wiener([0.1, 0.0])
 
 
+def test_rekey_draws_like_a_fresh_stream():
+    stream = RngStream(9, 4)
+    stream.uniform()
+    stream.wiener(0.3, 5)
+    for i in (0, 1, 2**64 - 1):
+        stream.rekey(i)
+        fresh = RngStream(9, i)
+        assert stream.stream_id == i
+        assert stream.uniform() == fresh.uniform()
+        assert np.array_equal(stream.wiener([0.1, 0.2, 0.3]), fresh.wiener([0.1, 0.2, 0.3]))
+    key = np.array([9, 7], dtype=np.uint64)
+    assert np.array_equal(RngStream(9, 7).normal(size=8),
+                          np.random.Generator(np.random.Philox(key=key)).normal(size=8))
+    with pytest.raises(ValueError):
+        stream.rekey(-1)
+
+
 def test_wiener_moments():
     dt = 0.01
     xs = RngStream(1).wiener(dt, 200_000)
@@ -118,3 +135,22 @@ def test_run_ensemble_time_grid_at_a_non_dividing_stride():
     # intervals of 3, 3, 3 and the one step from 9 to 10
     direct = path(RngStream(4, 0), dt * np.array([3, 3, 3, 1]), mu=2.0)
     assert np.array_equal(stats.mean, direct)
+
+
+@pytest.mark.parametrize("drift", [1.5, lambda stream: 10.0 * stream.uniform()],
+                         ids=["constant", "uniform"])
+def test_run_ensemble_records_are_the_fresh_streams(drift):
+    # the one rekeyed stream gives trajectory i exactly the record that a
+    # fresh RngStream(seed, i) draws, on both sides of the 256-trajectory
+    # chunk edge
+    dt, n_traj = 0.01, 300
+    chunks = []
+    times, _ = run_ensemble(drift, lambda y, t: chunks.append(y.copy()) or y, dt, 9,
+                            n_traj, base_seed=11, sample_every=2)
+    assert [len(c) for c in chunks] == [256, 44]
+    records = np.concatenate(chunks)
+    taus = dt * np.array([2, 2, 2, 2, 1])
+    for i in (0, 255, 256, n_traj - 1):
+        stream = RngStream(11, i)
+        mu = drift(stream) if callable(drift) else drift
+        assert np.array_equal(records[i], path(stream, taus, mu)[:len(times)]), i
