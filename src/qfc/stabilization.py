@@ -35,18 +35,6 @@ def protected_pair(theta):
     return a1, a2
 
 
-def dephase(rho, p, rng=None):
-    """Apply sigma_z with probability p: exactly if rng is None, else sampled."""
-    if not 0.0 <= p <= 0.5:
-        raise ValueError("p must lie in [0, 0.5]")
-    rho = np.asarray(rho, dtype=complex)
-    if rng is None:
-        return (1.0 - p) * rho + p * (SZ @ rho @ SZ)
-    if float(rng.uniform()) < p:
-        return SZ @ rho @ SZ
-    return rho.copy()
-
-
 def f1_do_nothing(p, theta):
     return 1.0 - np.asarray(p, dtype=float) * np.cos(theta) ** 2
 
@@ -131,7 +119,10 @@ def channel_average_fidelity(p, theta, chi):
 
 def optimize_chi(p, theta):
     """Golden-section maximization of the scheme-4 channel average over chi,
-    to a final bracket of 1e-4."""
+    to a final bracket of 1e-4.  At p = 0 no measurement (chi = pi/2) is
+    optimal, and is returned exactly: the average is flat to rounding there."""
+    if p == 0:
+        return _HALF_PI, channel_average_fidelity(p, theta, _HALF_PI)
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = 1e-9, _HALF_PI - 1e-9
     c = b - inv_phi * (b - a)

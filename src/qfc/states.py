@@ -57,15 +57,6 @@ def check_density(rho, raw=False):
     return rho
 
 
-def pure_state(amplitudes):
-    """Return a normalized amplitude vector, rejecting unnormalized input."""
-    psi = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    n = np.vdot(psi, psi).real
-    if abs(n - 1.0) > 1e-12:
-        raise ValueError(f"squared norm {n} deviates from 1 beyond 1e-12")
-    return psi
-
-
 def density(psi):
     """|psi><psi| for an amplitude vector."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
@@ -124,11 +115,6 @@ def fidelity_trace(a, b):
     return float(min(max(f, 0.0), 1.0 + 1e-9))
 
 
-def purity(rho):
-    rho = np.asarray(rho)
-    return float(np.trace(rho @ rho).real)
-
-
 def von_neumann_entropy(rho):
     """Entropy in nats; eigenvalues at or below 1e-12 are dropped."""
     evals = np.linalg.eigvalsh(np.asarray(rho))
@@ -147,14 +133,6 @@ def bloch_from_density(rho):
             (rho[0, 0] - rho[1, 1]).real,
         ]
     )
-
-
-def density_from_bloch(v, tol=1e-9):
-    v = np.asarray(v, dtype=float).reshape(3)
-    n2 = float(v @ v)
-    if n2 > 1.0 + tol:
-        raise ValueError(f"Bloch vector squared length {n2} exceeds 1")
-    return 0.5 * (SI + v[0] * SX + v[1] * SY + v[2] * SZ)
 
 
 def angular_momentum_ops(two_j):

@@ -63,9 +63,6 @@ class RngStream:
         one per increment, each drawn in turn."""
         return self.gen.normal(0.0, _std(dt), size)
 
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return self.gen.normal(loc, scale, size)
-
     def uniform(self, size=None):
         return self.gen.uniform(size=size)
 

@@ -185,9 +185,63 @@ def test_stabilize_spot_mode_needs_both_coordinates():
 
 
 def test_step_size_cross_check():
+    # entangle is the one Euler loop left, so the one command that bounds k*dt
     with pytest.raises(cli.ConfigError) as info:
-        cli.resolve_config("purify", {"k": 1.0, "dt": 2e-3}, None)
+        cli.resolve_config("entangle", {"k": 1.0, "dt": 2e-3}, None)
     assert "k*dt" in str(info.value)
+
+
+@pytest.mark.parametrize("command", ["sme-run", "purify", "spin-collapse"])
+def test_exact_samplers_do_not_depend_on_the_grid(command, tmp_path):
+    # the QND records are sampled exactly, so a sample every 2^-4 gives the
+    # same rows whether dt is 2^-10 (64 steps a sample) or 2^-4 (one step)
+    rows = []
+    for dt, every in ((2.0**-10, 64), (2.0**-4, 1)):
+        base = tmp_path / f"g{every}"
+        assert cli.main([command, "--dt", repr(dt), "--sample-every", str(every),
+                         "--t-max", "0.5", "--trajectories", "300", "--seed", "4",
+                         "--out", str(base)]) == 0
+        lines = read_lines(base.with_suffix(".csv"))
+        rows.append(lines[len(preamble_map(lines)):])
+    assert len(rows[0]) == 1 + 9
+    assert rows[0] == rows[1]
+
+
+class ReadLog(dict):
+    """A resolved configuration that records which keys a runner reads."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+# flags that keep each run small; stabilize reads its spot and grid fields
+# in separate modes
+SMALL_RUNS = {
+    "stabilize": [{"p": 0.1, "theta": 0.7, "samples": 10}, {"grid_size": 50}],
+    "entangle": [{"dt": 1e-3}],
+    "julia": [{"grid": "8x8", "max_iters": 5}],
+    "spin-collapse": [{"t_max": 0.1}],
+}
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_every_command_field_is_read(command):
+    spec, read = cli.COMMANDS[command], set()
+    for flags in SMALL_RUNS.get(command, [{}]):
+        cfg = ReadLog(cli.resolve_config(command, flags, None))
+        spec.run(cfg)
+        read |= cfg.read
+    assert {f.name for f in spec.fields} - read == set()
+
+
+def test_removed_flag_is_unknown(tmp_path, capsys):
+    assert cli.main(["spin-collapse", "--s-detuning", "1", "--out", str(tmp_path / "c")]) == 2
+    assert "unknown flag --s-detuning" in capsys.readouterr().err
 
 
 def test_documented_flag_examples():
@@ -309,7 +363,7 @@ FROZEN_CSVS = {
           "2c9fc0b68a6fd01181f796bc3e9b3f63d6f3178fc169e18524b9dfc822d7939b"),
     "c": (["spin-collapse", "--t-max", "0.05", "--trajectories", "300",
            "--sample-every", "7"],
-          "d4b7457b4e2edec98129b9212217ce20d54a165caf39e110a4ff8563440b6c1f"),
+          "8bfed206634eb13f63e76ddccad2e449dfa695144cdb59ef990a2b29ab602a52"),
 }
 
 

@@ -10,13 +10,14 @@ from qfc import purification as pf
 def test_run_guards():
     with pytest.raises(ValueError):
         pf.PurificationRun(k=-1.0, dt=1e-4, horizon=1.0)
-    with pytest.raises(ValueError):
-        pf.PurificationRun(k=1.0, dt=1e-2, horizon=1.0)  # k dt too large
-    for dt, horizon in [(np.nan, 1.0), (1e-4, np.nan), (1e-4, np.inf)]:
+    for dt, horizon in [(np.nan, 1.0), (np.inf, 1.0), (0.0, 1.0), (1e-4, np.nan),
+                        (1e-4, np.inf)]:
         with pytest.raises(ValueError):
             pf.PurificationRun(k=1.0, dt=dt, horizon=horizon)
     run = pf.PurificationRun(k=2.0, dt=1e-4, horizon=1.0)
     assert run.n_steps == 10_000
+    # the feedback law is exact, so any step is allowed
+    assert pf.PurificationRun(k=1.0, dt=1e-2, horizon=1.0).n_steps == 100
 
 
 FROZEN_IMPURITY = {

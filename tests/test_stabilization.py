@@ -17,19 +17,6 @@ def test_protected_pair_geometry():
     assert np.allclose(v2, [np.cos(theta), 0.0, -np.sin(theta)], atol=1e-12)
 
 
-def test_dephase_exact_and_sampled():
-    rho = density(sb.protected_pair(0.5)[0])
-    exact = sb.dephase(rho, 0.2)
-    assert abs(np.trace(exact) - 1.0) < 1e-12
-    assert abs(exact[0, 1] - 0.6 * rho[0, 1]) < 1e-12  # (1-2p) shrinkage
-    from qfc.states import SZ
-    sampled = sb.dephase(rho, 0.2, RngStream(0))
-    flipped = SZ @ rho @ SZ
-    assert np.allclose(sampled, rho) or np.allclose(sampled, flipped)
-    with pytest.raises(ValueError):
-        sb.dephase(rho, 0.6)
-
-
 def test_closed_forms_special_points():
     # no noise: doing nothing is perfect
     assert abs(sb.f1_do_nothing(0.0, 0.7) - 1.0) < 1e-12
@@ -73,6 +60,15 @@ def test_optimized_channel_reaches_closed_form():
         assert value <= closed + 1e-9
         assert closed - value < 2e-5
         assert 0.0 < chi < np.pi / 2.0
+
+
+def test_optimize_chi_measures_nothing_without_noise():
+    # at p = 0 the channel average is flat to rounding near pi/2, so only an
+    # exact rule keeps the chosen chi off the last-bit noise
+    for theta in np.linspace(0.0, np.pi / 2.0, 13):
+        chi, value = sb.optimize_chi(0.0, theta)
+        assert chi == np.pi / 2.0
+        assert abs(value - 1.0) < 1e-12
 
 
 def test_mc_matches_closed_forms():

@@ -8,12 +8,12 @@ from qfc.stochastic import (EnsembleStats, RngStream, ito_quadratic_variation,
 
 
 def test_stream_reproducibility():
-    a = RngStream(42, 7).normal(size=100)
-    b = RngStream(42, 7).normal(size=100)
+    a = RngStream(42, 7).wiener(1.0, 100)
+    b = RngStream(42, 7).wiener(1.0, 100)
     assert np.array_equal(a, b)
-    c = RngStream(42, 8).normal(size=100)
+    c = RngStream(42, 8).wiener(1.0, 100)
     assert not np.array_equal(a, c)
-    d = RngStream(43, 7).normal(size=100)
+    d = RngStream(43, 7).wiener(1.0, 100)
     assert not np.array_equal(a, d)
 
 
@@ -39,7 +39,7 @@ def test_rekey_draws_like_a_fresh_stream():
         assert stream.uniform() == fresh.uniform()
         assert np.array_equal(stream.wiener([0.1, 0.2, 0.3]), fresh.wiener([0.1, 0.2, 0.3]))
     key = np.array([9, 7], dtype=np.uint64)
-    assert np.array_equal(RngStream(9, 7).normal(size=8),
+    assert np.array_equal(RngStream(9, 7).wiener(1.0, 8),
                           np.random.Generator(np.random.Philox(key=key)).normal(size=8))
     with pytest.raises(ValueError):
         stream.rekey(-1)
