@@ -515,7 +515,7 @@ def _float_parts(f, g, bits):
                     (fur * gvi + fui * gvr - gur * fvi - gui * fvr) / s2))
 
 
-def lyapunov_estimate(z0, p, n_iters, offset=1e-9, supersink_tol=1e-12):
+def lyapunov_estimate(z0, p, n_iters, offset=1e-15, supersink_tol=1e-12):
     """Estimate the Lyapunov exponent of F_p at z0 two independent ways.
 
     The chain estimator averages log of the spherical derivative along the
@@ -523,7 +523,9 @@ def lyapunov_estimate(z0, p, n_iters, offset=1e-9, supersink_tol=1e-12):
     away, accumulating log of the chordal separation growth with
     per-step renormalization back to the fiducial orbit.  Orbits reaching
     within supersink_tol (chordal) of a critical point stop early with
-    terminated=True.
+    terminated=True.  The default offset is 1e-3 * supersink_tol: a companion
+    farther off than the orbit's last approach to a supersink does not
+    shadow it there, and the two estimates then part by up to 0.15.
 
     Both orbits run in arbitrary precision on a tapered schedule.  F_p is
     z^2 followed by a rotation of the sphere, so its spherical derivative

@@ -252,9 +252,10 @@ def _run_spin_collapse(cfg):
 
 
 def _entangle_step_check(cfg):
-    # the one Euler loop left; the QND ensembles are exact on any grid
+    # entangle's filter is exact on any grid, like the QND ensembles, but its
+    # feedback acts once per step: k*dt bounds the motion between two kicks
     if cfg["k"] * cfg["dt"] > 1e-3 * (1 + 1e-12):
-        return "dt: k*dt must be at most 0.001 for a stable step"
+        return "dt: k*dt must be at most 0.001, the feedback acts once per step"
     return None
 
 
@@ -317,7 +318,8 @@ for _cmd in [
     Command(
         "entangle",
         [Field("k", float, 1.0, _positive, "parity measurement strength"),
-         Field("dt", float, 1e-4, _positive, "integration step"),
+         Field("dt", float, 1e-4, _positive,
+               "time between feedback kicks; k*dt at most 1e-3"),
          Field("horizon", float, 10.0, _positive, "time budget"),
          Field("sample_every", int, 10, _at_least(1),
                "steps between recorded samples")],

@@ -17,11 +17,13 @@ rotations.
 Basis order throughout is |00>, |01>, |10>, |11|, first qubit most
 significant, matching states.tensor_product.
 
-entangle_protocol runs on the 16 real coordinates of the state
-(sme.to_coords): its Euler step, feedback rotations and reads are fixed real
-maps, built on first use by applying the matrix helpers here to the basis
-matrices, so the helpers stay their one definition.  which_block_vector,
-block_components, _r_squared and _q2_equator_purity are test oracles only.
+entangle_protocol holds the state as the real 4 x 4 coefficients r of
+rho = 1/4 sum_ab r_ab S_a T_b, with S = (I,) + Q1_TRIPLE and T = (I,) +
+Q2_TRIPLE.  A step is an exact Kraus filter of the monitor, which is quantum
+non-demolition between kicks (Jacobs & Steck, Contemp. Phys. 47, 279
+(2006)), then the hold rotation: stage one (ZZ = S_z, hold about S_x) moves
+rows of r only, stage two (XX = T_x, hold about T_z) columns only.  The
+matrix helpers are the test oracles of the coefficient reads.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from functools import lru_cache
 import numpy as np
 
 # perfbench/tracer.py patches this module's sme_step, clip_psd and RngStream
-from .sme import Channel, SmeModel, from_coords, sme_step, to_coords
-from .states import HADAMARD, SI, SX, SY, SZ, check_density, tensor_product
+from .sme import Channel, SmeModel, sme_step
+from .states import SI, SX, SY, SZ, check_density, tensor_product
 from .stochastic import IntegrationError, RngStream
 
 I4 = np.eye(4, dtype=complex)
@@ -42,54 +44,34 @@ ZZ = tensor_product(SZ, SZ)
 XX = tensor_product(SX, SX)
 IX = tensor_product(SI, SX)
 ZY = tensor_product(SZ, SY)
-HH = tensor_product(HADAMARD, HADAMARD)
-
-MINUS_PROJECTOR = np.diag([0.0, 1.0, 1.0, 0.0]).astype(complex)
 
 # Which-block qubit: (I x X, Z x Y, Z x Z) obey the Pauli algebra on the
 # full space, and q1 below is the Bloch vector of the reduced which-block
 # state.  Its x/y components are the inter-block coherences.
 Q1_TRIPLE = (IX, ZY, ZZ)
 
-# Within-block qubits, one triple per block.  Each is the restriction of
-# (X x X, Y x X, Z x I) to its block; the two members of a pair vanish on
-# the opposite block.
-PLUS_TRIPLE = (
-    0.5 * (tensor_product(SX, SX) - tensor_product(SY, SY)),
-    0.5 * (tensor_product(SX, SY) + tensor_product(SY, SX)),
-    0.5 * (tensor_product(SZ, SI) + tensor_product(SI, SZ)),
-)
-MINUS_TRIPLE = (
-    0.5 * (tensor_product(SX, SX) + tensor_product(SY, SY)),
-    0.5 * (tensor_product(SY, SX) - tensor_product(SX, SY)),
-    0.5 * (tensor_product(SZ, SI) - tensor_product(SI, SZ)),
-)
+# Within-block qubit: (X x X, Y x X, Z x I) is a second Pauli triple that
+# commutes with the first, so C^4 = q1 x q2.  Its restriction to a block,
+# T_b (I +- ZZ)/2, is that block's qubit and vanishes on the other block.
+Q2_TRIPLE = (XX, tensor_product(SY, SX), tensor_product(SZ, SI))
+PLUS_TRIPLE = tuple(0.5 * t @ (I4 + ZZ) for t in Q2_TRIPLE)
+MINUS_TRIPLE = tuple(0.5 * t @ (I4 - ZZ) for t in Q2_TRIPLE)
+# each block's triple and its projector
+_BLOCKS = {"plus": PLUS_TRIPLE + (0.5 * (I4 + ZZ),), "minus": MINUS_TRIPLE + (0.5 * (I4 - ZZ),)}
 
 BELL_TARGET = np.zeros((4, 4), dtype=complex)
 BELL_TARGET[1:3, 1:3] = 0.5
 
-
-def _monitor(op, k):
-    if k <= 0:
-        raise ValueError("k must be positive")
-    return SmeModel(dim=4, channels=[Channel(op=op, rate=2.0 * k, efficiency=1.0)])
+# S_a T_b: Hermitian, with tr(S_a T_b S_c T_d) = 4 delta_ac delta_bd
+_PRODUCTS = np.array([[s @ t for t in (I4,) + Q2_TRIPLE] for s in (I4,) + Q1_TRIPLE])
 
 
 @lru_cache
 def parity_model(k):
     """Parity monitor with dephasing strength k, unit efficiency; cached per k."""
-    return _monitor(ZZ, k)
-
-
-@lru_cache
-def toggled_parity_model(k):
-    """The same monitor seen through local Hadamards on both qubits.
-
-    Conjugation by H x H turns sigma_z x sigma_z into sigma_x x sigma_x, so
-    running this model is identical to toggling the state with
-    hadamard_toggle, running parity_model, and toggling back.
-    """
-    return _monitor(XX, k)
+    if k <= 0:
+        raise ValueError("k must be positive")
+    return SmeModel(dim=4, channels=[Channel(op=ZZ, rate=2.0 * k, efficiency=1.0)])
 
 
 def two_qubit_sme_step(rho, k, dt, dw):
@@ -108,12 +90,6 @@ def leakage_weight(rho):
     return 2.0 * float(sum(abs(c) ** 2 for c in corners))
 
 
-def hadamard_toggle(rho):
-    """Conjugate by H x H.  Involutive; swaps the roles of ZZ and XX."""
-    rho = np.asarray(rho, dtype=complex)
-    return HH @ rho @ HH
-
-
 def block_components(rho, block="minus"):
     """Unnormalized within-block triple expectations and the block weight.
 
@@ -121,20 +97,9 @@ def block_components(rho, block="minus"):
     triple on the unnormalized state; divide by weight for the conditional
     Bloch vector.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if block == "minus":
-        x = 2.0 * float(rho[1, 2].real)
-        y = -2.0 * float(rho[1, 2].imag)
-        z = float((rho[1, 1] - rho[2, 2]).real)
-        w = float((rho[1, 1] + rho[2, 2]).real)
-    elif block == "plus":
-        x = 2.0 * float(rho[0, 3].real)
-        y = -2.0 * float(rho[0, 3].imag)
-        z = float((rho[0, 0] - rho[3, 3]).real)
-        w = float((rho[0, 0] + rho[3, 3]).real)
-    else:
+    if block not in _BLOCKS:
         raise ValueError("block must be 'plus' or 'minus'")
-    return x, y, z, w
+    return tuple(float(np.trace(op @ rho).real) for op in _BLOCKS[block])
 
 
 def which_block_vector(rho):
@@ -155,8 +120,9 @@ def bell_fidelity(rho):
 def clip_psd(rho):
     """Project onto the physical set: clamp negative eigenvalues, renormalize.
 
-    Euler steps can push a nearly pure state slightly outside the Bloch
-    body; clipping restores Tr rho^2 <= 1 and with it the R^2 <= 3 bound.
+    entangle_protocol no longer calls it: its filter step cannot leave the
+    physical set.  The name stays because perfbench/tracer.py wraps it, and
+    test_benchmark_tracer_names_resolve checks that every wrapped name exists.
     """
     rho = np.asarray(rho, dtype=complex)
     vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
@@ -177,13 +143,13 @@ def q1_rotation(beta):
 
 
 def q2_rotation(beta):
-    """Rotate the within-block qubits by beta about their z axis.
+    """Rotate the within-block qubit by beta about its z axis.
 
-    Physically Rz(beta/2) x Rz(-beta/2); diagonal, and the identity on the
-    D+ corner states.
+    Physically Rz(beta) x I, a single rotation of the first qubit.  It
+    turns the D+ and D- qubits alike and leaves the which-block qubit alone.
     """
-    phase = np.exp(-0.5j * beta)
-    return np.diag([1.0, phase, phase.conjugate(), 1.0]).astype(complex)
+    c, s = math.cos(0.5 * beta), math.sin(0.5 * beta)
+    return c * I4 - 1j * s * Q2_TRIPLE[2]
 
 
 def _wrap_half(beta):
@@ -254,76 +220,63 @@ def _q2_equator_purity(rho):
     return _equator_purity(*block_components(rho, "minus"))
 
 
-class _RotationMap:
-    """(x, beta) -> to_coords(u rho u^dag), u = rotation(beta), as the sum
-    of the rows of x @ stack, stack = [R_0 | R_1 | ...] of fixed real maps,
-    weighted by harmonics(beta) = (1, cos(w beta), sin(w beta) for w in
-    freqs)."""
-
-    def __init__(self, rotation, freqs, basis):
-        self.freqs = freqs
-        # the weights are orthogonal on 8 angles a quarter turn apart (the
-        # 4 pi period of the half angles); the R_j hold 0, +-1/2 and +-1, snapped
-        betas = 0.5 * math.pi * np.arange(8)
-        weights = np.array([self.harmonics(b) for b in betas])
-        images = [to_coords(u @ basis @ u.conj().T).ravel() for u in map(rotation, betas)]
-        fit = (weights.T @ images) / (weights * weights).sum(axis=0)[:, None]
-        self.stack = np.hstack(np.round(2.0 * fit).reshape(-1, 16, 16) / 2.0)
-
-    def harmonics(self, beta):
-        return [1.0] + [f(w * beta) for w in self.freqs for f in (math.cos, math.sin)]
-
-    def __call__(self, x, beta):
-        return np.array(self.harmonics(beta)) @ (x @ self.stack).reshape(-1, 16)
+def _coefficients(rho):
+    """r_ab = tr(rho S_a T_b), flat: r[4a + b]."""
+    return np.einsum("ij,abji->ab", rho, _PRODUCTS).real.ravel()
 
 
-# columns of x @ reads: trace, q1, the D- block_components, Bell fidelity
-_TR, _Q1X, _Q1Y, _Q1Z, _MX, _MY, _MZ, _MW, _FID = range(9)
-# after them in a stage map's head row: (trace, a, b) of x K0, of x M, and x . w
-_K0, _M, _W = 9, 12, 15
+def _mix(r, pairs, a, b, c, d):
+    """Copy of r with each (i, j) of pairs sent to (a r_i + b r_j, c r_i + d r_j)."""
+    r = list(r)
+    for i, j in pairs:
+        r[i], r[j] = a * r[i] + b * r[j], c * r[i] + d * r[j]
+    return r
+
+
+def _turn(r, pairs, beta):
+    c, s = math.cos(beta), math.sin(beta)
+    return _mix(r, pairs, c, -s, s, c)
+
+
+def _minus(r):
+    # the D- block_components (x, y, z, w): T_b (I - ZZ)/2 = T_b (S_0 - S_z)/2
+    return [0.5 * (r[b] - r[12 + b]) for b in (1, 2, 3, 0)]
+
+
+def _leakage(r):
+    # the rows S_x, S_y are the off-block part
+    return 0.25 * sum(v * v for v in r[4:12])
+
+
+def _reads(r):
+    """(R^2, leakage, q1_z, q2_purity, Bell fidelity) of coefficients r."""
+    x, y, z, w = _minus(r)
+    return (sum(v * v for v in r) - 1.0, _leakage(r), r[12], _equator_purity(x, y, z, w),
+            0.5 * (x + w))
+
+
+# Index pairs of r that a stage moves.  Stage one: the filter of S_z mixes
+# rows (0, z), the hold exp(-i beta S_x / 2) turns rows (y, z).  Stage two:
+# the filter of T_x mixes columns (0, x), exp(-i beta T_z / 2) turns (x, y).
+_ROWS_0Z = [(b, 12 + b) for b in range(4)]
+_ROWS_YZ = [(8 + b, 12 + b) for b in range(4)]
+_COLS_0X = [(4 * a, 4 * a + 1) for a in range(4)]
+_COLS_XY = [(4 * a + 1, 4 * a + 2) for a in range(4)]
 # stage thresholds: |q1| for the D- rotation, the leakage that accepts it,
 # and the D- qubit's equatorial purity that ends stage two
 _Q1_THRESHOLD, _LEAKAGE_THRESHOLD, _PURITY_THRESHOLD = 0.999, 1e-3, 0.995
 _WIENER_BLOCK = 1024  # increments entangle_protocol draws at a time
 
 
-@lru_cache
-def _coordinate_maps():
-    """(reads, gram, leak, q1 map, q2 map) from the helpers applied to the
-    basis E_k = from_coords(e_k): x @ reads gives the linear observables,
-    Tr rho^2 is x . (gram x) and the leakage is x . (leak x)."""
-    basis = from_coords(np.eye(16))
-    ops = (I4,) + Q1_TRIPLE + MINUS_TRIPLE + (MINUS_PROJECTOR, BELL_TARGET)
-    return (np.array([np.trace(op @ basis, axis1=1, axis2=2).real for op in ops]).T,
-            np.array([np.vdot(e, e).real for e in basis]),
-            np.array([leakage_weight(e) for e in basis]),
-            _RotationMap(q1_rotation, (1.0,), basis),
-            _RotationMap(q2_rotation, (0.5, 1.0), basis))
-
-
-def _stage_map(model, dt, rotate, a, b):
-    """B with rows (x @ B).reshape(-1, 16): x K0 R_j for each R_j of rotate,
-    then x M R_j, then x R_j, then the head row, which holds the reads of x,
-    the (trace, a, b) reads of x K0 and of x M, and x . w; K0 = I + dt S and
-    (M, w) is the monitored pair of the model's generator."""
-    reads = _coordinate_maps()[0]
-    ((meas, w),) = model.generator.monitored
-    euler = np.eye(16) + dt * model.generator.drift
-    cols = reads[:, [_TR, a, b]]
-    head = np.hstack([reads, euler @ cols, meas @ cols, w[:, None]])
-    return np.hstack([euler @ rotate.stack, meas @ rotate.stack, rotate.stack, head])
-
-
 def entangle_protocol(rho0, k, dt, horizon, seed, *, sample_every=10):
     """Drive an arbitrary two-qubit state onto the symmetric Bell state.
 
-    Stage one measures the parity while x-rotations of the second qubit
+    Stage one measures the parity ZZ while x-rotations of the second qubit
     hold the which-block qubit on its equator; once |q1| passes 0.999 the
     vector is rotated onto the D- pole, accepted when the off-block leakage
-    is at most 1e-3.  Stage two toggles the monitored operator to XX via
-    local Hadamards (run here directly as the toggled model) and holds the
-    D- qubit's x component at zero with opposite local z-rotations until
-    its equatorial purity passes 0.995; a last phase rotation lands on
+    is at most 1e-3.  Stage two measures XX and holds the D- qubit's x
+    component at zero with z-rotations of the first qubit until its
+    equatorial purity passes 0.995; a last phase rotation lands on
     (|01> + |10>)/sqrt(2).
 
     Thresholds are checked before stepping, so a state already at the
@@ -331,16 +284,15 @@ def entangle_protocol(rho0, k, dt, horizon, seed, *, sample_every=10):
     ProtocolBudgetError (carrying the partial trajectory) if the horizon
     runs out first.
 
-    One step, sme.step for one row followed by the hold rotation, is one
-    product with the stage's fixed map B (_stage_map): the Euler image is
-    out = x K0 + dW (x M - (x . w) x), its reads in the head row of x @ B
-    give the trace and the hold angle beta, and the rotated, normalised
-    state is the rows of x @ B weighted by the harmonics of beta times
-    (1, dW, -dW x . w) / trace.  The Wiener increments come from
-    RngStream(seed, 0) in blocks of _WIENER_BLOCK.  The state becomes a
-    matrix again only for final_state and for the clip_psd repair when
-    Tr rho^2 > 1 + 1e-12.
+    A step with monitor c (ZZ, then XX) and rate Gamma = 2k is the Kraus
+    filter rho -> M rho M / tr, M = exp(sqrt(Gamma) dY c), for the record
+    dY = dW + 2 sqrt(Gamma) <c> dt, dW from RngStream(seed, 0) in blocks of
+    _WIENER_BLOCK: a hyperbolic rotation by s = 2 sqrt(Gamma) dY of the
+    monitored pair of rows or columns of r, then division by r_00.  It is
+    exact at any dt; the k*dt <= 1e-3 guard bounds the time between kicks.
     """
+    if not 0.0 < k < math.inf:
+        raise ValueError("k must be positive and finite")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if k * dt > 1e-3 * (1.0 + 1e-12):
@@ -352,62 +304,52 @@ def entangle_protocol(rho0, k, dt, horizon, seed, *, sample_every=10):
     rho = check_density(rho0)
     if rho.shape != (4, 4):
         raise ValueError("state must be two-qubit")
-    # parity_model(k) rejects k <= 0
-    reads, gram, leak, rotate_q1, rotate_q2 = _coordinate_maps()
-    stages = {n: (_stage_map(model, dt, rotate, a, b), rotate.harmonics, hold, a, b)
-              for n, model, rotate, hold, a, b in (
-                  (1, parity_model(k), rotate_q1, equator_hold_angle, _Q1Y, _Q1Z),
-                  (2, toggled_parity_model(k), rotate_q2, phase_hold_angle, _MX, _MY))}
+    # (filtered pairs, index of <c>, held pairs, hold angle) per stage; the
+    # stage-two angle reads twice the D- (x, y), which leaves it unchanged
+    stages = {1: (_ROWS_0Z, 12, _ROWS_YZ, lambda r: equator_hold_angle(r[8], r[12])),
+              2: (_COLS_0X, 1, _COLS_XY, lambda r: phase_hold_angle(r[1] - r[13], r[2] - r[14]))}
+    root = 2.0 * math.sqrt(2.0 * k)  # 2 sqrt(Gamma)
     n_max = int(round(horizon / dt))
     stream = RngStream(seed, 0)
-    samples = {}  # t -> x; a rotation at a sample time supersedes the row
+    samples = {}  # t -> r; a rotation at a sample time supersedes the row
 
     def package():
-        xs = np.array(list(samples.values()))
-        obs, squares, final_state = xs @ reads, xs * xs, from_coords(x)
-        purity = [_equator_purity(*o[_MX:_FID]) for o in obs.tolist()]
-        return ProtocolResult(
-            times=np.array(list(samples)), r_squared=4.0 * (squares @ gram) - 1.0,
-            leakage=squares @ leak, q1_z=obs[:, _Q1Z], q2_purity=np.array(purity),
-            bell_fidelity=obs[:, _FID], dfs_time=dfs_time, final_state=final_state,
-            final_fidelity=bell_fidelity(final_state))
+        cols = np.array([_reads(x) for x in samples.values()]).T
+        final_state = np.einsum("ab,abij->ij", np.reshape(r, (4, 4)), _PRODUCTS) / 4.0
+        return ProtocolResult(np.array(list(samples)), *cols, dfs_time=dfs_time,
+                              final_state=final_state,
+                              final_fidelity=bell_fidelity(final_state))
 
     stage, dfs_time = 1, None
-    samples[0.0] = x = to_coords(rho)
+    samples[0.0] = r = _coefficients(rho).tolist()
     for step in range(n_max + 1):
         t = step * dt
-        stage_map, harmonics, hold, a, b = stages[stage]
-        z = (x @ stage_map).reshape(-1, 16)
-        r = z[-1].tolist()
-        if stage == 1 and math.hypot(*r[_Q1X:_Q1Z + 1]) >= _Q1_THRESHOLD:
-            candidate = rotate_q1(x, align_down_angle(r[_Q1Y], r[_Q1Z]))
-            if candidate @ (leak * candidate) <= _LEAKAGE_THRESHOLD:
-                samples[t] = x = candidate
+        if stage == 1 and math.hypot(r[4], r[8], r[12]) >= _Q1_THRESHOLD:
+            candidate = _turn(r, _ROWS_YZ, align_down_angle(r[8], r[12]))
+            if _leakage(candidate) <= _LEAKAGE_THRESHOLD:
+                samples[t] = r = candidate
                 stage = 2
                 dfs_time = t if step > 0 else None
-                stage_map, harmonics, hold, a, b = stages[stage]
-                z = (x @ stage_map).reshape(-1, 16)
-                r = z[-1].tolist()
-        if stage == 2 and _equator_purity(*r[_MX:_FID]) >= _PURITY_THRESHOLD:
-            samples[t] = x = rotate_q2(x, azimuth_align_angle(r[_MX], r[_MY]))
-            return package()
+        if stage == 2:
+            x, y, z, w = _minus(r)
+            if _equator_purity(x, y, z, w) >= _PURITY_THRESHOLD:
+                samples[t] = r = _turn(r, _COLS_XY, azimuth_align_angle(x, y))
+                return package()
         if step == n_max:
             break
         if step % _WIENER_BLOCK == 0:
             dws = stream.wiener(dt, min(_WIENER_BLOCK, n_max - step)).tolist()
-        dw = dws[step % _WIENER_BLOCK]
-        g = -dw * r[_W]
-        tr = r[_K0] + dw * r[_M] + g * r[_TR]
+        filtered, mean, held, hold = stages[stage]
+        s = root * (dws[step % _WIENER_BLOCK] + root * r[mean] * dt)
+        ch, sh = math.cosh(s), math.sinh(s)
+        r = _mix(r, filtered, ch, sh, sh, ch)
+        tr = r[0]
         if not 0.0 < tr < math.inf:  # NaN fails too
-            raise IntegrationError("trace lost during SME step")
-        # the hold angles are scale-free, so they read the unnormalized out
-        h = [v / tr for v in harmonics(hold(r[_K0 + 1] + dw * r[_M + 1] + g * r[a],
-                                            r[_K0 + 2] + dw * r[_M + 2] + g * r[b]))]
-        x = np.dot(h + [v * dw for v in h] + [v * g for v in h] + [0.0], z)
-        if x @ (gram * x) > 1.0 + 1e-12:
-            x = to_coords(clip_psd(from_coords(x)))
+            raise IntegrationError("trace lost in the measurement filter")
+        r = [v / tr for v in r]
+        r = _turn(r, held, hold(r))
         if (step + 1) % sample_every == 0:
-            samples[t + dt] = x
+            samples[(step + 1) * dt] = r
     raise ProtocolBudgetError(
         f"thresholds not reached within horizon {horizon:g} (stage {stage})",
         package(),

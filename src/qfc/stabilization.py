@@ -189,7 +189,8 @@ def _branch_table(scheme, p, theta, chi=None):
                     vals.append(np.vdot(psis[j], out @ psis[j]).real / p_o)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    return np.array(probs), np.array(vals)
+    # a fidelity is at most 1; the division by p_o can round a pure branch above it
+    return np.array(probs), np.minimum(np.array(vals), 1.0)
 
 
 def mc_average_fidelity(scheme, p, theta, n_samples, rng, chi=None):

@@ -475,6 +475,22 @@ def test_lyapunov_supersink_orbit():
     assert res.shadow < -1.0
 
 
+def test_lyapunov_estimators_agree_where_boundary_orbits_terminate():
+    # the 20 starts of the acceptance boundary test, at a budget where every
+    # orbit falls into the supersink cycle {-1, inf} (31-45 steps); with the
+    # companion 1e-9 away the two estimators differed by up to 0.15 here
+    job = ch.RasterJob(re_min=-2.0, re_max=2.0, im_min=-2.0, im_max=2.0,
+                       width=128, height=128, max_iters=32,
+                       params=ch.MapParams(p=1.0))
+    rows, cols = np.nonzero(ch.boundary_mask(ch.julia_raster(job).counts < 0))
+    picks = np.linspace(0, len(rows) - 1, 20).astype(int)
+    re, im = job.pixel_centers()
+    for r, c in zip(rows[picks], cols[picks]):
+        res = ch.lyapunov_estimate(complex(re[c], im[r]), 1.0, 200)
+        assert res.terminated
+        assert abs(res.chain - res.shadow) <= 0.01, (re[c], im[r])
+
+
 def test_lyapunov_starting_at_infinity():
     res = ch.lyapunov_estimate(ch.INFINITY, 1.0, 10)
     assert res.terminated

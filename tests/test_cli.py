@@ -185,7 +185,8 @@ def test_stabilize_spot_mode_needs_both_coordinates():
 
 
 def test_step_size_cross_check():
-    # entangle is the one Euler loop left, so the one command that bounds k*dt
+    # entangle's feedback acts once per step, so it is the one command that
+    # bounds k*dt
     with pytest.raises(cli.ConfigError) as info:
         cli.resolve_config("entangle", {"k": 1.0, "dt": 2e-3}, None)
     assert "k*dt" in str(info.value)

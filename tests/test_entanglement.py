@@ -6,11 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_density, random_hermitian, random_unitary
+from conftest import random_density, random_unitary
 
 import qfc.entanglement as en
 import qfc.states as st
-from qfc.sme import sme_step, to_coords
 from qfc.stochastic import IntegrationError, RngStream
 
 
@@ -29,6 +28,22 @@ def test_which_block_triple_is_pauli():
     assert np.allclose(x @ y - y @ x, 2j * z)
     assert np.allclose(y @ z - z @ y, 2j * x)
     assert np.allclose(z @ x - x @ z, 2j * y)
+
+
+def test_within_block_triple_is_pauli_and_commutes_with_which_block():
+    x, y, z = en.Q2_TRIPLE
+    for a in (x, y, z):
+        assert np.allclose(a @ a, np.eye(4))
+    assert np.allclose(x @ y - y @ x, 2j * z)
+    assert np.allclose(y @ z - z @ y, 2j * x)
+    assert np.allclose(z @ x - x @ z, 2j * y)
+    for a in en.Q1_TRIPLE:
+        for b in en.Q2_TRIPLE:
+            assert np.allclose(a @ b, b @ a)
+    # so the products S_a T_b are an orthogonal basis: tr(S_a T_b S_c T_d) = 4 dd
+    basis = en._PRODUCTS.reshape(16, 4, 4)
+    gram = np.einsum("kij,lji->kl", basis, basis)
+    assert np.allclose(gram, 4.0 * np.eye(16), atol=1e-14)
 
 
 @pytest.mark.parametrize("block", ["plus", "minus"])
@@ -110,26 +125,19 @@ def test_parity_models():
     assert chan.rate == pytest.approx(1.4)
     assert chan.efficiency == 1.0
 
-    toggled = en.toggled_parity_model(0.7)
-    (chan,) = toggled.channels
-    assert np.allclose(chan.op, en.XX)
-
     for bad in (0.0, -1.0):
         with pytest.raises(ValueError):
             en.parity_model(bad)
-        with pytest.raises(ValueError):
-            en.toggled_parity_model(bad)
 
 
 def test_parity_models_are_cached_per_k():
-    for make in (en.parity_model, en.toggled_parity_model):
-        assert make(0.7) is make(0.7)
-        assert make(0.7) is not make(0.8)
-        for bad in (0.0, -1.0):  # a failed call caches nothing
-            with pytest.raises(ValueError):
-                make(bad)
-            with pytest.raises(ValueError):
-                make(bad)
+    assert en.parity_model(0.7) is en.parity_model(0.7)
+    assert en.parity_model(0.7) is not en.parity_model(0.8)
+    for bad in (0.0, -1.0):  # a failed call caches nothing
+        with pytest.raises(ValueError):
+            en.parity_model(bad)
+        with pytest.raises(ValueError):
+            en.parity_model(bad)
 
 
 @pytest.mark.parametrize("block", ["plus", "minus"])
@@ -151,23 +159,6 @@ def test_inter_block_coherence_decays_at_four_k():
     assert np.allclose(np.diag(out), np.diag(rho), atol=1e-15)
 
 
-def test_hadamard_toggle():
-    assert np.allclose(en.hadamard_toggle(en.ZZ), en.XX)
-    assert np.allclose(en.hadamard_toggle(en.XX), en.ZZ)
-    rho = random_density(np.random.default_rng(9), 4)
-    assert np.allclose(en.hadamard_toggle(en.hadamard_toggle(rho)), rho)
-
-
-def test_toggled_model_equals_literal_toggle():
-    k, dt, dw = 1.0, 1e-3, 0.123
-    rho = random_density(np.random.default_rng(13), 4)
-    direct = sme_step(en.toggled_parity_model(k), rho, dt, [dw])
-    toggled = en.hadamard_toggle(
-        sme_step(en.parity_model(k), en.hadamard_toggle(rho), dt, [dw])
-    )
-    assert np.max(np.abs(direct - toggled)) <= 1e-14
-
-
 def test_q1_rotation_matrix():
     beta = 0.83
     expect = math.cos(0.5 * beta) * np.eye(4) - 1j * math.sin(0.5 * beta) * en.IX
@@ -179,13 +170,18 @@ def test_q1_rotation_matrix():
 
 
 def test_q2_rotation_matrix():
+    # Rz(beta) x I = exp(-i beta ZI / 2), q2's own rotation: on D- it is the
+    # pair Rz(beta/2) x Rz(-beta/2), on D+ it turns the corners too
     beta = 1.21
     u = en.q2_rotation(beta)
     phase = np.exp(-0.5j * beta)
-    assert np.allclose(u, np.diag([1.0, phase, np.conj(phase), 1.0]))
+    assert np.allclose(u, np.diag([phase, phase, np.conj(phase), np.conj(phase)]))
     assert np.allclose(u @ u.conj().T, np.eye(4), atol=1e-14)
     rz = lambda a: np.diag([np.exp(-0.5j * a), np.exp(0.5j * a)])
-    assert np.allclose(u, st.tensor_product(rz(0.5 * beta), rz(-0.5 * beta)))
+    assert np.allclose(u, st.tensor_product(rz(beta), st.SI))
+    minus = [1, 2]
+    pair = st.tensor_product(rz(0.5 * beta), rz(-0.5 * beta))
+    assert np.allclose(u[np.ix_(minus, minus)], pair[np.ix_(minus, minus)])
 
 
 def test_q1_rotation_turns_which_block_vector():
@@ -210,9 +206,14 @@ def test_q2_rotation_turns_minus_block_only():
     assert y1 == pytest.approx(x0 * math.sin(beta) + y0 * math.cos(beta), abs=1e-12)
     assert z1 == pytest.approx(z0, abs=1e-12)
     assert w1 == pytest.approx(w0, abs=1e-12)
-    # the opposite-phase pair leaves the D+ corner states alone
-    assert np.allclose(en.block_components(rotated, "plus"),
-                       en.block_components(rho, "plus"), atol=1e-12)
+    # it turns the D+ qubit by the same angle, so a product q1 x q2 stays a
+    # product, and it leaves the which-block qubit alone
+    x0, y0, z0, w0 = en.block_components(rho, "plus")
+    x1, y1, z1, w1 = en.block_components(rotated, "plus")
+    assert np.allclose([x1, y1, z1, w1], [x0 * math.cos(beta) - y0 * math.sin(beta),
+                                          x0 * math.sin(beta) + y0 * math.cos(beta), z0, w0],
+                       atol=1e-12)
+    assert np.allclose(en.which_block_vector(rotated), en.which_block_vector(rho), atol=1e-12)
 
 
 def test_feedback_angles():
@@ -315,10 +316,9 @@ def test_protocol_from_maximally_mixed(seed):
     assert en.leakage_weight(rho) <= 2e-3
     assert (rho[1, 1] + rho[2, 2]).real >= 1.0 - 2e-3
 
-    # Euler steps leave O(dt)-size negative dust; the clip only fires when
-    # the purity bound itself is at risk
+    # the filter and the rotations keep the state positive
     tail = np.linalg.eigvalsh(0.5 * (res.final_state + res.final_state.conj().T))
-    assert tail.min() >= -1e-3
+    assert tail.min() >= -1e-12
 
 
 def test_protocol_is_reproducible():
@@ -331,8 +331,6 @@ def test_protocol_is_reproducible():
     assert not np.array_equal(a.bell_fidelity, c.bell_fidelity)
 
 
-@pytest.mark.xfail(strict=True, reason="Euler steps leave the PSD set below "
-                   "the purity bound, where clip_psd never fires")
 def test_protocol_keeps_which_block_vector_in_the_ball():
     res = en.entangle_protocol(np.eye(4) / 4.0, 1.0, 1e-3, 10.0, seed=31)
     assert np.all(np.abs(res.q1_z) <= 1.0 + 1e-9), res.q1_z.min()
@@ -368,11 +366,14 @@ def test_protocol_input_guards():
 
 def matrix_protocol(rho0, k, dt, horizon, seed, q1_threshold=0.999,
                     leakage_threshold=1e-3, purity_threshold=0.995,
-                    sample_every=10):
+                    sample_every=10, eigenvalues=None):
     """entangle_protocol's loop written on 4 x 4 matrices with the matrix
-    helpers: the reference its coordinate loop is checked against."""
+    helpers: the reference its coefficient loop is checked against.  A step
+    is the Kraus filter M rho M / tr, M = exp(sqrt(2k) dY c), then the hold
+    rotation; eigenvalues, if given, collects the smallest eigenvalue of
+    the state after every step."""
     rho = st.check_density(rho0)
-    stage1, stage2 = en.parity_model(k), en.toggled_parity_model(k)
+    root = math.sqrt(2.0 * k)
     n_max = int(round(horizon / dt))
     dws = RngStream(seed, 0).wiener(dt, n_max)
     rows = []
@@ -410,19 +411,22 @@ def matrix_protocol(rho0, k, dt, horizon, seed, q1_threshold=0.999,
             return package()
         if step == n_max:
             break
+        c = en.ZZ if stage == 1 else en.XX
+        dy = dws[step] + 2.0 * root * np.trace(c @ rho).real * dt
+        m = math.cosh(root * dy) * np.eye(4) + math.sinh(root * dy) * c
+        rho = m @ rho @ m
+        rho /= np.trace(rho).real
         if stage == 1:
-            rho = sme_step(stage1, rho, dt, dws[step])
             q1 = en.which_block_vector(rho)
             u = en.q1_rotation(en.equator_hold_angle(q1[1], q1[2]))
         else:
-            rho = sme_step(stage2, rho, dt, dws[step])
             x, y, _, _ = en.block_components(rho, "minus")
             u = en.q2_rotation(en.phase_hold_angle(x, y))
         rho = u @ rho @ u.conj().T
-        if float(np.vdot(rho, rho).real) > 1.0 + 1e-12:
-            rho = en.clip_psd(rho)
+        if eigenvalues is not None:
+            eigenvalues.append(np.linalg.eigvalsh(rho).min())
         if (step + 1) % sample_every == 0:
-            sample(t + dt)
+            sample((step + 1) * dt)
     raise en.ProtocolBudgetError("horizon", package())
 
 
@@ -441,7 +445,7 @@ MIXED = np.eye(4, dtype=complex) / 4.0
 
 @pytest.mark.parametrize("rho0, horizon, seed", [
     (MIXED, 10.0, 0), (MIXED, 10.0, 1), (MIXED, 10.0, 2),
-    (MIXED, 10.0, 31),  # leaves the PSD set, see the xfail above
+    (MIXED, 10.0, 31),  # left the physical set under the Euler step
     (random_density(np.random.default_rng(41), 4), 10.0, 41),
     (random_density(np.random.default_rng(42), 4), 10.0, 42),
     (MIXED, 0.01, 0),  # budget error with a partial result
@@ -456,14 +460,31 @@ def test_coordinate_loop_matches_matrix_loop(rho0, horizon, seed):
         assert np.max(np.abs(getattr(res, name) - getattr(ref, name))) <= 1e-12, name
 
 
-def test_loop_repairs_through_the_module_clip_psd(monkeypatch):
-    # seeds 0 and 1 of the oracle cases each take the clip_psd path once
-    calls = []
-    clip = en.clip_psd
-    monkeypatch.setattr(en, "clip_psd", lambda rho: calls.append(1) or clip(rho))
-    for seed in (0, 1):
-        en.entangle_protocol(MIXED, 1.0, 1e-3, 10.0, seed=seed)
-    assert len(calls) == 2
+def test_protocol_stays_positive_at_every_step():
+    # seed 31 drove the Euler step out of the physical set from t = 0.809 on;
+    # every step of the loop reads as a Kraus matrix step that stays positive
+    eigenvalues = []
+    ref = matrix_protocol(MIXED, 1.0, 1e-3, 10.0, 31, sample_every=1,
+                          eigenvalues=eigenvalues)
+    res = en.entangle_protocol(MIXED, 1.0, 1e-3, 10.0, seed=31, sample_every=1)
+    assert len(eigenvalues) == len(res.times) - 1 == round(res.times[-1] / 1e-3)
+    assert min(eigenvalues) >= -1e-12, min(eigenvalues)
+    for name in ("r_squared", "q1_z", "q2_purity", "bell_fidelity"):
+        assert np.max(np.abs(getattr(res, name) - getattr(ref, name))) <= 1e-12, name
+    assert res.r_squared.max() <= 3.0 + 1e-12
+    assert np.abs(res.q1_z).max() <= 1.0 + 1e-12
+
+
+def test_protocol_converges_to_the_continuum_times():
+    # with the hold on, 1 - |q1|^2 = exp(-8kt) in the continuum, and so is the
+    # D- qubit's equatorial impurity in stage two: stage one ends at
+    # ln(1 / (1 - 0.999^2)) / 8k and stage two ln(100) / 8k later
+    k, dt = 1.0, 1e-4
+    t_dfs = math.log(1.0 / (1.0 - 0.999 ** 2)) / (8.0 * k)
+    t_end = t_dfs + math.log(100.0) / (8.0 * k)
+    runs = [en.entangle_protocol(MIXED, k, dt, 10.0, seed=seed) for seed in range(30)]
+    assert abs(np.mean([res.dfs_time for res in runs]) - t_dfs) <= 0.01
+    assert abs(np.mean([res.times[-1] for res in runs]) - t_end) <= 0.01
 
 
 def test_loop_draws_through_the_module_rng_stream(monkeypatch):
@@ -484,7 +505,7 @@ RESULT_FIELDS = ("times", "r_squared", "leakage", "q1_z", "q2_purity", "bell_fid
 
 
 def test_block_size_of_the_draws_is_invisible(monkeypatch):
-    # seed 31 runs 1228 steps, across the edge of the first block
+    # seed 31 runs 1465 steps, across the edge of the first block
     whole = en.entangle_protocol(MIXED, 1.0, 1e-3, 10.0, seed=31)
     monkeypatch.setattr(en, "_WIENER_BLOCK", 7)
     blocks = en.entangle_protocol(MIXED, 1.0, 1e-3, 10.0, seed=31)
@@ -493,7 +514,7 @@ def test_block_size_of_the_draws_is_invisible(monkeypatch):
 
 
 def test_long_horizon_draws_only_what_it_steps():
-    # 1e6 increments up front would take 8 MB; the run ends after 455 steps
+    # 1e6 increments up front would take 8 MB; the run ends after 1336 steps
     tracemalloc.start()
     try:
         far = en.entangle_protocol(MIXED, 1.0, 1e-3, 1e3, seed=3)
@@ -506,13 +527,26 @@ def test_long_horizon_draws_only_what_it_steps():
         assert np.array_equal(getattr(far, name), getattr(near, name)), name
 
 
-def test_rotation_maps_match_conjugation():
-    _, _, _, rotate_q1, rotate_q2 = en._coordinate_maps()
+def test_coefficient_maps_match_the_matrix_helpers():
     rng = np.random.default_rng(43)
     for _ in range(20):
         beta = rng.uniform(-2.0 * math.pi, 2.0 * math.pi)
-        rho = random_hermitian(rng, 4)
-        for rotate, make in ((rotate_q1, en.q1_rotation), (rotate_q2, en.q2_rotation)):
+        rho = random_density(rng, 4)
+        r = en._coefficients(rho)
+        back = np.einsum("ab,abij->ij", r.reshape(4, 4), en._PRODUCTS) / 4.0
+        assert np.max(np.abs(back - rho)) <= 1e-15
+        expect = (en._r_squared(rho), en.leakage_weight(rho), en.which_block_vector(rho)[2],
+                  en._q2_equator_purity(rho), en.bell_fidelity(rho))
+        assert np.max(np.abs(np.array(en._reads(r)) - expect)) <= 1e-14
+        for pairs, make in ((en._ROWS_YZ, en.q1_rotation), (en._COLS_XY, en.q2_rotation)):
             u = make(beta)
-            expect = to_coords(u @ rho @ u.conj().T)
-            assert np.max(np.abs(rotate(to_coords(rho), beta) - expect)) <= 1e-14
+            expect = en._coefficients(u @ rho @ u.conj().T)
+            assert np.max(np.abs(np.array(en._turn(r, pairs, beta)) - expect)) <= 1e-14
+        # the filter of each monitor: (cosh s, sinh s) on its pair of rows or
+        # columns is M rho M up to the trace, M = exp(s c / 2)
+        s = rng.normal()
+        for pairs, c in ((en._ROWS_0Z, en.ZZ), (en._COLS_0X, en.XX)):
+            m = math.cosh(0.5 * s) * np.eye(4) + math.sinh(0.5 * s) * c
+            ch, sh = math.cosh(s), math.sinh(s)
+            expect = en._coefficients(m @ rho @ m)
+            assert np.max(np.abs(np.array(en._mix(r, pairs, ch, sh, sh, ch)) - expect)) <= 1e-13

@@ -100,3 +100,14 @@ def test_gap_surface_properties():
     assert abs(p_star - 0.115) < 0.02
     assert abs(theta_star - 0.715) < 0.02
     assert abs(gap_star - 0.026) < 0.002
+
+
+def test_branch_fidelities_never_exceed_one():
+    # at chi = pi/2 the live weak branches are pure, and dividing by their
+    # probability read 1 + 2.2e-16 at p = 0 and p = 0.1 before the cap
+    for scheme, chi in (("nothing", None), ("discriminate", None), ("weak", np.pi / 2.0)):
+        for p in (0.0, 0.1):
+            _, vals = sb._branch_table(scheme, p, 0.715, chi)
+            assert vals.max() <= 1.0, (scheme, p)
+    mean, _ = sb.mc_average_fidelity("weak", 0.0, 0.715, 2000, RngStream(7))
+    assert mean <= 1.0
