@@ -365,6 +365,9 @@ FROZEN_CSVS = {
     "c": (["spin-collapse", "--t-max", "0.05", "--trajectories", "300",
            "--sample-every", "7"],
           "8bfed206634eb13f63e76ddccad2e449dfa695144cdb59ef990a2b29ab602a52"),
+    # the protocol's filter loop, at a stride that does not divide its steps
+    "e": (["entangle", "--dt", "1e-3", "--seed", "31", "--sample-every", "7"],
+          "95a183e2d3bec01307d8983627d9528d21f29d17ba3402ac87319fad841db730"),
 }
 
 

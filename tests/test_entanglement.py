@@ -545,8 +545,97 @@ def test_coefficient_maps_match_the_matrix_helpers():
         # the filter of each monitor: (cosh s, sinh s) on its pair of rows or
         # columns is M rho M up to the trace, M = exp(s c / 2)
         s = rng.normal()
-        for pairs, c in ((en._ROWS_0Z, en.ZZ), (en._COLS_0X, en.XX)):
+        for pairs, c in ((ROWS_0Z, en.ZZ), (COLS_0X, en.XX)):
             m = math.cosh(0.5 * s) * np.eye(4) + math.sinh(0.5 * s) * c
             ch, sh = math.cosh(s), math.sinh(s)
             expect = en._coefficients(m @ rho @ m)
-            assert np.max(np.abs(np.array(en._mix(r, pairs, ch, sh, sh, ch)) - expect)) <= 1e-13
+            assert np.max(np.abs(np.array(mix(r, pairs, ch, sh, sh, ch)) - expect)) <= 1e-13
+
+
+# Index pairs of r that a stage moves.  Stage one: the filter of S_z mixes
+# rows (0, z), the hold exp(-i beta S_x / 2) turns rows (y, z).  Stage two:
+# the filter of T_x mixes columns (0, x), exp(-i beta T_z / 2) turns (x, y).
+ROWS_0Z = [(b, 12 + b) for b in range(4)]
+ROWS_YZ = [(8 + b, 12 + b) for b in range(4)]
+COLS_0X = [(4 * a, 4 * a + 1) for a in range(4)]
+COLS_XY = [(4 * a + 1, 4 * a + 2) for a in range(4)]
+
+
+def mix(r, pairs, a, b, c, d):
+    """Copy of r with each (i, j) of pairs sent to (a r_i + b r_j, c r_i + d r_j)."""
+    r = list(r)
+    for i, j in pairs:
+        r[i], r[j] = a * r[i] + b * r[j], c * r[i] + d * r[j]
+    return r
+
+
+def turn(r, pairs, beta):
+    c, s = math.cos(beta), math.sin(beta)
+    return mix(r, pairs, c, -s, s, c)
+
+
+def pairwise_protocol(rho0, k, dt, horizon, seed, sample_every=10):
+    """entangle_protocol's loop on generic pair lists: each step mixes the
+    monitored pairs, divides by r_00 and turns the held pairs, each through
+    a list.  The bit-exact reference of its straight-line stages."""
+    # (filtered pairs, index of <c>, held pairs, hold angle) per stage
+    stages = {1: (ROWS_0Z, 12, ROWS_YZ, lambda r: en.equator_hold_angle(r[8], r[12])),
+              2: (COLS_0X, 1, COLS_XY, lambda r: en.phase_hold_angle(r[1] - r[13], r[2] - r[14]))}
+    root = 2.0 * math.sqrt(2.0 * k)
+    n_max = int(round(horizon / dt))
+    dws = RngStream(seed, 0).wiener(dt, n_max).tolist()
+    samples = {}
+
+    def package():
+        cols = np.array([en._reads(x) for x in samples.values()]).T
+        final_state = np.einsum("ab,abij->ij", np.reshape(r, (4, 4)), en._PRODUCTS) / 4.0
+        return en.ProtocolResult(np.array(list(samples)), *cols, dfs_time=dfs_time,
+                                 final_state=final_state,
+                                 final_fidelity=en.bell_fidelity(final_state))
+
+    stage, dfs_time = 1, None
+    samples[0.0] = r = en._coefficients(st.check_density(rho0)).tolist()
+    for step in range(n_max + 1):
+        t = step * dt
+        if stage == 1 and math.hypot(r[4], r[8], r[12]) >= 0.999:
+            candidate = turn(r, ROWS_YZ, en.align_down_angle(r[8], r[12]))
+            if en._leakage(candidate) <= 1e-3:
+                samples[t] = r = candidate
+                stage = 2
+                dfs_time = t if step > 0 else None
+        if stage == 2:
+            x, y, z, w = en._minus(r)
+            if en._equator_purity(x, y, z, w) >= 0.995:
+                samples[t] = r = turn(r, COLS_XY, en.azimuth_align_angle(x, y))
+                return package()
+        if step == n_max:
+            break
+        filtered, mean, held, hold = stages[stage]
+        s = root * (dws[step] + root * r[mean] * dt)
+        ch, sh = math.cosh(s), math.sinh(s)
+        r = mix(r, filtered, ch, sh, sh, ch)
+        tr = r[0]
+        r = [v / tr for v in r]
+        r = turn(r, held, hold(r))
+        if (step + 1) % sample_every == 0:
+            samples[(step + 1) * dt] = r
+    raise en.ProtocolBudgetError("horizon", package())
+
+
+@pytest.mark.parametrize("rho0, horizon, seed, sample_every", [
+    *[(MIXED, 10.0, seed, 10) for seed in range(30)],
+    (random_density(np.random.default_rng(41), 4), 10.0, 41, 1),
+    (random_density(np.random.default_rng(42), 4), 10.0, 42, 1),
+    (MIXED, 0.01, 0, 10),  # budget error with a partial result
+])
+def test_protocol_matches_the_pairwise_loop_bit_for_bit(rho0, horizon, seed, sample_every):
+    out = []
+    for run in (en.entangle_protocol, pairwise_protocol):
+        try:
+            out.append((run(rho0, 1.0, 1e-3, horizon, seed, sample_every=sample_every), False))
+        except en.ProtocolBudgetError as err:
+            out.append((err.result, True))
+    (res, failed), (ref, ref_failed) = out
+    assert failed == ref_failed
+    for name in RESULT_FIELDS:
+        assert np.array_equal(getattr(res, name), getattr(ref, name)), name
