@@ -225,17 +225,13 @@ def _coefficients(rho):
     return np.einsum("ij,abji->ab", rho, _PRODUCTS).real.ravel()
 
 
-def _mix(r, pairs, a, b, c, d):
-    """Copy of r with each (i, j) of pairs sent to (a r_i + b r_j, c r_i + d r_j)."""
+def _turn(r, pairs, beta):
+    """Copy of r with each (i, j) of pairs turned by beta."""
+    c, s = math.cos(beta), math.sin(beta)
     r = list(r)
     for i, j in pairs:
-        r[i], r[j] = a * r[i] + b * r[j], c * r[i] + d * r[j]
+        r[i], r[j] = c * r[i] - s * r[j], s * r[i] + c * r[j]
     return r
-
-
-def _turn(r, pairs, beta):
-    c, s = math.cos(beta), math.sin(beta)
-    return _mix(r, pairs, c, -s, s, c)
 
 
 def _minus(r):
@@ -255,17 +251,19 @@ def _reads(r):
             0.5 * (x + w))
 
 
-# Index pairs of r that a stage moves.  Stage one: the filter of S_z mixes
-# rows (0, z), the hold exp(-i beta S_x / 2) turns rows (y, z).  Stage two:
-# the filter of T_x mixes columns (0, x), exp(-i beta T_z / 2) turns (x, y).
-_ROWS_0Z = [(b, 12 + b) for b in range(4)]
+# pairs of r the stage switches turn: rows (y, z) by S_x, columns (x, y) by T_z
 _ROWS_YZ = [(8 + b, 12 + b) for b in range(4)]
-_COLS_0X = [(4 * a, 4 * a + 1) for a in range(4)]
 _COLS_XY = [(4 * a + 1, 4 * a + 2) for a in range(4)]
 # stage thresholds: |q1| for the D- rotation, the leakage that accepts it,
 # and the D- qubit's equatorial purity that ends stage two
 _Q1_THRESHOLD, _LEAKAGE_THRESHOLD, _PURITY_THRESHOLD = 0.999, 1e-3, 0.995
 _WIENER_BLOCK = 1024  # increments entangle_protocol draws at a time
+
+
+def _increments(stream, dt, n):
+    """The n Normal(0, dt) increments of stream, drawn _WIENER_BLOCK at a time."""
+    for lo in range(0, n, _WIENER_BLOCK):
+        yield from stream.wiener(dt, min(_WIENER_BLOCK, n - lo)).tolist()
 
 
 def entangle_protocol(rho0, k, dt, horizon, seed, *, sample_every=10):
@@ -288,8 +286,10 @@ def entangle_protocol(rho0, k, dt, horizon, seed, *, sample_every=10):
     filter rho -> M rho M / tr, M = exp(sqrt(Gamma) dY c), for the record
     dY = dW + 2 sqrt(Gamma) <c> dt, dW from RngStream(seed, 0) in blocks of
     _WIENER_BLOCK: a hyperbolic rotation by s = 2 sqrt(Gamma) dY of the
-    monitored pair of rows or columns of r, then division by r_00.  It is
-    exact at any dt; the k*dt <= 1e-3 guard bounds the time between kicks.
+    monitored rows (0, z) or columns (0, x) of r, then division by r_00,
+    then the hold turns rows (y, z) or columns (x, y).  Each stage is one
+    loop of straight-line float code on the 16 r_ab.  It is exact at any
+    dt; the k*dt <= 1e-3 guard bounds the time between kicks.
     """
     if not 0.0 < k < math.inf:
         raise ValueError("k must be positive and finite")
@@ -304,13 +304,9 @@ def entangle_protocol(rho0, k, dt, horizon, seed, *, sample_every=10):
     rho = check_density(rho0)
     if rho.shape != (4, 4):
         raise ValueError("state must be two-qubit")
-    # (filtered pairs, index of <c>, held pairs, hold angle) per stage; the
-    # stage-two angle reads twice the D- (x, y), which leaves it unchanged
-    stages = {1: (_ROWS_0Z, 12, _ROWS_YZ, lambda r: equator_hold_angle(r[8], r[12])),
-              2: (_COLS_0X, 1, _COLS_XY, lambda r: phase_hold_angle(r[1] - r[13], r[2] - r[14]))}
     root = 2.0 * math.sqrt(2.0 * k)  # 2 sqrt(Gamma)
     n_max = int(round(horizon / dt))
-    stream = RngStream(seed, 0)
+    dws = _increments(RngStream(seed, 0), dt, n_max)
     samples = {}  # t -> r; a rotation at a sample time supersedes the row
 
     def package():
@@ -320,37 +316,77 @@ def entangle_protocol(rho0, k, dt, horizon, seed, *, sample_every=10):
                               final_state=final_state,
                               final_fidelity=bell_fidelity(final_state))
 
-    stage, dfs_time = 1, None
+    step, stage, dfs_time = 0, 1, None
     samples[0.0] = r = _coefficients(rho).tolist()
-    for step in range(n_max + 1):
-        t = step * dt
-        if stage == 1 and math.hypot(r[4], r[8], r[12]) >= _Q1_THRESHOLD:
-            candidate = _turn(r, _ROWS_YZ, align_down_angle(r[8], r[12]))
+    (r00, r01, r02, r03, r10, r11, r12, r13, r20, r21, r22, r23, r30, r31, r32, r33) = r
+    # stage one: monitor ZZ = S_z, hold q1 = (r10, r20, r30) on its equator
+    while True:
+        if math.hypot(r10, r20, r30) >= _Q1_THRESHOLD:
+            r = [r00, r01, r02, r03, r10, r11, r12, r13, r20, r21, r22, r23, r30, r31, r32, r33]
+            candidate = _turn(r, _ROWS_YZ, align_down_angle(r20, r30))
             if _leakage(candidate) <= _LEAKAGE_THRESHOLD:
-                samples[t] = r = candidate
-                stage = 2
-                dfs_time = t if step > 0 else None
-        if stage == 2:
-            x, y, z, w = _minus(r)
-            if _equator_purity(x, y, z, w) >= _PURITY_THRESHOLD:
-                samples[t] = r = _turn(r, _COLS_XY, azimuth_align_angle(x, y))
-                return package()
+                samples[step * dt] = r = candidate
+                (r00, r01, r02, r03, r10, r11, r12, r13,
+                 r20, r21, r22, r23, r30, r31, r32, r33) = r
+                stage, dfs_time = 2, step * dt if step > 0 else None
+                break
         if step == n_max:
             break
-        if step % _WIENER_BLOCK == 0:
-            dws = stream.wiener(dt, min(_WIENER_BLOCK, n_max - step)).tolist()
-        filtered, mean, held, hold = stages[stage]
-        s = root * (dws[step % _WIENER_BLOCK] + root * r[mean] * dt)
+        s = root * (next(dws) + root * r30 * dt)
         ch, sh = math.cosh(s), math.sinh(s)
-        r = _mix(r, filtered, ch, sh, sh, ch)
-        tr = r[0]
+        r00, r30 = ch * r00 + sh * r30, sh * r00 + ch * r30
+        r01, r31 = ch * r01 + sh * r31, sh * r01 + ch * r31
+        r02, r32 = ch * r02 + sh * r32, sh * r02 + ch * r32
+        r03, r33 = ch * r03 + sh * r33, sh * r03 + ch * r33
+        tr = r00
         if not 0.0 < tr < math.inf:  # NaN fails too
             raise IntegrationError("trace lost in the measurement filter")
-        r = [v / tr for v in r]
-        r = _turn(r, held, hold(r))
-        if (step + 1) % sample_every == 0:
-            samples[(step + 1) * dt] = r
+        r00, r01, r02, r03 = tr / tr, r01 / tr, r02 / tr, r03 / tr
+        r10, r11, r12, r13 = r10 / tr, r11 / tr, r12 / tr, r13 / tr
+        r20, r21, r22, r23 = r20 / tr, r21 / tr, r22 / tr, r23 / tr
+        r30, r31, r32, r33 = r30 / tr, r31 / tr, r32 / tr, r33 / tr
+        beta = equator_hold_angle(r20, r30)
+        c, s = math.cos(beta), math.sin(beta)
+        r20, r30 = c * r20 - s * r30, s * r20 + c * r30
+        r21, r31 = c * r21 - s * r31, s * r21 + c * r31
+        r22, r32 = c * r22 - s * r32, s * r22 + c * r32
+        r23, r33 = c * r23 - s * r33, s * r23 + c * r33
+        step += 1
+        if step % sample_every == 0:
+            samples[step * dt] = [r00, r01, r02, r03, r10, r11, r12, r13,
+                                  r20, r21, r22, r23, r30, r31, r32, r33]
+    # stage two: monitor XX = T_x, hold the D- x at 0 (the angle reads 2x, 2y)
+    while stage == 2:
+        x, y, z, w = 0.5 * (r01 - r31), 0.5 * (r02 - r32), 0.5 * (r03 - r33), 0.5 * (r00 - r30)
+        if _equator_purity(x, y, z, w) >= _PURITY_THRESHOLD:
+            r = [r00, r01, r02, r03, r10, r11, r12, r13, r20, r21, r22, r23, r30, r31, r32, r33]
+            samples[step * dt] = r = _turn(r, _COLS_XY, azimuth_align_angle(x, y))
+            return package()
+        if step == n_max:
+            break
+        s = root * (next(dws) + root * r01 * dt)
+        ch, sh = math.cosh(s), math.sinh(s)
+        r00, r01 = ch * r00 + sh * r01, sh * r00 + ch * r01
+        r10, r11 = ch * r10 + sh * r11, sh * r10 + ch * r11
+        r20, r21 = ch * r20 + sh * r21, sh * r20 + ch * r21
+        r30, r31 = ch * r30 + sh * r31, sh * r30 + ch * r31
+        tr = r00
+        if not 0.0 < tr < math.inf:  # NaN fails too
+            raise IntegrationError("trace lost in the measurement filter")
+        r00, r01, r02, r03 = tr / tr, r01 / tr, r02 / tr, r03 / tr
+        r10, r11, r12, r13 = r10 / tr, r11 / tr, r12 / tr, r13 / tr
+        r20, r21, r22, r23 = r20 / tr, r21 / tr, r22 / tr, r23 / tr
+        r30, r31, r32, r33 = r30 / tr, r31 / tr, r32 / tr, r33 / tr
+        beta = phase_hold_angle(r01 - r31, r02 - r32)
+        c, s = math.cos(beta), math.sin(beta)
+        r01, r02 = c * r01 - s * r02, s * r01 + c * r02
+        r11, r12 = c * r11 - s * r12, s * r11 + c * r12
+        r21, r22 = c * r21 - s * r22, s * r21 + c * r22
+        r31, r32 = c * r31 - s * r32, s * r31 + c * r32
+        step += 1
+        if step % sample_every == 0:
+            samples[step * dt] = [r00, r01, r02, r03, r10, r11, r12, r13,
+                                  r20, r21, r22, r23, r30, r31, r32, r33]
+    r = [r00, r01, r02, r03, r10, r11, r12, r13, r20, r21, r22, r23, r30, r31, r32, r33]
     raise ProtocolBudgetError(
-        f"thresholds not reached within horizon {horizon:g} (stage {stage})",
-        package(),
-    )
+        f"thresholds not reached within horizon {horizon:g} (stage {stage})", package())

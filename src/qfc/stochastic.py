@@ -108,16 +108,17 @@ def run_ensemble(drift, read, dt, n_steps, n_traj, base_seed, sample_every=1,
     The grid is steps 0, sample_every, ... <= n_steps, plus n_steps if the
     stride misses it.  One RngStream serves the call, rekeyed to stream
     (base_seed, i) for trajectory i, which draws first mu = drift(stream)
-    (or takes drift itself, if a number), then in one draw one increment
-    dB ~ N(0, tau) per grid interval tau, the same numbers wiener(taus)
-    gives; its record starts at y = 0 and advances y += mu tau + dB.  A
-    chunk's records are rows: read(y, t) takes them at the sampled times
-    t = dt * step and gives a value (or row) per trajectory and time;
-    final(y, t), if given, takes them at t = dt * n_steps and gives a row per
-    trajectory.  Chunks bound the memory, and their means and sums of
-    squared deviations are merged pairwise in fixed order (Chan, Golub &
-    LeVeque 1979).  Returns (times, EnsembleStats) over the samples in time
-    order, then the final values.
+    (or takes drift itself, if a number), then in one draw one N(0, 1) per
+    grid interval tau into its row.  Per chunk the rows are then scaled by
+    sqrt(tau) (dB ~ N(0, tau), the numbers wiener(taus) gives), shifted by
+    mu tau and summed in place: a record starts at y = 0 and advances
+    y += mu tau + dB.  A chunk's records are rows: read(y, t) takes them at
+    the sampled times t = dt * step and gives a value (or row) per
+    trajectory and time; final(y, t), if given, takes them at
+    t = dt * n_steps and gives a row per trajectory.  Chunks bound the
+    memory, and their means and sums of squared deviations are merged
+    pairwise in fixed order (Chan, Golub & LeVeque 1979).  Returns
+    (times, EnsembleStats) over the samples in time order, then the final reads.
     """
     n_traj = int(n_traj)
     if n_traj < 1:
@@ -132,11 +133,14 @@ def run_ensemble(drift, read, dt, n_steps, n_traj, base_seed, sample_every=1,
     for lo in range(0, n_traj, chunk):
         ids = range(lo, min(lo + chunk, n_traj))
         y = np.zeros((len(ids), len(taus) + 1))
-        for row, i in zip(y, ids):
+        dy, mu = y[:, 1:], []
+        for row, i in zip(dy, ids):
             stream.rekey(i)
-            mu = drift(stream) if callable(drift) else drift
-            # sd * N(0, 1) is bit for bit what wiener(taus) draws
-            np.cumsum(mu * taus + sd * stream.gen.standard_normal(len(sd)), out=row[1:])
+            mu.append(drift(stream) if callable(drift) else drift)
+            stream.gen.standard_normal(out=row)
+        dy *= sd
+        dy += np.array(mu)[:, None] * taus
+        np.cumsum(dy, axis=1, out=dy)
         rows = read(y[:, :len(times)], times).reshape(len(ids), -1)
         if final is not None:
             rows = np.hstack([rows, final(y[:, -1], dt * n_steps)])

@@ -1,5 +1,7 @@
 """Random streams, Wiener increments, and the fixed-order ensemble reducer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -154,3 +156,20 @@ def test_run_ensemble_records_are_the_fresh_streams(drift):
         stream = RngStream(11, i)
         mu = drift(stream) if callable(drift) else drift
         assert np.array_equal(records[i], path(stream, taus, mu)[:len(times)]), i
+
+
+@pytest.mark.parametrize("drift", [1.5, lambda stream: 10.0 * stream.uniform()],
+                         ids=["constant", "uniform"])
+def test_run_ensemble_memory_stays_near_one_record_array(drift):
+    # one 256-trajectory chunk of 200 intervals holds its records, the
+    # reduction's deviations and at most one more chunk-sized temporary
+    n_traj, n_steps = 256, 200
+    size = n_traj * (n_steps + 1) * 8
+    run_ensemble(drift, record, 0.01, 1, 1, base_seed=1)  # numpy.random's lazy imports
+    tracemalloc.start()
+    try:
+        run_ensemble(drift, record, 0.01, n_steps, n_traj, base_seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * size, peak / size
