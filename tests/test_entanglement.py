@@ -430,11 +430,11 @@ def matrix_protocol(rho0, k, dt, horizon, seed, q1_threshold=0.999,
     raise en.ProtocolBudgetError("horizon", package())
 
 
-def run_both(rho0, horizon, seed):
+def run_both(rho0, horizon, seed, reference=matrix_protocol, sample_every=10):
     out = []
-    for run in (en.entangle_protocol, matrix_protocol):
+    for run in (en.entangle_protocol, reference):
         try:
-            out.append((run(rho0, 1.0, 1e-3, horizon, seed), False))
+            out.append((run(rho0, 1.0, 1e-3, horizon, seed, sample_every=sample_every), False))
         except en.ProtocolBudgetError as err:
             out.append((err.result, True))
     return out
@@ -629,13 +629,8 @@ def pairwise_protocol(rho0, k, dt, horizon, seed, sample_every=10):
     (MIXED, 0.01, 0, 10),  # budget error with a partial result
 ])
 def test_protocol_matches_the_pairwise_loop_bit_for_bit(rho0, horizon, seed, sample_every):
-    out = []
-    for run in (en.entangle_protocol, pairwise_protocol):
-        try:
-            out.append((run(rho0, 1.0, 1e-3, horizon, seed, sample_every=sample_every), False))
-        except en.ProtocolBudgetError as err:
-            out.append((err.result, True))
-    (res, failed), (ref, ref_failed) = out
+    (res, failed), (ref, ref_failed) = run_both(rho0, horizon, seed, pairwise_protocol,
+                                                sample_every)
     assert failed == ref_failed
     for name in RESULT_FIELDS:
         assert np.array_equal(getattr(res, name), getattr(ref, name)), name
