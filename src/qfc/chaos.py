@@ -11,8 +11,8 @@ complex variable,
 acting on the Riemann sphere.  The module provides both pictures plus the
 tools hung off them: Bell-state purification by iteration, convergence-time
 rasters whose slow set draws the Julia set of F_p, a box-counting dimension
-estimate for its boundary, and Lyapunov exponents.  The orbit iteration for
-Lyapunov work runs in arbitrary precision, as Python-int fixed point: a
+estimate for its boundary, and Lyapunov exponents.  The fiducial orbit of
+the Lyapunov work runs in arbitrary precision, as Python-int fixed point: a
 repelling orbit loses roughly one bit per step, so float64 orbits fall off
 the Julia set after about fifty steps no matter how accurately they start.
 mpmath is imported only by ``lyapunov_estimate``, to parse its start point
@@ -364,11 +364,15 @@ def _raster_rows(job, cycles, row_lo, row_hi):
                 break
         u, v = _step(u, v, p, pc)
 
-    # the last _TAIL steps: a pixel whose newest points pass the tail test
-    # settles at its first step within tol of one period of them
+    # the last _TAIL steps: a pixel whose newest points pass the tail test,
+    # the newest within tol of a cycle point, settles at its first step
+    # within tol of one period of them
     if active.size:
         tail_u, tail_v = np.array(_orbit_tail(u, v, p, n - first_tail)).swapaxes(0, 1)
-        period = _periods(tail_u, tail_v, tol)
+        on_cycle = np.zeros(active.size, dtype=bool)
+        for a, b in zip(cycle_u, cycle_v):
+            on_cycle |= _chord(tail_u[-1], tail_v[-1], a, b) < tol
+        period = np.where(on_cycle, _periods(tail_u, tail_v, tol), 0)
         tail_counts = np.full(active.size, -1, dtype=np.int64)
         for k in range(len(tail_u)):
             near = np.zeros(active.size, dtype=bool)
@@ -391,8 +395,9 @@ def julia_raster(job, threads=1):
     s <= max_iters - 10 gets count s and stops.  Pixels still active run to
     max_iters and take the tail test instead: their two newest points must
     lie within cycle_tol of their q-back partners for some period q up to
-    8, and the count is the first of the last ten steps within cycle_tol of
-    one period of those points; otherwise -1.
+    8, and the newest within cycle_tol of a cycle point.  The count is then
+    the first of the last ten steps within cycle_tol of one period of those
+    points; otherwise -1.
 
     The rows are cut into blocks of _BLOCK_PIXELS // width rows, at least
     one, which run in the calling thread or, for threads > 1, on a pool of
@@ -474,7 +479,6 @@ class LyapunovResult:
 
 # Bits each step keeps in the quantities it takes logs of.
 _LOG_PREC = 64
-_PULL_BITS = 62  # fixed-point bits of the pull-back factors
 _FLOOR = 1e-300  # lower clamp of the derivative and the separation before their logs
 
 
@@ -483,21 +487,15 @@ def _bits_below_one(x):
     return max(0, math.ceil(-math.log2(x)))
 
 
-def _fixed(x, bits):
-    """The float x times 2**bits as an int, truncated; exact from 2**53 in size up."""
-    m, e = math.frexp(x)
-    return int(m * 2.0**53) << (e - 53 + bits) if e - 53 + bits >= 0 else int(math.ldexp(x, bits))
-
-
 def _scaled(pair, bits):
-    """Shift the int parts of a homogeneous pair so that the largest has `bits` bits."""
+    """The int parts of a pair over 2**s, truncated, so that the largest has `bits` bits; and s."""
     s = max(map(int.bit_length, pair)) - bits
-    return [x >> s for x in pair] if s >= 0 else [x << -s for x in pair]
+    return ([x >> s for x in pair] if s >= 0 else [x << -s for x in pair]), s
 
 
 def _fp_step(pair, pr, pi, bits):
-    """F_p on (Re u, Im u, Re v, Im v), z = u/v, with p = (pr + i pi) / 2**bits."""
-    ur, ui, vr, vi = _scaled(pair, bits)
+    """F_p on (Re u, Im u, Re v, Im v), z = u/v, p = (pr + i pi) / 2**bits, _scaled to `bits`."""
+    (ur, ui, vr, vi), _ = _scaled(pair, bits)
     uur, uui = ((ur + ui) * (ur - ui)) >> bits, (ur * ui) >> (bits - 1)
     vvr, vvi = ((vr + vi) * (vr - vi)) >> bits, (vr * vi) >> (bits - 1)
     return _scaled((uur + ((pr * vvr - pi * vvi) >> bits), uui + ((pr * vvi + pi * vvr) >> bits),
@@ -505,14 +503,10 @@ def _fp_step(pair, pr, pi, bits):
                    bits)
 
 
-def _float_parts(f, g, bits):
-    """u and v of pairs f and g at scale 2**bits, and their cross product f_u g_v - g_u f_v."""
-    (fur, fui, fvr, fvi), (gur, gui, gvr, gvi) = f, g
-    s, s2 = 1 << bits, 1 << 2 * bits
-    return (complex(fur / s, fui / s), complex(fvr / s, fvi / s),
-            complex(gur / s, gui / s), complex(gvr / s, gvi / s),
-            complex((fur * gvr - fui * gvi - gur * fvr + gui * fvi) / s2,
-                    (fur * gvi + fui * gvr - gur * fvi - gui * fvr) / s2))
+def _floats(pair, bits):
+    """u and v of a pair at scale 2**bits, each part correctly rounded."""
+    s = 1 << bits
+    return complex(pair[0] / s, pair[1] / s), complex(pair[2] / s, pair[3] / s)
 
 
 def lyapunov_estimate(z0, p, n_iters, offset=1e-15, supersink_tol=1e-12):
@@ -527,25 +521,28 @@ def lyapunov_estimate(z0, p, n_iters, offset=1e-15, supersink_tol=1e-12):
     farther off than the orbit's last approach to a supersink does not
     shadow it there, and the two estimates then part by up to 0.15.
 
-    Both orbits run in arbitrary precision on a tapered schedule.  F_p is
-    z^2 followed by a rotation of the sphere, so its spherical derivative
-    never exceeds 2: an error made at step k grows at most 2^(j-k)-fold by
-    step j.  Step k (counting from 0) therefore works at n_iters - k + g
-    bits: its rounding error, about 2^-(n_iters - k + g), is still at most
-    about 2^-g at the last step, and the errors of all steps add up to at
-    most about n_iters * 2^-g.  The guard g is 64 bits, plus the bit length
-    of n_iters for that sum, plus log2(1/offset) and log2(1/supersink_tol)
-    rounded up: the separation of the two orbits, and a coordinate next to
-    a critical point, are that much smaller than the state and so are
-    known to that many fewer bits.  Every step thus sees the quantities it
-    takes logs of to about 64 bits.
+    Only the fiducial orbit f runs in arbitrary precision, on a tapered
+    schedule.  F_p is z^2 followed by a rotation of the sphere, so its
+    spherical derivative never exceeds 2: an error made at step k grows at
+    most 2^(j-k)-fold by step j.  Step k (counting from 0) therefore works
+    at n_iters - k + g bits: its rounding error, about 2^-(n_iters - k + g),
+    is still at most about 2^-g at the last step, and the errors of all
+    steps add up to at most about n_iters * 2^-g.  The guard g is 64 bits,
+    plus the bit length of n_iters for that sum, plus log2(1/supersink_tol)
+    rounded up, as a coordinate next to a critical point is known to that
+    many fewer bits, plus log2(1/offset) rounded up.  The shadow estimator
+    does not need that last term; it keeps f's bits, and so chain, n_used
+    and terminated, as they were when the companion ran as a second exact
+    orbit, whose cross product with f cancelled that many bits.
 
-    Each homogeneous pair (u, v) is four Python ints at scale 2^P, P the
+    f is four Python ints (Re u, Im u, Re v, Im v) at scale 2^P, P the
     step's bits, shifted exactly so that its largest part has P bits; p is
-    held the same way.  The map and the cross product are exact int
-    arithmetic.  The norms, distances, phase and pull factor are float64,
-    each correctly rounded from its int, so the logs carry 53 bits (summed
-    by math.fsum); the pull factors are applied as 62-bit fixed-point ints.
+    held the same way.  The companion is the complex-float separation
+    (du, dv) from f in f's units, mapped by the exact difference
+    F(f + delta) - F(f) and scaled like f's image.  Each step pulls it back
+    to d0, so its rounding errors do not grow and the shadow logs carry 53
+    bits, and drops its part along f, which moves no point on the sphere
+    but in floats would swamp the rest.  The logs are summed by math.fsum.
 
     z0 and p may be complex numbers, mpmath values, strings, or
     zero-argument callables evaluated at the top working precision,
@@ -583,48 +580,48 @@ def lyapunov_estimate(z0, p, n_iters, offset=1e-15, supersink_tol=1e-12):
         if not mpmath.isfinite(pm):
             raise ValueError(f"p must be finite, got {p!r}")
         pr, pi = (int(mpmath.ldexp(x, top)) for x in (pm.real, pm.imag))
-        off = _fixed(offset, top)
         if not mpmath.isfinite(zm):
-            f, g = (one, 0, 0, 0), (one, 0, off, 0)
+            f, inside = (one, 0, 0, 0), False
         else:
             zr, zi = (int(mpmath.ldexp(x, top)) for x in (zm.real, zm.imag))
-            f = (zr, zi, one, 0)
-            # companion start: offset in the chart that keeps it well scaled,
-            # (z + offset, 1), or (1, 1/z + offset) as (z, 1 + offset z)
-            g = ((zr + off, zi, one, 0) if abs(zm) <= 1
-                 else (zr, zi, one + ((off * zr) >> top), (off * zi) >> top))
+            f, inside = (zr, zi, one, 0), abs(zm) <= 1
+        pf, pc = complex(pm), complex(pm).conjugate()
 
-    f, g = _scaled(f, top), _scaled(g, top)
-    fu, fv, gu, gv, cross = _float_parts(f, g, top)
+    f, _ = _scaled(f, top)
+    fu, fv = _floats(f, top)
+    # companion start: offset in the chart that keeps it well scaled,
+    # (z + offset, 1), or (1, 1/z + offset) as (z, 1 + offset z)
+    du, dv = (offset * fv, 0j) if inside else (0j, offset * fu)
     a, b = abs(fu), abs(fv)  # |u| and |v|, not their squares, so that neither underflows
-    d0 = 2 * abs(cross) / (math.hypot(a, b) * math.hypot(abs(gu), abs(gv)))
+    nf = math.hypot(a, b)
+    d0 = 2 * abs(fu * dv - du * fv) / (nf * math.hypot(abs(fu + du), abs(fv + dv)))
     chain_logs, shadow_logs, terminated = [], [], False
     for k in range(n):
         # chordal distance to 0 or infinity, 2|u|/|(u, v)| or 2|v|/|(u, v)|,
         # below supersink_tol
-        if 2 * min(a, b) < supersink_tol * math.hypot(a, b):
+        if 2 * min(a, b) < supersink_tol * nf:
             terminated = True
             break
         chain_logs.append(math.log(max(_sphere_derivative(a, b), _FLOOR)))
         bits = top - k
-        f = _fp_step(f, pr >> k, pi >> k, bits)
-        g = _fp_step(g, pr >> k, pi >> k, bits)
-        # the cross product cancels about log2(1/offset) bits
-        fu, fv, gu, gv, cross = _float_parts(f, g, bits)
+        # F(f + delta) - F(f), scaled as f's image is
+        su, sv = (2 * fu + du) * du, (2 * fv + dv) * dv
+        f, shift = _fp_step(f, pr >> k, pi >> k, bits)
+        scale = 2.0 ** -shift
+        du, dv = (su + pf * sv) * scale, (sv - pc * su) * scale
+        fu, fv = _floats(f, bits)
+        gu, gv = fu + du, fv + dv
         a, b = abs(fu), abs(fv)
         nf, ng = math.hypot(a, b), math.hypot(abs(gu), abs(gv))
-        d = max(2 * abs(cross) / (nf * ng), _FLOOR)
+        d = max(2 * abs(fu * dv - du * fv) / (nf * ng), _FLOOR)
         shadow_logs.append(math.log(d / d0))
-        # pull the companion back to distance d0 along the phase-aligned
-        # chord: g <- f (1 - pull) + g pull e^{-i arg<f, g>} |f|/|g|
+        # pull the companion back to distance d0 along the phase-aligned chord,
+        # less its part along f: delta <- c (delta - beta f), beta = <f, delta>/|f|^2
         pull = d0 / d
         inner = fu.conjugate() * gu + fv.conjugate() * gv
         c = pull * nf / ng * (inner.conjugate() / abs(inner) if inner else 1)
-        keep = (1 << _PULL_BITS) - _fixed(pull, _PULL_BITS)
-        cr, ci = _fixed(c.real, _PULL_BITS), _fixed(c.imag, _PULL_BITS)
-        (fur, fui, fvr, fvi), (gur, gui, gvr, gvi) = f, g
-        g = (fur * keep + gur * cr - gui * ci, fui * keep + gur * ci + gui * cr,
-             fvr * keep + gvr * cr - gvi * ci, fvi * keep + gvr * ci + gvi * cr)
+        beta = (fu.conjugate() * du + fv.conjugate() * dv) / (nf * nf)
+        du, dv = c * (du - beta * fu), c * (dv - beta * fv)
 
     n_used = len(shadow_logs)
     return LyapunovResult(chain=math.fsum(chain_logs) / n_used if n_used else math.nan,

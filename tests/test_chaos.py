@@ -313,7 +313,11 @@ def test_julia_raster_matches_frozen_two_pass_counts(p):
 # two-pass counts, {(row, col): (two-pass count, count now)}.  At n = 49
 # the moved pixels were within cycle_tol of their own final points at step
 # 39 = n - 10, the last step the active set checks, but reach the cycle only
-# at step 40, where the tail test takes over.
+# at step 40, where the tail test takes over.  A tail pixel also needs its
+# newest point within cycle_tol of a cycle point: at p = 0.732+0.1334i,
+# (27, 41) and (36, 22) come within 9.1e-10 of the cycle point
+# -1.2896-0.3886i at step 395, but at step 400 lie 1.19e-9 from its
+# partner -3.3564+2.7012i, so they end unsettled.
 LATE_ARRIVALS = {
     "p=-0.3,n=49": ((-0.3, 128, 49),
                     "b5dda3977ef6ed68f65da244c559b938bd04ea794261639f671d507188cb642f",
@@ -330,7 +334,8 @@ LATE_ARRIVALS = {
         (0.732 + 0.1334j, 64, 400),
         "47367eda0d639e4952ee824dbfa10c2ba4744030b327a72b4a681c50bf6d1e91",
         {(10, 0): (376, 378), (10, 21): (326, 328),
-         (53, 42): (326, 328), (53, 63): (376, 378)}),
+         (53, 42): (326, 328), (53, 63): (376, 378),
+         (27, 41): (395, -1), (36, 22): (395, -1)}),
     "near-parabolic,p=0.6544,n=1000": (
         (0.6544, 64, 1000),
         "5c141ec5fb26d752d4829c584dd606962cc8ec41c6b40721f7af553bf03d11c2",
@@ -373,23 +378,29 @@ def test_julia_raster_slow_cycle_matches_frozen_two_pass_counts():
             "ee586a8630b8eba3339e7f46c37d2abfdfa91fde13a348eb6e14a274099044af"), max_iters
 
 
-# Pixels still off a slowly attracting cycle at step n - 10 that pass the
-# tail test.  The two-pass raster counted them at their first step within
-# cycle_tol of their own final points, which had not reached the cycle
-# either; they now count at their arrival on the cycle, or in the tail
-# window if they have not arrived.  The settled pixels are the same.
+# Pixels still off a slowly attracting cycle at step n - 10 whose last
+# points pass the q-back test.  The two-pass raster counted them at their
+# first step within cycle_tol of their own final points, which had not
+# reached the cycle either.  They now settle only if their newest point is
+# within cycle_tol of a cycle point, and count at their first step within
+# cycle_tol of one period of their last points; the rest are -1.
 # (p, size, max_iters): (sha256 of the counts, settled pixels, count sum).
 SLOW_TAILS = {
-    # 2-cycle of multiplier 0.916: all 124 settled pixels count 1-13 steps
-    # later, 116 of them in the tail window (two-pass: 124 settled, sum 47906)
+    # 2-cycle of multiplier 0.916: 8 pixels arrive by step 390 and 6 settle
+    # at 391.  The other 110 end 1.1e-9 to 3.3e-9 off the cycle: 104 first
+    # come within cycle_tol of it at steps 401-417, and 6 at steps 393 and
+    # 399 on one cycle point but not at 400 on its partner.  (Two-pass: 124
+    # settled, sum 47906; the q-back test alone: 124, sum 48420.)
     "2-cycle,p=-1.0913+0.9491i,n=400": (
         (-1.0913 + 0.9491j, 64, 400),
-        ("f71ba8e81feeda74f1ce42512387ec82b6e180ba20699599fd673c0e07c2f150", 124, 48420)),
-    # fixed point of multiplier 0.996, reached only at step 4323: every
-    # pixel counts 3991 = n - 9 instead of 3939-3979 (two-pass: sum 1017900)
+        ("5b5e7744bae24e6f2782d2f0765375e0eea3a026639390c159bafa0e7e4da20e", 14, 5396)),
+    # fixed point of multiplier 0.996, reached only at steps 4323-4598: at
+    # step 4000 every pixel is 3.6e-9 to 1.1e-8 off it, so none settles
+    # (two-pass: 256 settled, sum 1017900; the q-back test alone: every
+    # pixel 3991 = n - 9)
     "near-parabolic,p=0.677623,n=4000": (
         (0.677623, 16, 4000),
-        ("c1135c65ba0749a2ba9efc5813231018dd3987bc7938cd96a3e479cb5a9d8e90", 256, 1021696)),
+        ("d0ff1b294b5288d1ae1421eadf5b2d38a8752b76d472ff30bed9028e25b1c5b8", 0, 0)),
 }
 
 
@@ -695,3 +706,128 @@ def test_lyapunov_matches_mpmath_loop(z0, p, offset, tol):
     else:
         assert abs(res.chain - ref.chain) <= 1e-12
         assert abs(res.shadow - ref.shadow) <= 1e-6
+
+
+def two_orbit_lyapunov(z0, p, n_iters, offset=1e-15, supersink_tol=1e-12):
+    """lyapunov_estimate with the companion run as a second exact orbit.
+
+    Both orbits are tapered-precision int pairs; the cross product
+    f_u g_v - g_u f_v is exact, and the pull-back applies its factors as
+    62-bit fixed-point ints, g <- f (1 - pull) + c g.  The reference of the
+    float-separation companion; arguments are assumed valid.
+    """
+    def scaled(pair, bits):
+        s = max(map(int.bit_length, pair)) - bits
+        return [x >> s for x in pair] if s >= 0 else [x << -s for x in pair]
+
+    def fp_step(pair, pr, pi, bits):
+        ur, ui, vr, vi = scaled(pair, bits)
+        uur, uui = ((ur + ui) * (ur - ui)) >> bits, (ur * ui) >> (bits - 1)
+        vvr, vvi = ((vr + vi) * (vr - vi)) >> bits, (vr * vi) >> (bits - 1)
+        return scaled((uur + ((pr * vvr - pi * vvi) >> bits),
+                       uui + ((pr * vvi + pi * vvr) >> bits),
+                       vvr - ((pr * uur + pi * uui) >> bits),
+                       vvi - ((pr * uui - pi * uur) >> bits)), bits)
+
+    def fixed(x, bits):
+        m, e = math.frexp(x)
+        return (int(m * 2.0**53) << (e - 53 + bits) if e - 53 + bits >= 0
+                else int(math.ldexp(x, bits)))
+
+    def float_parts(f, g, bits):
+        (fur, fui, fvr, fvi), (gur, gui, gvr, gvi) = f, g
+        s, s2 = 1 << bits, 1 << 2 * bits
+        return (complex(fur / s, fui / s), complex(fvr / s, fvi / s),
+                complex(gur / s, gui / s), complex(gvr / s, gvi / s),
+                complex((fur * gvr - fui * gvi - gur * fvr + gui * fvi) / s2,
+                        (fur * gvi + fui * gvr - gur * fvi - gui * fvr) / s2))
+
+    n = int(n_iters)
+    guard = (ch._LOG_PREC + n.bit_length()
+             + ch._bits_below_one(offset) + ch._bits_below_one(supersink_tol))
+    top = n + guard
+    one = 1 << top
+    with mpmath.workprec(top):
+        pm = mpmath.mpc(p() if callable(p) else p)
+        zm = mpmath.mpc(z0() if callable(z0) else z0)
+        pr, pi = (int(mpmath.ldexp(x, top)) for x in (pm.real, pm.imag))
+        off = fixed(offset, top)
+        if not mpmath.isfinite(zm):
+            f, g = (one, 0, 0, 0), (one, 0, off, 0)
+        else:
+            zr, zi = (int(mpmath.ldexp(x, top)) for x in (zm.real, zm.imag))
+            f = (zr, zi, one, 0)
+            g = ((zr + off, zi, one, 0) if abs(zm) <= 1
+                 else (zr, zi, one + ((off * zr) >> top), (off * zi) >> top))
+
+    f, g = scaled(f, top), scaled(g, top)
+    fu, fv, gu, gv, cross = float_parts(f, g, top)
+    a, b = abs(fu), abs(fv)
+    d0 = 2 * abs(cross) / (math.hypot(a, b) * math.hypot(abs(gu), abs(gv)))
+    chain_logs, shadow_logs, terminated = [], [], False
+    for k in range(n):
+        if 2 * min(a, b) < supersink_tol * math.hypot(a, b):
+            terminated = True
+            break
+        chain_logs.append(math.log(max(ch._sphere_derivative(a, b), ch._FLOOR)))
+        bits = top - k
+        f = fp_step(f, pr >> k, pi >> k, bits)
+        g = fp_step(g, pr >> k, pi >> k, bits)
+        fu, fv, gu, gv, cross = float_parts(f, g, bits)
+        a, b = abs(fu), abs(fv)
+        nf, ng = math.hypot(a, b), math.hypot(abs(gu), abs(gv))
+        d = max(2 * abs(cross) / (nf * ng), ch._FLOOR)
+        shadow_logs.append(math.log(d / d0))
+        pull = d0 / d
+        inner = fu.conjugate() * gu + fv.conjugate() * gv
+        c = pull * nf / ng * (inner.conjugate() / abs(inner) if inner else 1)
+        keep = (1 << 62) - fixed(pull, 62)
+        cr, ci = fixed(c.real, 62), fixed(c.imag, 62)
+        (fur, fui, fvr, fvi), (gur, gui, gvr, gvi) = f, g
+        g = (fur * keep + gur * cr - gui * ci, fui * keep + gur * ci + gui * cr,
+             fvr * keep + gvr * cr - gvi * ci, fvi * keep + gvr * ci + gvi * cr)
+
+    n_used = len(shadow_logs)
+    return ch.LyapunovResult(chain=math.fsum(chain_logs) / n_used if n_used else math.nan,
+                             shadow=math.fsum(shadow_logs) / n_used if n_used else math.nan,
+                             n_used=n_used, terminated=terminated)
+
+
+def _check_against_two_orbits(args, shadow_tol, **kwargs):
+    res, ref = ch.lyapunov_estimate(*args, **kwargs), two_orbit_lyapunov(*args, **kwargs)
+    assert (res.n_used, res.terminated) == (ref.n_used, ref.terminated), args
+    if ref.n_used == 0:
+        assert math.isnan(res.chain) and math.isnan(res.shadow)
+        return 0.0
+    assert res.chain == ref.chain, args
+    assert abs(res.shadow - ref.shadow) <= shadow_tol, args
+    return abs(res.shadow - ref.shadow)
+
+
+def test_float_companion_matches_two_orbits_at_terminating_boundary_starts():
+    # the 20 p = 1 boundary starts, all of which fall into the supersink
+    job = ch.RasterJob(re_min=-2.0, re_max=2.0, im_min=-2.0, im_max=2.0,
+                       width=128, height=128, max_iters=32,
+                       params=ch.MapParams(p=1.0))
+    rows, cols = np.nonzero(ch.boundary_mask(ch.julia_raster(job).counts < 0))
+    picks = np.linspace(0, len(rows) - 1, 20).astype(int)
+    re, im = job.pixel_centers()
+    for r, c in zip(rows[picks], cols[picks]):
+        _check_against_two_orbits((complex(re[c], im[r]), 1.0, 200), 1e-6)
+
+
+def test_float_companion_matches_two_orbits_at_random_starts():
+    gen = np.random.default_rng(1906)
+    for _ in range(30):
+        z0 = complex(*gen.uniform(-2.0, 2.0, 2))
+        p = complex(*gen.uniform(-1.5, 1.5, 2))
+        _check_against_two_orbits((z0, p, 300), 1e-12)
+
+
+@pytest.mark.parametrize("z0, p, n_iters, offset", [
+    *[(z0, p, 200, offset) for z0, p, offset, *_ in LYAPUNOV_FIXED_PRECISION_200],
+    (0.25 + 0.5j, 1j, 100, 1e-278),
+], ids=["circle", "p1-boundary-a", "p1-boundary-b", "pi", "pi-offset-1e-30",
+        "attracting-cycle", "pi-offset-1e-278"])
+def test_float_companion_matches_two_orbits_at_fixed_precision_cases(z0, p, n_iters, offset):
+    _check_against_two_orbits((z0, p, n_iters), 1e-8, offset=offset)
