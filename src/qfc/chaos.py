@@ -349,13 +349,17 @@ def _raster_rows(job, cycles, row_lo, row_hi):
     cycle_u = np.concatenate([cu for cu, _ in cycles])
     cycle_v = np.concatenate([cv for _, cv in cycles])
 
+    def near_cycle(u, v):
+        near = np.zeros(u.shape, dtype=bool)
+        for a, b in zip(cycle_u, cycle_v):
+            near |= _chord(u, v, a, b) < tol
+        return near
+
     # steps up to n - _TAIL: a pixel within tol of an attracting cycle
     # point settles there and leaves the active set
     first_tail = max(0, n + 1 - _TAIL)
     for step in range(first_tail):
-        near = np.zeros(active.size, dtype=bool)
-        for a, b in zip(cycle_u, cycle_v):
-            near |= _chord(u, v, a, b) < tol
+        near = near_cycle(u, v)
         if near.any():
             counts[active[near]] = step
             keep = ~near
@@ -369,10 +373,7 @@ def _raster_rows(job, cycles, row_lo, row_hi):
     # within tol of one period of them
     if active.size:
         tail_u, tail_v = np.array(_orbit_tail(u, v, p, n - first_tail)).swapaxes(0, 1)
-        on_cycle = np.zeros(active.size, dtype=bool)
-        for a, b in zip(cycle_u, cycle_v):
-            on_cycle |= _chord(tail_u[-1], tail_v[-1], a, b) < tol
-        period = np.where(on_cycle, _periods(tail_u, tail_v, tol), 0)
+        period = np.where(near_cycle(tail_u[-1], tail_v[-1]), _periods(tail_u, tail_v, tol), 0)
         tail_counts = np.full(active.size, -1, dtype=np.int64)
         for k in range(len(tail_u)):
             near = np.zeros(active.size, dtype=bool)
@@ -531,9 +532,10 @@ def lyapunov_estimate(z0, p, n_iters, offset=1e-15, supersink_tol=1e-12):
     plus the bit length of n_iters for that sum, plus log2(1/supersink_tol)
     rounded up, as a coordinate next to a critical point is known to that
     many fewer bits, plus log2(1/offset) rounded up.  The shadow estimator
-    does not need that last term; it keeps f's bits, and so chain, n_used
-    and terminated, as they were when the companion ran as a second exact
-    orbit, whose cross product with f cancelled that many bits.
+    does not need that last term, but it keeps f's bits, so chain, n_used
+    and terminated equal bit for bit those of the tests' reference that
+    runs the companion as a second exact orbit, whose cross product with f
+    cancels that many bits.
 
     f is four Python ints (Re u, Im u, Re v, Im v) at scale 2^P, P the
     step's bits, shifted exactly so that its largest part has P bits; p is
