@@ -134,7 +134,7 @@ def _run_stabilize(cfg):
                        gap_max=gap_star)
         shape = surf.gap.shape
         columns = [_grid_axis(surf.p, shape, 0), _grid_axis(surf.theta, shape, 1),
-                   surf.f1, surf.f3, surf.f4, surf.gap]
+                   surf.f1, _grid_axis(surf.f3[0], shape, 1), surf.f4, surf.gap]
         header = ["p", "theta", "f1", "f3", "f4", "gap"]
     return [("csv", header, columns)], results
 

@@ -249,7 +249,7 @@ def gap_surface(n_p=201, n_theta=201):
     ts = np.linspace(0.0, _HALF_PI, int(n_theta))
     pg = ps[:, None]
     tg = ts[None, :]
-    f1 = np.broadcast_to(f1_do_nothing(pg, tg), (len(ps), len(ts))).copy()
+    f1 = f1_do_nothing(pg, tg)
     f3 = np.broadcast_to(f3_discriminate_prepare(pg, tg), (len(ps), len(ts))).copy()
     f4 = f4_closed(pg, tg)
     gap = f4 - np.maximum(f1, f3)

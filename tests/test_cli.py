@@ -94,6 +94,24 @@ def test_write_csv_matches_format_value_per_cell(tmp_path):
                                           for label, row in zip("abc", grid.tolist())
                                           for v in row])
 
+    # text alone, no float column: the cells of each row are joined
+    def per_cell(columns):
+        cells = [np.asarray(c).ravel().tolist() for c in columns]
+        return [",".join(map(out.format_value, row)) for row in zip(*cells)]
+
+    shape = (5, 7)
+    ints = rng.integers(-50, 50, shape)
+    ints[0, :2] = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    columns = [np.broadcast_to(np.array(list("vwxyz"), dtype=object)[:, None], shape),
+               np.broadcast_to(np.array([f"t{j}" for j in range(7)], dtype=object), shape),
+               ints, rng.random(shape) < 0.5]
+    out.write_csv(path, ["a", "b", "n", "flag"], columns)
+    assert_lines_equal(path, ["a,b,n,flag"] + per_cell(columns))
+
+    columns = [rng.integers(2**63, 2**64, 9_000, dtype=np.uint64), rng.random(9_000) < 0.5]
+    out.write_csv(path, ["u", "flag"], columns)
+    assert_lines_equal(path, ["u,flag"] + per_cell(columns))
+
 
 def test_write_pgm(tmp_path):
     path = tmp_path / "t.pgm"
@@ -106,6 +124,16 @@ def test_write_pgm(tmp_path):
     assert lines[3] == "255"
     assert lines[4] == "0 0"
     assert lines[5] == "128 255"
+
+    # byte oracle: the writer that formatted every pixel with str
+    rng = np.random.default_rng(11)
+    for max_iters in (1, 7, 400):
+        counts = rng.integers(-1, 2 * max_iters, (13, 29), endpoint=True)
+        out.write_pgm(path, counts, max_iters)
+        scaled = np.rint(255.0 * np.maximum(counts, 0) / float(max_iters))
+        scaled = np.clip(scaled, 0, 255).astype(int)
+        rows = [" ".join(map(str, row)) for row in scaled.tolist()]
+        assert_lines_equal(path, ["P2", "29 13", "255"] + rows)
 
     with pytest.raises(ValueError):
         out.write_pgm(path, np.arange(4), 10)

@@ -100,6 +100,8 @@ def test_gap_surface_properties():
     assert abs(p_star - 0.115) < 0.02
     assert abs(theta_star - 0.715) < 0.02
     assert abs(gap_star - 0.026) < 0.002
+    # the CLI writes f3 as a theta-axis column: every row must be the same
+    assert np.all(surf.f3 == surf.f3[:1])
 
 
 def test_branch_fidelities_never_exceed_one():
