@@ -368,20 +368,19 @@ def _raster_rows(job, cycles, row_lo, row_hi):
                 break
         u, v = _step(u, v, p, pc)
 
-    # the last _TAIL steps: a pixel whose newest points pass the tail test,
-    # the newest within tol of a cycle point, settles at its first step
-    # within tol of one period of them
+    # the last _TAIL steps: a pixel whose newest points pass the tail test
+    # settles at its first step within tol of one period of them if the
+    # newest is within tol of a cycle point, else at its first step within
+    # tol of a cycle point (it arrived, then drifted just off the partner)
     if active.size:
         tail_u, tail_v = np.array(_orbit_tail(u, v, p, n - first_tail)).swapaxes(0, 1)
-        period = np.where(near_cycle(tail_u[-1], tail_v[-1]), _periods(tail_u, tail_v, tol), 0)
-        tail_counts = np.full(active.size, -1, dtype=np.int64)
-        for k in range(len(tail_u)):
-            near = np.zeros(active.size, dtype=bool)
-            for m in range(period.max()):
-                near |= (m < period) & (
-                    _chord(tail_u[k], tail_v[k], tail_u[-1 - m], tail_v[-1 - m]) < tol)
-            tail_counts[near & (tail_counts < 0)] = first_tail + k
-        counts[active] = tail_counts
+        period = _periods(tail_u, tail_v, tol)
+        on_cycle = near_cycle(tail_u, tail_v) & (period > 0)
+        own = np.zeros(tail_u.shape, dtype=bool)
+        for m in range(period.max()):
+            own |= (m < period) & (_chord(tail_u, tail_v, tail_u[-1 - m], tail_v[-1 - m]) < tol)
+        near = np.where(on_cycle[-1], own, on_cycle)
+        counts[active] = np.where(near.any(axis=0), first_tail + near.argmax(axis=0), -1)
     return counts.reshape(row_hi - row_lo, job.width)
 
 
@@ -396,9 +395,10 @@ def julia_raster(job, threads=1):
     s <= max_iters - 10 gets count s and stops.  Pixels still active run to
     max_iters and take the tail test instead: their two newest points must
     lie within cycle_tol of their q-back partners for some period q up to
-    8, and the newest within cycle_tol of a cycle point.  The count is then
-    the first of the last ten steps within cycle_tol of one period of those
-    points; otherwise -1.
+    8.  If the newest is also within cycle_tol of a cycle point, the count
+    is the first of the last ten steps within cycle_tol of one period of
+    those points; otherwise it is the first of them within cycle_tol of a
+    cycle point.  A pixel with neither reads -1.
 
     The rows are cut into blocks of _BLOCK_PIXELS // width rows, at least
     one, which run in the calling thread or, for threads > 1, on a pool of

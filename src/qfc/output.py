@@ -3,13 +3,20 @@
 Both formats embed the run configuration as ``# key=value`` comment lines so
 an output file is self-describing.  Floats are printed with 17 significant
 digits, which round-trips IEEE doubles exactly; together with fixed "\n" line
-endings this makes outputs stable enough to diff byte for byte.
+endings this makes outputs stable enough to diff byte for byte.  Every cell's
+bytes are those of ``format_value``.
 
-A table reaches ``write_csv`` as columns, one array per header name.  An int
-or bool array (a CSV column, a PGM's gray levels) is turned into text through
-a table of its distinct values; floats are not, since -0.0 == 0.0 prints
-differently.  A row is one ``%`` template if a float column is present, else
-its cells joined.  Either way the bytes are those of ``format_value``.
+A table reaches ``write_csv`` as columns, one array per header name.  A table
+of fewer than _TEMPLATE_CELLS cells (every ensemble study's) is written with
+one ``%`` row template.  Larger tables (the stabilize gap surface, the julia
+table) and every PGM go through one renderer, ``_write_lines``: each block of
+lines becomes a zero-padded uint8 matrix, one slot per cell followed by its
+separator, and the file receives the matrix's nonzero bytes, which works
+because no cell's text contains a NUL byte.  Int, bool and text cells index a
+table of their distinct texts.  A float cell with 1e-6 < |x| < 1e16 is
+printed by the exact vectorised %.17g of ``_float_slots``, ±0 directly, and
+every other float (nan, ±inf, |x| <= 1e-6 and |x| >= 1e16) by
+``"%.17g" % x``.
 """
 
 from __future__ import annotations
@@ -31,31 +38,217 @@ def format_value(value):
 
 
 _KINDS = "fiubUO"  # float, int, unsigned, bool, str, object (of str)
-_BLOCK = 4096  # rows per write of a 1-d table
+# Below about this many cells the row template beats the renderer's fixed
+# cost per block and column: on float tables the two cross near 1300 cells
+# with 4 columns and 1800 with 6 (1.5-1.8 ms).  Every ensemble table (at most
+# 1604 cells, spin-collapse in the benchmark) stays on the template.
+_TEMPLATE_CELLS = 2048
+_BLOCK_CELLS = 16384  # cells per rendered block
+
+# Exact %.17g of a double x with 1e-6 < |x| < 1e16: positional from 1e-4
+# up, exponent form (e-05, e-06) below.  With k = floor(log10|x|), the 17
+# significant digits are D = |x| * 10^(16 - k) rounded to an integer, ties
+# to even, as the dtoa of Python's % rounds.  10^q is exact for q <= 22
+# (k >= -6), and Dekker's two-product (Numer. Math. 18, 1971) splits
+# |x| * 10^q exactly into hi + lo.  hi is at least 1e16 > 2^53, so it is an
+# even integer and D = hi + rint(lo), rint rounding ties to even.  D never
+# reaches 10^17: a double below 10^(k+1) lies at least 2^-53 of it below,
+# 11 units of the 17th digit.
+_SPLITTER = 134217729.0  # 2^27 + 1
+
+
+def _split(a):
+    """Dekker's split of a into hi + lo, each with at most 26 significant bits."""
+    t = a * _SPLITTER
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+_POW10 = np.array([float(10 ** q) for q in range(23)])
+_POW10_HI, _POW10_LO = _split(_POW10)
+_POW10_INT = 10 ** np.arange(17, dtype=np.int64)
+
+
+_FULL, _LEAD, _TRAIL = 0, 10000, 20000  # offsets into _CHUNKS
+
+
+def _digit_groups():
+    """The text of 0..9999 as four digits, one little-endian uint32 each.
+
+    From _FULL the digits are as is, from _LEAD with leading zeros blanked
+    (NUL) and from _TRAIL with trailing zeros blanked.
+    """
+    n = np.arange(10000, dtype=np.uint32)
+    table = np.zeros(30000, "<u4")
+    for i, place in enumerate((1000, 100, 10, 1)):
+        char = (n // place % 10 + 48) << (8 * i)
+        table[_FULL:_LEAD] += char
+        table[_LEAD:_TRAIL] += char * (n >= place)
+        table[_TRAIL:] += char * (n % (10 * place) != 0)
+    return table
+
+
+_CHUNKS = _digit_groups()
+# sign and what precedes the digits at exponent k in [-6, 15]: "0." and
+# -k-1 zeros for -4 <= k < 0; _HEAD[negative, k + 6], as a little-endian uint64
+_HEAD = np.array([[sign + (b"0.000"[:1 - k] if -4 <= k < 0 else b"") for k in range(-6, 16)]
+                  for sign in (b"", b"-")], dtype="S8").view("<u8")
+# what follows the digits at exponent k: _EXPONENT[k + 6], a uint32
+_EXPONENT = np.array([b"e-06", b"e-05"] + [b""] * 20, dtype="S4").view("<u4")
+
+
+def _scaled(y, k):
+    """(hi, lo) with hi + lo = y * 10^(16 - k) exactly (Dekker's two-product)."""
+    q = 16 - k
+    yh, yl = _split(y)
+    hi = y * _POW10[q]
+    bh, bl = _POW10_HI[q], _POW10_LO[q]
+    return hi, ((yh * bh - hi) + yh * bl + yl * bh) + yl * bl
+
+
+def _digits17(y):
+    """(k, D): |y| = D * 10^(k - 16) to 17 significant digits, for 1e-6 < y < 1e16."""
+    # k >= -6 for y > 1e-6, even where log10 rounds below -6
+    k = np.maximum(np.floor(np.log10(y)), -6).astype(np.int64)
+    hi, lo = _scaled(y, k)
+    # log10 may round across a power of ten: correct k on the exact product
+    fixed = (k - ((hi < 1e16) | ((hi == 1e16) & (lo < 0)))
+             + ((hi > 1e17) | ((hi == 1e17) & (lo >= 0))))
+    if (fixed != k).any():
+        k = fixed
+        hi, lo = _scaled(y, k)
+    return k, hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _groups(v, out, blank):
+    """Write v < 10^(4n) into out, n four-digit groups (uint32), highest first.
+
+    blank is _LEAD to blank v's leading zeros (an integer part), _TRAIL to
+    blank its trailing zeros (a fraction's digits).
+    """
+    seen = np.zeros(v.shape, bool)  # a nonzero group above this one
+    for j in range(out.shape[1] - 1, -1, -1):
+        unit = _POW10_INT[4 * j]
+        g = v // unit
+        v = v - g * unit
+        bare = ~seen if blank == _LEAD else v == 0
+        seen |= g != 0
+        out[:, -1 - j] = _CHUNKS[g + np.where(bare, blank, _FULL)]
+
+
+def _float_slots(x):
+    """format_value of each float in x, as rows of NUL-padded bytes.
+
+    The row of a float with 1e-6 < |x| < 1e16 holds five fields, whose NUL
+    bytes fall away when it is written: the sign and any "0.000" prefix
+    (_HEAD), the integer part, the point, 16 fraction digits and any
+    exponent.  For |x| < 1 the integer field holds the first significant
+    digit, and in positional form the prefix holds the point.  ±0 is
+    written directly and every other float (nan, ±inf, and |x| <= 1e-6 or
+    >= 1e16, which print in exponent form) by "%.17g" % x.
+    """
+    a = np.abs(x)
+    fast = (a > 1e-6) & (a < 1e16)  # the double 1e-6 lies below 10^-6
+    k, d = _digits17(np.where(fast, a, 1.0))
+    kk = np.maximum(k, 0)
+    unit = _POW10_INT[16 - kk]
+    whole = d // unit
+    part = d - whole * unit
+    n = (len(str(whole.max())) + 3) // 4  # groups of the integer field
+    out = np.empty((x.size, 29 + 4 * n), np.uint8)
+    out[:, :8].view("<u8")[:, 0] = _HEAD[np.signbit(x).view(np.uint8), k + 6]
+    _groups(whole, out[:, 8:8 + 4 * n].view("<u4"), _LEAD)
+    out[:, 8 + 4 * n] = (((k >= 0) | (k < -4)) & (part > 0)) * np.uint8(46)  # "."
+    _groups(part * _POW10_INT[kk], out[:, 9 + 4 * n:25 + 4 * n].view("<u4"), _TRAIL)
+    out[:, 25 + 4 * n:].view("<u4")[:, 0] = _EXPONENT[k + 6]
+    zero = np.flatnonzero(a == 0)
+    rest = np.flatnonzero(~fast & (a != 0))
+    for rows, texts in ((zero, np.where(np.signbit(x[zero]), b"-0", b"0")),
+                        (rest, [("%.17g" % v).encode() for v in x[rest].tolist()])):
+        if rows.size:
+            out[rows] = np.array(texts, "S%d" % out.shape[1]).view(np.uint8).reshape(
+                rows.size, -1)
+    return out
+
+
+def _table(c):
+    """(slots, index): cell i of an int, bool or text column is slots[index[i]].
+
+    Each distinct text is encoded once.  A text column's stride-0 axes (an
+    np.broadcast_to view) are collapsed and its index broadcast back, so the
+    column is never materialised.  An int column indexes a table by value -
+    min when its range is smaller than the column, else by np.unique.
+    """
+    if c.dtype.kind in "UO":
+        base = c[tuple(slice(None) if s else slice(0, 1) for s in c.strides)]
+        texts = [str(v) for v in base.ravel().tolist()]
+        index = np.broadcast_to(np.arange(base.size).reshape(base.shape), c.shape)
+    else:
+        if c.dtype.kind == "b":
+            c = c.view(np.uint8)
+        if c.size and int(c.max()) - int(c.min()) < c.size:
+            lo = c.min()
+            texts = [str(v) for v in range(int(lo), int(c.max()) + 1)]
+            index = c - lo
+        else:
+            values, index = np.unique(c, return_inverse=True)
+            texts = [str(v) for v in values.tolist()]
+            index = index.reshape(c.shape)
+    slots = np.array([t.encode() for t in texts], dtype=bytes)
+    return slots.view(np.uint8).reshape(len(slots), slots.itemsize), index
+
+
+def _slots(column, block):
+    """The slots of a column's cells in block (of axis 0), one row per cell."""
+    if isinstance(column, tuple):
+        table, index = column
+        return np.take(table, index[block].ravel(), axis=0)
+    return _float_slots(column[block].ravel().astype(np.float64, copy=False))
+
+
+def _write_lines(fh, columns, sep, line_cells=1):
+    """The one renderer of CSV and PGM cells.
+
+    columns are float arrays or _table pairs that share axis 0.  Each line
+    takes line_cells cells of every column in turn, each followed by sep and
+    the line's last by "\n".  A block of about _BLOCK_CELLS cells becomes
+    one uint8 matrix, a row per line and a slot per cell, and is written
+    without its NUL padding.
+    """
+    shapes = [np.shape(c[1] if isinstance(c, tuple) else c) for c in columns]
+    units = shapes[0][0]
+    step = max(1, _BLOCK_CELLS * units // max(1, sum(int(np.prod(s)) for s in shapes)))
+    for lo in range(0, units, step):
+        parts = [_slots(c, slice(lo, lo + step)) for c in columns]
+        lines = len(parts[0]) // line_cells
+        matrix = np.empty((lines, sum(line_cells * (p.shape[1] + 1) for p in parts)),
+                          np.uint8)
+        at = 0
+        for p in parts:
+            width = p.shape[1] + 1
+            cells = matrix[:, at:at + line_cells * width].reshape(lines, line_cells, width)
+            cells[:, :, :-1] = p.reshape(lines, line_cells, -1)
+            cells[:, :, -1] = ord(sep)
+            at += line_cells * width
+        matrix[:, -1] = ord("\n")
+        fh.write(matrix[matrix != 0])
 
 
 def _write_preamble(fh, preamble):
     for key, value in (preamble or {}).items():
-        fh.write("# %s=%s\n" % (key, format_value(value)))
-
-
-def _text(a):
-    """format_value of each cell of an int or bool array, once per distinct value."""
-    values, inverse = np.unique(a, return_inverse=True)
-    table = np.array([str(int(v)) for v in values.tolist()], dtype=object)
-    return table[inverse.reshape(a.shape)]
+        fh.write(("# %s=%s\n" % (key, format_value(value))).encode())
 
 
 def write_csv(path, header, columns, preamble=None):
     """Write a comma-separated table with an optional ``# key=value`` preamble.
 
-    columns holds one entry per header name, all of one shape: a float array
-    is printed with %.17g, an int or bool array through _text, a list (or
-    object array) of str as it is.  A row is one ``%`` template if a float
-    column is present, else its cells joined.  A 1-d table is written in
-    blocks of rows, a 2-d grid one row at a time, so an axis column may be an
-    ``np.broadcast_to`` view of its formatted cells.  The preamble mapping is
-    emitted in insertion order before the header row.
+    columns holds one entry per header name, all of one 1-d or 2-d shape: a
+    float array is printed with %.17g, an int or bool array as integers, a
+    list (or array) of str as it is; a 2-d table is written row-major, and
+    an axis column may be an ``np.broadcast_to`` view of its text.  A table
+    of fewer than _TEMPLATE_CELLS cells is one ``%`` row template, a larger
+    one goes through _write_lines.  The preamble mapping is emitted in
+    insertion order before the header row.
     """
     header = list(header)
     columns = [np.asarray(c) for c in columns]
@@ -65,20 +258,16 @@ def write_csv(path, header, columns, preamble=None):
         raise ValueError("need one float, int, bool or str column per header name "
                          "%s, all of one 1-d or 2-d shape; got %s"
                          % (header, [(c.dtype, c.shape) for c in columns]))
-    columns = [_text(c) if c.dtype.kind in "iub" else c for c in columns]
-    if any(c.dtype.kind == "f" for c in columns):
-        sep, line = "", (",".join("%.17g" if c.dtype.kind == "f" else "%s"
-                                  for c in columns) + "\n").__mod__
-    else:  # a joined line ends with sep, the block's last one with a final ""
-        sep, line = "\n", ",".join
-    blocks = (range(shape[0]) if len(shape) == 2 else
-              [slice(lo, lo + _BLOCK) for lo in range(0, shape[0], _BLOCK)])
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "wb") as fh:
         _write_preamble(fh, preamble)
-        fh.write(",".join(header) + "\n")
-        for block in blocks:
-            cells = [c[block].tolist() for c in columns]
-            fh.write(sep.join([*map(line, zip(*cells)), ""]))
+        fh.write((",".join(header) + "\n").encode())
+        if len(columns) * int(np.prod(shape)) < _TEMPLATE_CELLS:
+            line = (",".join({"f": "%.17g", "i": "%d", "u": "%d", "b": "%d"}.get(
+                c.dtype.kind, "%s") for c in columns) + "\n").__mod__
+            cells = [c.ravel().tolist() for c in columns]
+            fh.write("".join(map(line, zip(*cells))).encode())
+        else:
+            _write_lines(fh, [c if c.dtype.kind == "f" else _table(c) for c in columns], ",")
 
 
 def write_pgm(path, counts, max_iters, preamble=None):
@@ -86,9 +275,9 @@ def write_pgm(path, counts, max_iters, preamble=None):
 
     Counts are scaled so max_iters maps to white (255); the sentinel -1 for
     pixels with no detected cycle maps to black.  The gray levels go through
-    _text, as an int CSV column does, and are written a row at a time.
-    Comment lines carrying the configuration go between the magic number and
-    the dimensions, where every PGM reader skips them.
+    _table and _write_lines, as an int CSV column does, one image row per
+    line.  Comment lines carrying the configuration go between the magic
+    number and the dimensions, where every PGM reader skips them.
     """
     counts = np.asarray(counts)
     if counts.ndim != 2:
@@ -96,11 +285,11 @@ def write_pgm(path, counts, max_iters, preamble=None):
     if max_iters <= 0:
         raise ValueError("max_iters must be positive")
     height, width = counts.shape
-    levels = _text(np.clip(np.rint(255.0 * np.maximum(counts, 0) / float(max_iters)),
-                           0, 255).astype(np.int32))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("P2\n")
+    levels = np.clip(np.rint(255.0 * np.maximum(counts, 0) / float(max_iters)),
+                     0, 255).astype(np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(b"P2\n")
         _write_preamble(fh, preamble)
-        fh.write("%d %d\n255\n" % (width, height))
-        for row in levels:
-            fh.write(" ".join(row.tolist()) + "\n")
+        fh.write(b"%d %d\n255\n" % (width, height))
+        if counts.size:
+            _write_lines(fh, [_table(levels)], " ", width)

@@ -313,11 +313,10 @@ def test_julia_raster_matches_frozen_two_pass_counts(p):
 # two-pass counts, {(row, col): (two-pass count, count now)}.  At n = 49
 # the moved pixels were within cycle_tol of their own final points at step
 # 39 = n - 10, the last step the active set checks, but reach the cycle only
-# at step 40, where the tail test takes over.  A tail pixel also needs its
-# newest point within cycle_tol of a cycle point: at p = 0.732+0.1334i,
+# at step 40, where the tail test takes over.  At p = 0.732+0.1334i,
 # (27, 41) and (36, 22) come within 9.1e-10 of the cycle point
 # -1.2896-0.3886i at step 395, but at step 400 lie 1.19e-9 from its
-# partner -3.3564+2.7012i, so they end unsettled.
+# partner -3.3564+2.7012i, so they count at their arrival on the cycle.
 LATE_ARRIVALS = {
     "p=-0.3,n=49": ((-0.3, 128, 49),
                     "b5dda3977ef6ed68f65da244c559b938bd04ea794261639f671d507188cb642f",
@@ -335,7 +334,7 @@ LATE_ARRIVALS = {
         "47367eda0d639e4952ee824dbfa10c2ba4744030b327a72b4a681c50bf6d1e91",
         {(10, 0): (376, 378), (10, 21): (326, 328),
          (53, 42): (326, 328), (53, 63): (376, 378),
-         (27, 41): (395, -1), (36, 22): (395, -1)}),
+         (27, 41): (395, 395), (36, 22): (395, 395)}),
     "near-parabolic,p=0.6544,n=1000": (
         (0.6544, 64, 1000),
         "5c141ec5fb26d752d4829c584dd606962cc8ec41c6b40721f7af553bf03d11c2",
@@ -381,19 +380,21 @@ def test_julia_raster_slow_cycle_matches_frozen_two_pass_counts():
 # Pixels still off a slowly attracting cycle at step n - 10 whose last
 # points pass the q-back test.  The two-pass raster counted them at their
 # first step within cycle_tol of their own final points, which had not
-# reached the cycle either.  They now settle only if their newest point is
-# within cycle_tol of a cycle point, and count at their first step within
-# cycle_tol of one period of their last points; the rest are -1.
+# reached the cycle either.  They now settle only if some tail point is
+# within cycle_tol of a cycle point.  If the newest is, they count at their
+# first step within cycle_tol of one period of their last points, else at
+# their first step within cycle_tol of a cycle point; the rest are -1.
 # (p, size, max_iters): (sha256 of the counts, settled pixels, count sum).
 SLOW_TAILS = {
     # 2-cycle of multiplier 0.916: 8 pixels arrive by step 390 and 6 settle
-    # at 391.  The other 110 end 1.1e-9 to 3.3e-9 off the cycle: 104 first
-    # come within cycle_tol of it at steps 401-417, and 6 at steps 393 and
-    # 399 on one cycle point but not at 400 on its partner.  (Two-pass: 124
-    # settled, sum 47906; the q-back test alone: 124, sum 48420.)
+    # at 391.  6 more come within cycle_tol of one cycle point at step 393
+    # or 399 but are off its partner at 400; they settle at 393 or 399.
+    # The other 104 end 1.1e-9 to 3.3e-9 off the cycle and first come
+    # within cycle_tol of it at steps 401-417.  (Two-pass: 124 settled, sum
+    # 47906; the q-back test alone: 124, sum 48420.)
     "2-cycle,p=-1.0913+0.9491i,n=400": (
         (-1.0913 + 0.9491j, 64, 400),
-        ("5b5e7744bae24e6f2782d2f0765375e0eea3a026639390c159bafa0e7e4da20e", 14, 5396)),
+        ("b6ae0f10a015df0524641835fab9c148c6f73f1ef0c2b2fcfd78541333c8291b", 20, 7778)),
     # fixed point of multiplier 0.996, reached only at steps 4323-4598: at
     # step 4000 every pixel is 3.6e-9 to 1.1e-8 off it, so none settles
     # (two-pass: 256 settled, sum 1017900; the q-back test alone: every
@@ -410,6 +411,41 @@ def test_julia_raster_slow_arrivals_count_on_the_cycle_or_in_the_tail(case):
     counts = _raster_counts(p, size, max_iters)
     got = (_counts_sha256(counts), int((counts >= 0).sum()), int(counts[counts >= 0].sum()))
     assert got == frozen
+
+
+# Tail pixels whose newest point is off the cycle but that arrived on it
+# inside the tail window: (p, size, max_iters) -> {(row, col): count}.
+ARRIVED_OFF_THE_NEWEST_POINT = {
+    (0.732 + 0.1334j, 64, 400): {(27, 41): 395, (36, 22): 395},
+    (-1.0913 + 0.9491j, 64, 400): {(9, 42): 393, (9, 43): 399, (13, 32): 399,
+                                   (50, 31): 399, (54, 20): 399, (54, 21): 393},
+}
+
+
+@pytest.mark.parametrize("case", list(ARRIVED_OFF_THE_NEWEST_POINT), ids=str)
+def test_julia_raster_tail_counts_arrival_off_the_newest_point(case):
+    p, size, max_iters = case
+    counts = _raster_counts(p, size, max_iters)
+    job = ch.RasterJob(re_min=-2.0, re_max=2.0, im_min=-2.0, im_max=2.0,
+                       width=size, height=size, max_iters=max_iters,
+                       params=ch.MapParams(p=p))
+    cycle_u, cycle_v = np.concatenate(ch._attracting_cycles(
+        p, job.cycle_tol, max(4096, 4 * max_iters)), axis=1)
+    re, im = job.pixel_centers()
+    for (row, col), count in ARRIVED_OFF_THE_NEWEST_POINT[case].items():
+        assert counts[row, col] == count, (row, col)
+        # the oracle: iterate the pixel alone, as the raster does on arrays
+        # (complex scalars round differently), and log its distance from
+        # the cycle at every step
+        z0 = np.array([complex(re[col], im[row])])
+        r = np.hypot(np.abs(z0), 1.0)
+        u, v = z0 / r, 1.0 / r
+        dist = []
+        for _ in range(max_iters + 1):
+            dist.append(ch._chord(u, v, cycle_u, cycle_v).min())
+            u, v = ch._step(u, v, complex(p), np.conj(complex(p)))
+        assert dist[count] < job.cycle_tol <= min(dist[:count])
+        assert dist[max_iters] >= job.cycle_tol
 
 
 def _sphere_points(cycle):

@@ -1,5 +1,6 @@
 """Tests for the artifact writers and the command-line front end."""
 
+import decimal
 import hashlib
 import importlib.util
 import math
@@ -8,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -111,6 +114,66 @@ def test_write_csv_matches_format_value_per_cell(tmp_path):
     columns = [rng.integers(2**63, 2**64, 9_000, dtype=np.uint64), rng.random(9_000) < 0.5]
     out.write_csv(path, ["u", "flag"], columns)
     assert_lines_equal(path, ["u,flag"] + per_cell(columns))
+
+    # a grid above the template crossover, so the byte-matrix renderer writes
+    # it: broadcast text axes, edge floats, long doubles (printed as the
+    # nearest double, as format_value prints them), ints of a small range
+    # (indexed by value - min) and bools
+    shape = (40, 60)
+    assert 6 * shape[0] * shape[1] >= out._TEMPLATE_CELLS
+    columns = [np.broadcast_to(np.array([f"r{i}" for i in range(40)], dtype=object)[:, None],
+                               shape),
+               np.broadcast_to(np.array([str(j / 7) for j in range(60)]), shape),
+               rng.choice(edge_floats(), shape), np.longdouble(1) / rng.integers(3, 10**6, shape),
+               rng.integers(-1, 400, shape), rng.random(shape) < 0.5]
+    out.write_csv(path, ["a", "b", "x", "y", "n", "flag"], columns)
+    assert_lines_equal(path, ["a,b,x,y,n,flag"] + per_cell(columns))
+
+
+def edge_floats():
+    """Doubles where a %.17g shortcut could slip, each with both signs.
+
+    +-40 ulps around 10^j for j in [-7, 18] (log10 rounding across a power
+    of ten; both sides of 1e-4, 1e16 and 1e17; the largest double below a
+    power of ten, whose 17 digits are all nines and must not carry), exact
+    ties m / 2^(q+1) for q in [1, 22] (odd m with m 5^(q+1) of 18 digits, so
+    that the 18th significant digit is a final 5), and 0, the smallest
+    subnormal and the largest double.
+    """
+    near = [np.float64(f"1e{j}").view(np.int64) + np.arange(-40, 41) for j in range(-7, 19)]
+    rng = np.random.default_rng(17)
+    ties = []
+    for q in range(1, 23):
+        five = 5 ** (q + 1)
+        m = rng.integers(-(-10**17 // five), min(10**18 // five, 2**53), 300) | 1
+        ties += [int(v) / 2.0 ** (q + 1) for v in m if int(v) * five < 10**18]
+    x = np.concatenate([np.concatenate(near).view(np.float64), ties,
+                        [0.0, 5e-324, np.finfo(float).max]])
+    return np.concatenate([x, -x])
+
+
+def slot_texts(x):
+    """The text _float_slots gives each float, NUL padding dropped as the writer drops it."""
+    return [bytes(row[row != 0]).decode() for row in out._float_slots(np.asarray(x, float))]
+
+
+def test_float_slots_match_percent_format_on_edge_values():
+    x = edge_floats()
+    ties = [v for v in x.tolist() if 1e-6 < abs(v) < 1e16
+            and len(decimal.Decimal(v).as_tuple().digits) == 18]
+    assert len(ties) > 10_000  # the exact path meets many exact ties
+    assert slot_texts(x) == ["%.17g" % v for v in x.tolist()]
+
+
+# On a failure hypothesis imports libcst to print a patch, and libcst's
+# import warns; under filterwarnings = error that would abort the session
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@hypothesis.settings(max_examples=300, deadline=None, database=None)
+@hypothesis.given(st.lists(st.floats() | st.floats(1e-6, 1e16, exclude_min=True, exclude_max=True)
+                           | st.floats(-1e16, -1e-6, exclude_min=True, exclude_max=True),
+                           min_size=1))
+def test_float_slots_match_percent_format(values):
+    assert slot_texts(values) == ["%.17g" % v for v in values]
 
 
 def test_write_pgm(tmp_path):
@@ -355,21 +418,31 @@ def test_julia_run_and_byte_reproducibility(tmp_path, capsys, monkeypatch):
     assert pgm_path.read_bytes() == pgm_bytes
 
 
-def test_julia_output_bytes_are_frozen(tmp_path, monkeypatch):
-    # sha256 of the files this command wrote before the one-pass raster and
-    # the per-axis coordinate formatting; the relative --out keeps the
-    # temporary directory out of the preamble
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("QFC_THREADS", raising=False)
-    args = ["julia", "--grid", "48x48", "--max-iters", "30", "--p-re", "1",
-            "--out", "j"]
-    assert cli.main(args) == 0
-    digests = {suffix: hashlib.sha256((tmp_path / f"j.{suffix}").read_bytes()).hexdigest()
-               for suffix in ("csv", "pgm")}
-    assert digests == {
+# sha256 of the files julia wrote: the 48x48 case before the one-pass
+# raster and the per-axis coordinate formatting, the 256x256 case (the
+# benchmark's raster, large enough for the byte-matrix renderer) with the
+# row-at-a-time writers
+FROZEN_JULIA = {
+    "48x48": (["--grid", "48x48", "--max-iters", "30"], {
         "csv": "d85453129032083b172cf54bf98f1e133b39a8c08abd5e35c256c5413830861e",
         "pgm": "36f973b133186802952b9de011e328121efdf44cf3c63ad8589023f899963f8c",
-    }
+    }),
+    "256x256": (["--grid", "256x256", "--max-iters", "400"], {
+        "csv": "0b39526b1ac7226c92fa1a465866f86e96230789a3b3de629bae66af21b3cb53",
+        "pgm": "82d1d93008d8b27373ac16c5ef6a93a4d68e37cf0097268857bd2cf49fb470cf",
+    }),
+}
+
+
+def test_julia_output_bytes_are_frozen(tmp_path, monkeypatch):
+    # the relative --out keeps the temporary directory out of the preamble
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QFC_THREADS", raising=False)
+    for grid, (args, frozen) in FROZEN_JULIA.items():
+        assert cli.main(["julia", *args, "--p-re", "1", "--out", "j"]) == 0
+        digests = {suffix: hashlib.sha256((tmp_path / f"j.{suffix}").read_bytes()).hexdigest()
+                   for suffix in ("csv", "pgm")}
+        assert digests == frozen, grid
 
 
 # sha256 of the CSV each command wrote with the row-at-a-time writer, which
@@ -377,6 +450,9 @@ def test_julia_output_bytes_are_frozen(tmp_path, monkeypatch):
 FROZEN_CSVS = {
     "s": (["stabilize", "--grid-size", "50"],
           "ec20fd523d6c9951a215a60e7996c7985556e01f361e72547b53f9fe72f062ac"),
+    # the default 201x201 grid, large enough for the byte-matrix renderer
+    "g": (["stabilize"],
+          "bb64c578c0d0a3ea6315bc4066f2f23d4eec41f149d9b6d54e49c0a86fa90449"),
     "spot": (["stabilize", "--p", "0.115", "--theta", "0.715",
               "--samples", "2000", "--seed", "7"],
              "0463c46272b02f71013506f579f50adef87fbc5443616ff9bc8ebd41a3ef7ea6"),
