@@ -22,7 +22,6 @@ and parameter, so the rest of the module, and the CLI, load without it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -417,6 +416,9 @@ def julia_raster(job, threads=1):
 
     starts = range(0, job.height, rows)
     if int(threads) > 1:
+        # imported here: one thread, the default, starts no pool
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
             parts = list(pool.map(block, starts))
     else:

@@ -23,11 +23,15 @@ Q2_TRIPLE.  A step is an exact Kraus filter of the monitor, which is quantum
 non-demolition between kicks (Jacobs & Steck, Contemp. Phys. 47, 279
 (2006)), then the hold rotation: stage one (ZZ = S_z, hold about S_x) moves
 rows of r only, stage two (XX = T_x, hold about T_z) columns only.  The
-matrix helpers are the test oracles of the coefficient reads.
+loop writes the hold angles inline; equator_hold_angle and phase_hold_angle
+state them, and with the matrix helpers (which_block_vector, leakage_weight,
+block_components, bell_fidelity) they are the test oracles of the
+coefficient loop and of _reads.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -39,6 +43,7 @@ from .sme import Channel, SmeModel, sme_step
 from .states import SI, SX, SY, SZ, check_density, tensor_product
 from .stochastic import IntegrationError, RngStream
 
+_HALF_PI = 0.5 * math.pi  # exact
 I4 = np.eye(4, dtype=complex)
 ZZ = tensor_product(SZ, SZ)
 XX = tensor_product(SX, SX)
@@ -154,7 +159,7 @@ def q2_rotation(beta):
 
 def _wrap_half(beta):
     # smallest rotation with the same axis-zeroing effect
-    return (beta + 0.5 * math.pi) % math.pi - 0.5 * math.pi
+    return (beta + _HALF_PI) % math.pi - _HALF_PI
 
 
 def equator_hold_angle(y, z):
@@ -212,8 +217,10 @@ def _r_squared(rho):
 
 
 def _equator_purity(x, y, z, w):
-    # of the D- qubit, from its unnormalized block_components (x, y, z, w)
-    return 0.5 if w < 1e-12 else 0.5 * (1.0 + (x * x + y * y) / (w * w))
+    # of the D- qubit, from its unnormalized block_components (x, y, z, w),
+    # elementwise on arrays; the safe denominator keeps w = 0 free of warnings
+    small = np.less(w, 1e-12)
+    return np.where(small, 0.5, 0.5 * (1.0 + (x * x + y * y) / np.where(small, 1.0, w * w)))
 
 
 def _q2_equator_purity(rho):
@@ -245,7 +252,8 @@ def _leakage(r):
 
 
 def _reads(r):
-    """(R^2, leakage, q1_z, q2_purity, Bell fidelity) of coefficients r."""
+    """(R^2, leakage, q1_z, q2_purity, Bell fidelity) of coefficients r,
+    one row of 16 or, elementwise with the same operations, a (16, n) array."""
     x, y, z, w = _minus(r)
     return (sum(v * v for v in r) - 1.0, _leakage(r), r[12], _equator_purity(x, y, z, w),
             0.5 * (x + w))
@@ -262,8 +270,8 @@ _WIENER_BLOCK = 1024  # increments entangle_protocol draws at a time
 
 def _increments(stream, dt, n):
     """The n Normal(0, dt) increments of stream, drawn _WIENER_BLOCK at a time."""
-    for lo in range(0, n, _WIENER_BLOCK):
-        yield from stream.wiener(dt, min(_WIENER_BLOCK, n - lo)).tolist()
+    return itertools.chain.from_iterable(stream.wiener(dt, min(_WIENER_BLOCK, n - lo)).tolist()
+                                         for lo in range(0, n, _WIENER_BLOCK))
 
 
 def entangle_protocol(rho0, k, dt, horizon, seed, *, sample_every=10):
@@ -286,10 +294,13 @@ def entangle_protocol(rho0, k, dt, horizon, seed, *, sample_every=10):
     filter rho -> M rho M / tr, M = exp(sqrt(Gamma) dY c), for the record
     dY = dW + 2 sqrt(Gamma) <c> dt, dW from RngStream(seed, 0) in blocks of
     _WIENER_BLOCK: a hyperbolic rotation by s = 2 sqrt(Gamma) dY of the
-    monitored rows (0, z) or columns (0, x) of r, then division by r_00,
-    then the hold turns rows (y, z) or columns (x, y).  Each stage is one
-    loop of straight-line float code on the 16 r_ab.  It is exact at any
-    dt; the k*dt <= 1e-3 guard bounds the time between kicks.
+    monitored rows (0, z) or columns (0, x) of r, each entry divided by the
+    filtered r_00 = tr as it is formed (r_00 itself becomes 1.0, which is
+    tr / tr), the other entries divided by tr, then the hold turns rows
+    (y, z) or columns (x, y).  Each stage is one loop of straight-line float
+    code on the 16 r_ab.  The sampled rows are read once, at the end, by
+    one elementwise _reads over all of them.  It is exact at any dt; the
+    k*dt <= 1e-3 guard bounds the time between kicks.
     """
     if not 0.0 < k < math.inf:
         raise ValueError("k must be positive and finite")
@@ -306,22 +317,24 @@ def entangle_protocol(rho0, k, dt, horizon, seed, *, sample_every=10):
         raise ValueError("state must be two-qubit")
     root = 2.0 * math.sqrt(2.0 * k)  # 2 sqrt(Gamma)
     n_max = int(round(horizon / dt))
-    dws = _increments(RngStream(seed, 0), dt, n_max)
+    draw = _increments(RngStream(seed, 0), dt, n_max).__next__
+    cosh, sinh, cos, sin, atan2 = math.cosh, math.sinh, math.cos, math.sin, math.atan2
+    hypot, inf, pi = math.hypot, math.inf, math.pi
     samples = {}  # t -> r; a rotation at a sample time supersedes the row
 
     def package():
-        cols = np.array([_reads(x) for x in samples.values()]).T
+        cols = _reads(np.array(list(samples.values())).T)
         final_state = np.einsum("ab,abij->ij", np.reshape(r, (4, 4)), _PRODUCTS) / 4.0
         return ProtocolResult(np.array(list(samples)), *cols, dfs_time=dfs_time,
                               final_state=final_state,
                               final_fidelity=bell_fidelity(final_state))
 
-    step, stage, dfs_time = 0, 1, None
+    step, stage, dfs_time, countdown = 0, 1, None, sample_every
     samples[0.0] = r = _coefficients(rho).tolist()
     (r00, r01, r02, r03, r10, r11, r12, r13, r20, r21, r22, r23, r30, r31, r32, r33) = r
     # stage one: monitor ZZ = S_z, hold q1 = (r10, r20, r30) on its equator
     while True:
-        if math.hypot(r10, r20, r30) >= _Q1_THRESHOLD:
+        if hypot(r10, r20, r30) >= _Q1_THRESHOLD:
             r = [r00, r01, r02, r03, r10, r11, r12, r13, r20, r21, r22, r23, r30, r31, r32, r33]
             candidate = _turn(r, _ROWS_YZ, align_down_angle(r20, r30))
             if _leakage(candidate) <= _LEAKAGE_THRESHOLD:
@@ -332,59 +345,60 @@ def entangle_protocol(rho0, k, dt, horizon, seed, *, sample_every=10):
                 break
         if step == n_max:
             break
-        s = root * (next(dws) + root * r30 * dt)
-        ch, sh = math.cosh(s), math.sinh(s)
-        r00, r30 = ch * r00 + sh * r30, sh * r00 + ch * r30
-        r01, r31 = ch * r01 + sh * r31, sh * r01 + ch * r31
-        r02, r32 = ch * r02 + sh * r32, sh * r02 + ch * r32
-        r03, r33 = ch * r03 + sh * r33, sh * r03 + ch * r33
-        tr = r00
-        if not 0.0 < tr < math.inf:  # NaN fails too
+        s = root * (draw() + root * r30 * dt)
+        ch, sh = cosh(s), sinh(s)
+        tr = ch * r00 + sh * r30
+        if not 0.0 < tr < inf:  # NaN fails too
             raise IntegrationError("trace lost in the measurement filter")
-        r00, r01, r02, r03 = tr / tr, r01 / tr, r02 / tr, r03 / tr
+        r00, r30 = 1.0, (sh * r00 + ch * r30) / tr
+        r01, r31 = (ch * r01 + sh * r31) / tr, (sh * r01 + ch * r31) / tr
+        r02, r32 = (ch * r02 + sh * r32) / tr, (sh * r02 + ch * r32) / tr
+        r03, r33 = (ch * r03 + sh * r33) / tr, (sh * r03 + ch * r33) / tr
         r10, r11, r12, r13 = r10 / tr, r11 / tr, r12 / tr, r13 / tr
         r20, r21, r22, r23 = r20 / tr, r21 / tr, r22 / tr, r23 / tr
-        r30, r31, r32, r33 = r30 / tr, r31 / tr, r32 / tr, r33 / tr
-        beta = equator_hold_angle(r20, r30)
-        c, s = math.cos(beta), math.sin(beta)
+        beta = (atan2(-r30, r20) + _HALF_PI) % pi - _HALF_PI  # equator_hold_angle
+        c, s = cos(beta), sin(beta)
         r20, r30 = c * r20 - s * r30, s * r20 + c * r30
         r21, r31 = c * r21 - s * r31, s * r21 + c * r31
         r22, r32 = c * r22 - s * r32, s * r22 + c * r32
         r23, r33 = c * r23 - s * r33, s * r23 + c * r33
         step += 1
-        if step % sample_every == 0:
+        countdown -= 1
+        if not countdown:
+            countdown = sample_every
             samples[step * dt] = [r00, r01, r02, r03, r10, r11, r12, r13,
                                   r20, r21, r22, r23, r30, r31, r32, r33]
     # stage two: monitor XX = T_x, hold the D- x at 0 (the angle reads 2x, 2y)
     while stage == 2:
-        x, y, z, w = 0.5 * (r01 - r31), 0.5 * (r02 - r32), 0.5 * (r03 - r33), 0.5 * (r00 - r30)
-        if _equator_purity(x, y, z, w) >= _PURITY_THRESHOLD:
+        # the D- x, y and weight; a weight below 1e-12 reads purity 0.5
+        x, y, w = 0.5 * (r01 - r31), 0.5 * (r02 - r32), 0.5 * (r00 - r30)
+        if w >= 1e-12 and 0.5 * (1.0 + (x * x + y * y) / (w * w)) >= _PURITY_THRESHOLD:
             r = [r00, r01, r02, r03, r10, r11, r12, r13, r20, r21, r22, r23, r30, r31, r32, r33]
             samples[step * dt] = r = _turn(r, _COLS_XY, azimuth_align_angle(x, y))
             return package()
         if step == n_max:
             break
-        s = root * (next(dws) + root * r01 * dt)
-        ch, sh = math.cosh(s), math.sinh(s)
-        r00, r01 = ch * r00 + sh * r01, sh * r00 + ch * r01
-        r10, r11 = ch * r10 + sh * r11, sh * r10 + ch * r11
-        r20, r21 = ch * r20 + sh * r21, sh * r20 + ch * r21
-        r30, r31 = ch * r30 + sh * r31, sh * r30 + ch * r31
-        tr = r00
-        if not 0.0 < tr < math.inf:  # NaN fails too
+        s = root * (draw() + root * r01 * dt)
+        ch, sh = cosh(s), sinh(s)
+        tr = ch * r00 + sh * r01
+        if not 0.0 < tr < inf:  # NaN fails too
             raise IntegrationError("trace lost in the measurement filter")
-        r00, r01, r02, r03 = tr / tr, r01 / tr, r02 / tr, r03 / tr
-        r10, r11, r12, r13 = r10 / tr, r11 / tr, r12 / tr, r13 / tr
-        r20, r21, r22, r23 = r20 / tr, r21 / tr, r22 / tr, r23 / tr
-        r30, r31, r32, r33 = r30 / tr, r31 / tr, r32 / tr, r33 / tr
-        beta = phase_hold_angle(r01 - r31, r02 - r32)
-        c, s = math.cos(beta), math.sin(beta)
+        r00, r01 = 1.0, (sh * r00 + ch * r01) / tr
+        r10, r11 = (ch * r10 + sh * r11) / tr, (sh * r10 + ch * r11) / tr
+        r20, r21 = (ch * r20 + sh * r21) / tr, (sh * r20 + ch * r21) / tr
+        r30, r31 = (ch * r30 + sh * r31) / tr, (sh * r30 + ch * r31) / tr
+        r02, r03, r12, r13 = r02 / tr, r03 / tr, r12 / tr, r13 / tr
+        r22, r23, r32, r33 = r22 / tr, r23 / tr, r32 / tr, r33 / tr
+        beta = (atan2(r01 - r31, r02 - r32) + _HALF_PI) % pi - _HALF_PI  # phase_hold_angle
+        c, s = cos(beta), sin(beta)
         r01, r02 = c * r01 - s * r02, s * r01 + c * r02
         r11, r12 = c * r11 - s * r12, s * r11 + c * r12
         r21, r22 = c * r21 - s * r22, s * r21 + c * r22
         r31, r32 = c * r31 - s * r32, s * r31 + c * r32
         step += 1
-        if step % sample_every == 0:
+        countdown -= 1
+        if not countdown:
+            countdown = sample_every
             samples[step * dt] = [r00, r01, r02, r03, r10, r11, r12, r13,
                                   r20, r21, r22, r23, r30, r31, r32, r33]
     r = [r00, r01, r02, r03, r10, r11, r12, r13, r20, r21, r22, r23, r30, r31, r32, r33]

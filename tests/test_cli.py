@@ -165,9 +165,6 @@ def test_float_slots_match_percent_format_on_edge_values():
     assert slot_texts(x) == ["%.17g" % v for v in x.tolist()]
 
 
-# On a failure hypothesis imports libcst to print a patch, and libcst's
-# import warns; under filterwarnings = error that would abort the session
-@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @hypothesis.settings(max_examples=300, deadline=None, database=None)
 @hypothesis.given(st.lists(st.floats() | st.floats(1e-6, 1e16, exclude_min=True, exclude_max=True)
                            | st.floats(-1e16, -1e-6, exclude_min=True, exclude_max=True),
@@ -472,6 +469,10 @@ FROZEN_CSVS = {
     # the protocol's filter loop, at a stride that does not divide its steps
     "e": (["entangle", "--dt", "1e-3", "--seed", "31", "--sample-every", "7"],
           "95a183e2d3bec01307d8983627d9528d21f29d17ba3402ac87319fad841db730"),
+    # a second (k, dt), every step sampled: a table for the byte-matrix renderer
+    "f": (["entangle", "--k", "0.5", "--dt", "2e-3", "--seed", "47",
+           "--sample-every", "1"],
+          "e471efe984afd46dc674dd6a80f0c867e4bc8381f09296d735a3bcdf8dba73c1"),
 }
 
 
@@ -594,10 +595,11 @@ def test_entangle_run(tmp_path):
 
 
 def test_import_loads_neither_scipy_nor_mpmath():
+    # nor concurrent.futures: only julia_raster at threads > 1 starts a pool
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
     code = ("import qfc.cli, sys; print(sorted({m.split('.')[0] for m in sys.modules}"
-            " & {'scipy', 'mpmath'}))")
+            " & {'scipy', 'mpmath', 'concurrent'}))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

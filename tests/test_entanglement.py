@@ -430,11 +430,11 @@ def matrix_protocol(rho0, k, dt, horizon, seed, q1_threshold=0.999,
     raise en.ProtocolBudgetError("horizon", package())
 
 
-def run_both(rho0, horizon, seed, reference=matrix_protocol, sample_every=10):
+def run_both(rho0, horizon, seed, reference=matrix_protocol, sample_every=10, k=1.0, dt=1e-3):
     out = []
     for run in (en.entangle_protocol, reference):
         try:
-            out.append((run(rho0, 1.0, 1e-3, horizon, seed, sample_every=sample_every), False))
+            out.append((run(rho0, k, dt, horizon, seed, sample_every=sample_every), False))
         except en.ProtocolBudgetError as err:
             out.append((err.result, True))
     return out
@@ -627,10 +627,36 @@ def pairwise_protocol(rho0, k, dt, horizon, seed, sample_every=10):
     (random_density(np.random.default_rng(41), 4), 10.0, 41, 1),
     (random_density(np.random.default_rng(42), 4), 10.0, 42, 1),
     (MIXED, 0.01, 0, 10),  # budget error with a partial result
+    # |00><00| lies in D+: rotated onto D- at t = 0, superseding its first row
+    (np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), 10.0, 5, 1),
 ])
 def test_protocol_matches_the_pairwise_loop_bit_for_bit(rho0, horizon, seed, sample_every):
+    assert_matches_pairwise(rho0, horizon, seed, sample_every)
+
+
+def test_protocol_matches_the_pairwise_loop_at_another_k_and_dt():
+    assert_matches_pairwise(MIXED, 10.0, 47, 1, k=0.5, dt=2e-3)
+
+
+def assert_matches_pairwise(rho0, horizon, seed, sample_every, k=1.0, dt=1e-3):
     (res, failed), (ref, ref_failed) = run_both(rho0, horizon, seed, pairwise_protocol,
-                                                sample_every)
+                                                sample_every, k, dt)
     assert failed == ref_failed
     for name in RESULT_FIELDS:
         assert np.array_equal(getattr(res, name), getattr(ref, name)), name
+
+
+def test_reads_of_all_rows_equal_the_reads_of_each_row():
+    # package() reads every sampled row at once; each read must be the
+    # per-row read to the bit, -0.0 included, and a weightless D- (w = 0,
+    # r_00 = r_z0) must read 0.5 without a division warning
+    rng = np.random.default_rng(44)
+    rows = [en._coefficients(random_density(rng, 4)).tolist() for _ in range(20)]
+    rows += [[0.0] * 16, [-0.0] * 16, [1.0] + [0.0] * 11 + [1.0, 0.0, 0.0, 0.0],
+             [1.0, -0.0, 0.5, -0.0, 0.0, -0.0, 0.0, 0.0, 0.25, 0.0, -0.0, 0.0, 1.0, 0.5, 0.0, -0.0]]
+    for row in rows[:5]:
+        rows.append([-0.0 if i % 3 == 0 else v for i, v in enumerate(row)])
+    every = en._reads(np.array(rows).T)
+    each = np.array([[float(v) for v in en._reads(row)] for row in rows]).T
+    assert np.array_equal(np.array(every).view(np.int64), each.view(np.int64))
+    assert np.array_equal(every[3][-9:-5], [0.5, 0.5, 0.5, 0.5])
