@@ -1,7 +1,9 @@
 """Tests for the measurement-induced nonlinear map and its chaos tools."""
 
+import concurrent.futures
 import hashlib
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -201,6 +203,32 @@ def test_raster_job_guards_and_pixel_centers():
         ch.RasterJob(**{**kwargs, "max_iters": 0})
     with pytest.raises(ValueError):
         ch.RasterJob(**{**kwargs, "cycle_tol": 0.0})
+    ch.RasterJob(**{**kwargs, "width": np.int64(3)})  # numpy integers are integers
+
+
+def test_raster_job_names_every_bad_field():
+    # a fractional budget would never run out in _orbit_tail, a non-finite
+    # bound would give all -1 with warnings, and cycle_tol = inf would settle
+    # every pixel at step 0; one ValueError names each problem
+    kwargs = dict(re_min=-1.0, re_max=1.0, im_min=-1.0, im_max=1.0,
+                  width=2, height=2, max_iters=8)
+    bad = {"width": True, "height": 2.0, "max_iters": 2.5, "im_max": math.nan,
+           "cycle_tol": math.inf}
+    with pytest.raises(ValueError) as err:
+        ch.RasterJob(**{**kwargs, **bad})
+    message = str(err.value)
+    assert message.count(";") == 4
+    for text in ("width must be an integer of at least 1, got True",
+                 "height must be an integer of at least 1, got 2.0",
+                 "max_iters must be an integer of at least 1, got 2.5",
+                 "raster window bounds must be finite, got (-1.0, 1.0, -1.0, nan)",
+                 "cycle_tol must be positive and finite, got inf"):
+        assert text in message
+    for field, value in (("re_min", -math.inf), ("cycle_tol", math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            ch.RasterJob(**{**kwargs, field: value})
+    with pytest.raises(ValueError, match="raster window is empty"):
+        ch.RasterJob(**{**kwargs, "im_min": 1.0})
 
 
 def test_raster_unit_circle_classification():
@@ -222,36 +250,174 @@ def test_raster_unit_circle_classification():
     assert np.all(grid.counts[near] == -1)
 
 
-def test_julia_raster_thread_count_invariance():
+def test_julia_raster_thread_count_invariance(monkeypatch):
+    # each block writes its pixels into the one counts array: small blocks,
+    # more workers than cores and a short switch interval interleave them
+    monkeypatch.setattr(ch, "_BLOCK_PIXELS", 97)
     job = ch.RasterJob(re_min=-2.0, re_max=2.0, im_min=-2.0, im_max=2.0,
                        width=64, height=64, max_iters=24,
                        params=ch.MapParams(p=1.0))
     one = ch.julia_raster(job, threads=1)
-    many = ch.julia_raster(job, threads=5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = ch.julia_raster(job, threads=5)
+    finally:
+        sys.setswitchinterval(interval)
     assert np.array_equal(one.counts, many.counts)
+    assert np.array_equal(one.counts, unshared_raster(job))
     assert many.job == job
 
 
-@pytest.mark.parametrize("width, height, rows", [(100, 500, 163), (20000, 3, 1)])
-def test_julia_raster_blocks_depend_only_on_the_grid(monkeypatch, width, height, rows):
-    # 16384 // width rows per block, the last one ragged, at any thread
-    # count; a row wider than the block is a block of its own
+@pytest.mark.parametrize("width, height, block", [(100, 500, 16384), (20000, 3, 16384),
+                                                  (15, 17, 37)])
+def test_julia_raster_blocks_depend_only_on_the_grid(monkeypatch, width, height, block):
+    # the first ceil(N / 2) row-major pixels cut into blocks of _BLOCK_PIXELS,
+    # the last one ragged, at any thread count; each block also counts its
+    # pixels' reflections, and a row wider than the block spans blocks
+    monkeypatch.setattr(ch, "_BLOCK_PIXELS", block)
     job = ch.RasterJob(re_min=-2.0, re_max=2.0, im_min=-2.0, im_max=2.0,
                        width=width, height=height, max_iters=24,
                        params=ch.MapParams(p=1.0))
-    whole = ch._raster_rows(job, ch._attracting_cycles(1.0, job.cycle_tol), 0, height)
-    blocks = [(lo, min(lo + rows, height)) for lo in range(0, height, rows)]
-    raster_rows, calls = ch._raster_rows, []
+    half = (width * height + 1) // 2
+    pixels, counts = ch._raster_block(job, ch._attracting_cycles(1.0, job.cycle_tol), 0, half)
+    whole = np.full(width * height, -2)
+    whole[pixels] = counts
+    assert (whole >= -1).all()
+    blocks = [(lo, min(lo + block, half)) for lo in range(0, half, block)]
+    raster_block, calls = ch._raster_block, []
 
     def record(job, cycles, lo, hi):
         calls.append((lo, hi))
-        return raster_rows(job, cycles, lo, hi)
+        return raster_block(job, cycles, lo, hi)
 
-    monkeypatch.setattr(ch, "_raster_rows", record)
+    monkeypatch.setattr(ch, "_raster_block", record)
     for threads in (1, 3):
         calls.clear()
-        assert np.array_equal(ch.julia_raster(job, threads=threads).counts, whole)
+        assert np.array_equal(ch.julia_raster(job, threads=threads).counts.ravel(), whole)
         assert sorted(calls) == blocks
+
+
+@pytest.mark.parametrize("block, threads, workers",
+                         [(36, 2, None), (24, 2, None), (18, 2, 2), (18, 3, 2), (8, 5, 4)])
+def test_julia_raster_pool_has_two_blocks_per_worker(monkeypatch, block, threads, workers):
+    # 72 blocked pixels of a 16x9 raster: 2, 3, 4, 4 and 9 blocks
+    made = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(ch, "_BLOCK_PIXELS", block)
+    job = ch.RasterJob(re_min=-2.0, re_max=2.0, im_min=-1.125, im_max=1.125,
+                       width=16, height=9, max_iters=24, params=ch.MapParams(p=1.0))
+    assert np.array_equal(ch.julia_raster(job, threads=threads).counts, unshared_raster(job))
+    assert made == ([] if workers is None else [workers])
+
+
+def unshared_raster(job):
+    """The raster with every pixel on its own orbit, over the whole grid as
+    one block: the reference that orbits shared between reflections match."""
+    p = complex(job.params.p)
+    pc = np.conj(p)
+    tol = job.cycle_tol
+    n = job.max_iters
+    cycles = ch._attracting_cycles(p, tol, max(ch._CRITICAL_STEPS, ch._CRITICAL_BUDGETS * n))
+    if not cycles:
+        return np.full((job.height, job.width), -1)
+    re, im = job.pixel_centers()
+    z0 = re[np.newaxis, :] + 1j * im[:, np.newaxis]
+    r = np.hypot(np.abs(z0), 1.0)
+    u, v = (z0 / r).ravel(), (1.0 / r).ravel()
+    counts = np.full(u.size, -1, dtype=np.int64)
+    active = np.arange(u.size)
+    cycle_u = np.concatenate([cu for cu, _ in cycles])
+    cycle_v = np.concatenate([cv for _, cv in cycles])
+
+    def near_cycle(u, v):
+        near = np.zeros(u.shape, dtype=bool)
+        for a, b in zip(cycle_u, cycle_v):
+            near |= ch._chord(u, v, a, b) < tol
+        return near
+
+    first_tail = max(0, n + 1 - ch._TAIL)
+    for step in range(first_tail):
+        near = near_cycle(u, v)
+        if near.any():
+            counts[active[near]] = step
+            keep = ~near
+            active, u, v = active[keep], u[keep], v[keep]
+            if not active.size:
+                break
+        u, v = ch._step(u, v, p, pc)
+    if active.size:
+        tail_u, tail_v = np.array(ch._orbit_tail(u, v, p, n - first_tail)).swapaxes(0, 1)
+        period = ch._periods(tail_u, tail_v, tol)
+        on_cycle = near_cycle(tail_u, tail_v) & (period > 0)
+        own = np.zeros(tail_u.shape, dtype=bool)
+        for m in range(period.max()):
+            own |= (m < period) & (ch._chord(tail_u, tail_v, tail_u[-1 - m], tail_v[-1 - m]) < tol)
+        near = np.where(on_cycle[-1], own, on_cycle)
+        counts[active] = np.where(near.any(axis=0), first_tail + near.argmax(axis=0), -1)
+    return counts.reshape(job.height, job.width)
+
+
+def _window(width, height, centred):
+    # pixels 0.25 apart: the centres of a centred window are then exactly
+    # symmetric, so every reflection has its pixel's first image
+    dx, dy = (0.0, 0.0) if centred else (0.3, -0.2)
+    return dict(re_min=dx - width / 8, re_max=dx + width / 8,
+                im_min=dy - height / 8, im_max=dy + height / 8, width=width, height=height)
+
+
+@pytest.mark.parametrize("block", [37, ch._BLOCK_PIXELS])
+@pytest.mark.parametrize("centred", [True, False], ids=["centred", "off-centre"])
+@pytest.mark.parametrize("width, height", [(16, 16), (15, 17), (17, 14), (1, 1)])
+def test_shared_orbits_match_the_per_pixel_raster(monkeypatch, width, height, centred, block):
+    # odd sizes put a middle row, and at odd N a centre pixel that is its
+    # own reflection, in play; budgets below, at and above _TAIL move the
+    # last step before the tail test across step 0
+    monkeypatch.setattr(ch, "_BLOCK_PIXELS", block)
+    for p in (1.0, -1.0913 + 0.9491j, 0.2j):
+        for max_iters in (1, 9, 10, 11, 400):
+            job = ch.RasterJob(**_window(width, height, centred), max_iters=max_iters,
+                               params=ch.MapParams(p=p))
+            assert np.array_equal(ch.julia_raster(job).counts, unshared_raster(job)), (p, max_iters)
+
+
+@pytest.mark.parametrize("max_iters", [1, 9, 10, 11, 400])
+def test_reflection_of_a_pixel_settled_at_step_0_counts_its_own_arrival(max_iters):
+    # 3x3 over [-1.5, 1.5]^2 at p = 1: z = -1, pixel (1, 0), lies on the
+    # 2-cycle {-1, infinity} and its reflection z = 1 maps onto infinity.
+    # They share a first image, but z = 1 arrives a step later
+    job = ch.RasterJob(re_min=-1.5, re_max=1.5, im_min=-1.5, im_max=1.5,
+                       width=3, height=3, max_iters=max_iters, params=ch.MapParams(p=1.0))
+    counts = ch.julia_raster(job).counts
+    assert np.array_equal(counts, unshared_raster(job))
+    if max_iters >= ch._TAIL:
+        assert (counts[1, 0], counts[1, 2]) == (0, 1)
+
+
+@pytest.mark.parametrize("centred, iterated", [(True, 0.5), (False, 1.0)],
+                         ids=["centred", "off-centre"])
+def test_centred_grid_iterates_one_orbit_per_reflected_pair(monkeypatch, centred, iterated):
+    # p = 0.6544 settles no pixel within 12 steps, so every orbit the blocks
+    # still run after step 1 reaches the tail test
+    monkeypatch.setattr(ch, "_BLOCK_PIXELS", 100)
+    orbit_tail, sizes = ch._orbit_tail, []
+
+    def record(u, v, p, steps):
+        if isinstance(u, np.ndarray):
+            sizes.append(u.size)
+        return orbit_tail(u, v, p, steps)
+
+    monkeypatch.setattr(ch, "_orbit_tail", record)
+    job = ch.RasterJob(**_window(32, 16, centred), max_iters=12, params=ch.MapParams(p=0.6544))
+    counts = ch.julia_raster(job).counts
+    assert (counts == -1).all()
+    assert sizes == [int(200 * iterated)] * 2 + [int(112 * iterated)]
 
 
 def _raster_counts(p, size, max_iters):
