@@ -241,9 +241,10 @@ _CRITICAL_STEPS = 4096
 # reach it, and its points must be settled to well within cycle_tol before
 # a pixel's arrival on them can be counted.
 _CRITICAL_BUDGETS = 4
-# Pixels per raster block, not counting the reflections it carries; blocks
-# of this size iterate faster than whole rasters
-_BLOCK_PIXELS = 16384
+# Pixels per raster block, not counting the reflections it carries: with
+# them a block holds up to 16384 pixels, a size that iterates faster than
+# whole rasters or blocks twice as large
+_BLOCK_PIXELS = 8192
 
 
 def _step(u, v, p, pc):
@@ -348,9 +349,10 @@ def _raster_block(job, cycles, lo, hi):
     Pixel k's point reflection is N - 1 - k; a block takes those past k, so
     the middle pixel of an odd raster has none.  F_p is even, so a
     reflection whose first image equals its pixel's bit for bit (-0.0 and
-    0.0 differ) has the same orbit from step 1 on: it leaves the active set
-    there and takes its pixel's count.  At max_iters < 10 no step precedes
-    the tail test, which reads the differing start points, so none shares.
+    0.0 differ) has the same orbit from step 1 on: unless either settled at
+    step 0, it leaves the active set after its first step and takes its
+    pixel's count.  At max_iters < 10 no step precedes the tail test, which
+    reads the differing start points, so none shares.
     """
     p = complex(job.params.p)
     pc = np.conj(p)
@@ -377,27 +379,29 @@ def _raster_block(job, cycles, lo, hi):
 
     # steps up to n - _TAIL: a pixel within tol of an attracting cycle
     # point settles there and leaves the active set
+    pairs = lead.size - k.size  # pixel i < pairs has its reflection at k.size + i
     first_tail = max(0, n + 1 - _TAIL)
     for step in range(first_tail):
         near = near_cycle(u, v)
+        counts[active[near]] = step
+        if step == 0:
+            # every pixel takes its first step, so pixel i and its reflection
+            # still sit at i and k.size + i; a reflection whose first image
+            # is its pixel's bit for bit, neither settled at step 0, leaves
+            # with the settled pixels and takes that pixel's count
+            u, v = _step(u, v, p, pc)
+            ub, vb = u.view(np.uint64), v.view(np.uint64)  # re, im bits
+            diff = (ub[:2 * pairs] ^ ub[2 * k.size:]) | (vb[:2 * pairs] ^ vb[2 * k.size:])
+            twin = ((diff[0::2] | diff[1::2]) == 0) & ~near[:pairs] & ~near[k.size:]
+            lead[k.size:][twin] = np.flatnonzero(twin)
+            near[k.size:] |= twin
         if near.any():
-            counts[active[near]] = step
             keep = ~near
             active, u, v = active[keep], u[keep], v[keep]
             if not active.size:
                 break
-        u, v = _step(u, v, p, pc)
-        if step == 0:
-            # a reflection whose first image is its pixel's leaves and takes
-            # that pixel's count; a pixel settled at step 0 keeps a zero row,
-            # no point of the sphere, so only one settled there matches it
-            first = np.zeros((lead.size, 2), dtype=complex)
-            first[active] = np.column_stack([u, v])
-            bits = first.view(np.uint64)
-            twin = (bits[:lead.size - k.size] == bits[k.size:]).all(axis=1)
-            lead[k.size:][twin] = np.flatnonzero(twin)
-            keep = lead[active] == active
-            active, u, v = active[keep], u[keep], v[keep]
+        if step:
+            u, v = _step(u, v, p, pc)
 
     # the last _TAIL steps: a pixel whose newest points pass the tail test
     # settles at its first step within tol of one period of them if the
@@ -437,7 +441,7 @@ def julia_raster(job, threads=1):
     iterate one orbit from step 1 on (see _raster_block).  The first half
     of the row-major pixels is cut into blocks of _BLOCK_PIXELS, the last
     one ragged, each also carrying its pixels' reflections; they run in the
-    calling thread or on a pool of min(threads, blocks // 2) workers.
+    calling thread or, for threads > 1, on a pool of that many workers.
     The blocks depend only on the grid and pixels are independent, so the
     raster is the same at every thread count.
     """
@@ -454,15 +458,11 @@ def julia_raster(job, threads=1):
         counts[pixels] = got
 
     starts = range(0, half, _BLOCK_PIXELS)
-    # a worker pays for itself only with two blocks to run: on 2 vCPUs the
-    # two blocks of a 256^2 raster ran at 0.9 times their one-thread speed
-    # on two threads, the eight of a 512^2 one at 1.4 times
-    workers = min(int(threads), len(starts) // 2)
-    if workers > 1:
+    if int(threads) > 1:
         # imported here: one thread, the default, starts no pool
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
             list(pool.map(block, starts))
     else:
         for lo in starts:

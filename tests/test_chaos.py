@@ -1,9 +1,9 @@
 """Tests for the measurement-induced nonlinear map and its chaos tools."""
 
-import concurrent.futures
 import hashlib
 import math
 import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -269,7 +269,7 @@ def test_julia_raster_thread_count_invariance(monkeypatch):
     assert many.job == job
 
 
-@pytest.mark.parametrize("width, height, block", [(100, 500, 16384), (20000, 3, 16384),
+@pytest.mark.parametrize("width, height, block", [(100, 500, 6000), (20000, 3, 7000),
                                                   (15, 17, 37)])
 def test_julia_raster_blocks_depend_only_on_the_grid(monkeypatch, width, height, block):
     # the first ceil(N / 2) row-major pixels cut into blocks of _BLOCK_PIXELS,
@@ -285,36 +285,20 @@ def test_julia_raster_blocks_depend_only_on_the_grid(monkeypatch, width, height,
     whole[pixels] = counts
     assert (whole >= -1).all()
     blocks = [(lo, min(lo + block, half)) for lo in range(0, half, block)]
+    assert len(blocks) >= 4
     raster_block, calls = ch._raster_block, []
 
     def record(job, cycles, lo, hi):
-        calls.append((lo, hi))
+        calls.append((lo, hi, threading.current_thread() is threading.main_thread()))
         return raster_block(job, cycles, lo, hi)
 
     monkeypatch.setattr(ch, "_raster_block", record)
     for threads in (1, 3):
         calls.clear()
         assert np.array_equal(ch.julia_raster(job, threads=threads).counts.ravel(), whole)
-        assert sorted(calls) == blocks
-
-
-@pytest.mark.parametrize("block, threads, workers",
-                         [(36, 2, None), (24, 2, None), (18, 2, 2), (18, 3, 2), (8, 5, 4)])
-def test_julia_raster_pool_has_two_blocks_per_worker(monkeypatch, block, threads, workers):
-    # 72 blocked pixels of a 16x9 raster: 2, 3, 4, 4 and 9 blocks
-    made = []
-
-    class Pool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            made.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
-    monkeypatch.setattr(ch, "_BLOCK_PIXELS", block)
-    job = ch.RasterJob(re_min=-2.0, re_max=2.0, im_min=-1.125, im_max=1.125,
-                       width=16, height=9, max_iters=24, params=ch.MapParams(p=1.0))
-    assert np.array_equal(ch.julia_raster(job, threads=threads).counts, unshared_raster(job))
-    assert made == ([] if workers is None else [workers])
+        assert sorted(call[:2] for call in calls) == blocks
+        # one thread runs every block in the calling thread, three on the pool
+        assert {call[2] for call in calls} == {threads == 1}
 
 
 def unshared_raster(job):
@@ -387,17 +371,32 @@ def test_shared_orbits_match_the_per_pixel_raster(monkeypatch, width, height, ce
             assert np.array_equal(ch.julia_raster(job).counts, unshared_raster(job)), (p, max_iters)
 
 
+def _fixed_point_of_p_tenth():
+    # the attracting fixed point of F_0.1 on the positive reals
+    c = 0.0
+    for _ in range(200):
+        c = (c * c + 0.1) / (1 - 0.1 * c * c)
+    return c
+
+
 @pytest.mark.parametrize("max_iters", [1, 9, 10, 11, 400])
 def test_reflection_of_a_pixel_settled_at_step_0_counts_its_own_arrival(max_iters):
     # 3x3 over [-1.5, 1.5]^2 at p = 1: z = -1, pixel (1, 0), lies on the
     # 2-cycle {-1, infinity} and its reflection z = 1 maps onto infinity.
-    # They share a first image, but z = 1 arrives a step later
-    job = ch.RasterJob(re_min=-1.5, re_max=1.5, im_min=-1.5, im_max=1.5,
-                       width=3, height=3, max_iters=max_iters, params=ch.MapParams(p=1.0))
-    counts = ch.julia_raster(job).counts
-    assert np.array_equal(counts, unshared_raster(job))
-    if max_iters >= ch._TAIL:
-        assert (counts[1, 0], counts[1, 2]) == (0, 1)
+    # They share a first image, but z = 1 arrives a step later.  At p = 0.1
+    # the settled pixel is the reflection: z = c, pixel (0, 2) of a 3x1 row
+    # over [-1.5c, 1.5c], is the attracting fixed point and -c maps onto it
+    c = _fixed_point_of_p_tenth()
+    for p, window, settled, twin in [
+            (1.0, dict(re_min=-1.5, re_max=1.5, im_min=-1.5, im_max=1.5, width=3, height=3),
+             (1, 0), (1, 2)),
+            (0.1, dict(re_min=-1.5 * c, re_max=1.5 * c, im_min=-0.5, im_max=0.5,
+                       width=3, height=1), (0, 2), (0, 0))]:
+        job = ch.RasterJob(**window, max_iters=max_iters, params=ch.MapParams(p=p))
+        counts = ch.julia_raster(job).counts
+        assert np.array_equal(counts, unshared_raster(job)), p
+        if max_iters >= ch._TAIL:
+            assert (counts[settled], counts[twin]) == (0, 1), p
 
 
 @pytest.mark.parametrize("centred, iterated", [(True, 0.5), (False, 1.0)],
