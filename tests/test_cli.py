@@ -566,7 +566,7 @@ def test_spin_collapse_run(tmp_path):
 def test_spin_collapse_matches_the_exact_mean(tmp_path):
     # 2j = 4 at eta = 0.5 and t = 2: the mean max population over the uniform
     # start level m and y = a m t + sqrt(t) z, z ~ N(0, 1), by the trapezoid
-    # rule in z; a = 2 sqrt(strength eta) as pinned against sme.step
+    # rule in z; a = 2 sqrt(strength eta) as pinned against sme.sme_step
     base, n_traj = tmp_path / "c", 4000
     assert cli.main(["spin-collapse", "--eta", "0.5", "--t-max", "2",
                      "--trajectories", str(n_traj), "--seed", "41",

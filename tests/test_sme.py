@@ -75,6 +75,27 @@ def test_channel_guards():
         sme.SmeModel(dim=3, channels=[sme.Channel(op=SZ, rate=1.0)])
 
 
+@pytest.mark.parametrize("make, names", [
+    (lambda: sme.Channel(op=[[np.nan, 0.0], [0.0, 1.0]], rate=1.0),
+     ["operator must be finite"]),
+    (lambda: sme.Channel(op=SZ, rate=-1.0, efficiency=3.0), ["rate", "efficiency"]),
+    (lambda: sme.Channel(op=np.ones((2, 3)), rate=np.inf, efficiency=np.nan),
+     ["square", "rate", "efficiency"]),
+    (lambda: sme.SmeModel(dim=2.5), ["dim"]),
+    (lambda: sme.SmeModel(dim=True), ["dim"]),
+    (lambda: sme.SmeModel(dim=2, hamiltonian_base=[[np.inf, 0.0], [0.0, 0.0]]),
+     ["hamiltonian_base must be finite"]),
+    (lambda: sme.SmeModel(dim=3, control_channel=SZ, channels=[
+        sme.Channel(op=np.eye(3), rate=1.0), sme.Channel(op=SZ, rate=1.0)]),
+     ["control_channel", "channel 1"]),
+])
+def test_model_inputs_name_every_problem(make, names):
+    with pytest.raises(ValueError) as err:
+        make()
+    for name in names:
+        assert name in str(err.value)
+
+
 def test_lindblad_dephasing_decay():
     k, dt = 1.0, 1e-4
     model = dephasing_model(k)
@@ -129,8 +150,11 @@ def test_sme_step_reduces_to_lindblad_without_noise():
         sme.Channel(op=SZ, rate=2.0 * k, efficiency=0.0)])
     c = sme.sme_step(unmonitored, rho, 1e-4, [])
     assert np.max(np.abs(c - b)) < 1e-14
-    with pytest.raises(ValueError):
-        sme.sme_step(model, rho, 1e-4, [0.0, 0.0])
+    batch = np.stack([rho] * 3)
+    for states, dws in ((rho, [0.0, 0.0]), (rho, 0.0), (batch, np.zeros(3)),
+                        (batch, np.zeros((3, 2)))):
+        with pytest.raises(ValueError):
+            sme.sme_step(model, states, 1e-4, dws)
 
 
 def test_sme_matches_bloch_form_per_step():
@@ -233,7 +257,6 @@ def test_euler_oracles_converge_weakly_to_the_exact_sampler():
     # and its ensemble larger
     k, t_end, seed = 1.0, 0.5, 12
     amp = np.sqrt(8.0 * k)
-    model = dephasing_model(k)
 
     def purify_advance(a_z, h, dw):
         a_z = a_z + (1.0 - a_z * a_z) * amp * dw[:, None]
@@ -241,9 +264,20 @@ def test_euler_oracles_converge_weakly_to_the_exact_sampler():
 
     purify = (np.zeros(1), purify_advance, lambda a_z: 0.5 * (1.0 - a_z[:, 0] ** 2),
               lambda a_z: a_z[:, 0])
-    dephasing = (sme.to_coords(np.full((2, 2), 0.5)),
-                 lambda x, h, dw: sme.step(model, x, h, dw[:, None]),
-                 lambda x: x[:, 2], lambda x: x[:, 0] - x[:, 1])
+
+    def dephasing_advance(x, h, dw):
+        # the Euler step of the channel (sigma_z, rate 2k) on the columns
+        # (rho_00, rho_11, Re rho_01), divided by the trace
+        z, g = x[:, 0] - x[:, 1], amp * dw
+        out = x * np.column_stack([1.0 + g * (1.0 - z), 1.0 - g * (1.0 + z),
+                                   1.0 - 4.0 * k * h - g * z])
+        tr = out[:, 0] + out[:, 1]
+        if not (tr.min() > 0.0 and tr.max() < np.inf):
+            raise IntegrationError("trace lost during SME step")
+        return out / tr[:, None]
+
+    dephasing = (np.full(3, 0.5), dephasing_advance, lambda x: x[:, 2],
+                 lambda x: x[:, 0] - x[:, 1])
     for oracle, exact, run, n, n_traj in [
             (purify, lambda y: 0.5 / np.cosh(amp * y) ** 2, pf.mc_nofeedback_impurity,
              500, 8000),
@@ -293,7 +327,7 @@ def test_purity_derivative_check():
         sme.purity_derivative_check(noncommuting, np.eye(2) / 2.0)
 
 
-# -- the batched kernel on real Hermitian coordinates ------------------------
+# -- the batched kernel against the matrix Euler step ------------------------
 
 
 def random_model(rng, d):
@@ -324,57 +358,47 @@ def matrix_euler_step(model, rho, dt, dws, t):
     return out / np.trace(out).real
 
 
-def test_coordinates_round_trip_exactly():
-    rng = np.random.default_rng(20)
-    for d in (2, 3, 4, 5):
-        x = rng.normal(size=(3, 4, d * d))
-        rho = sme.from_coords(x)
-        assert rho.shape == (3, 4, d, d)
-        assert np.array_equal(rho, np.conj(np.swapaxes(rho, -1, -2)))
-        assert np.array_equal(np.diagonal(rho, axis1=-2, axis2=-1).real, x[..., :d])
-        n = d * (d - 1) // 2  # x = (diagonal, Re upper, Im upper)
-        assert np.array_equal(rho[..., 0, 1], x[..., d] + 1j * x[..., d + n])
-        assert np.array_equal(sme.to_coords(rho), x)
-        assert np.array_equal(sme.from_coords(sme.to_coords(rho)), rho)
-
-
 def test_step_matches_matrix_euler_step():
     rng = np.random.default_rng(21)
     for d in (2, 3, 4, 5):
         model = random_model(rng, d)
-        assert "generator" not in vars(model)  # built on first use only
         for _ in range(5):
-            rho = sme.from_coords(sme.to_coords(random_density(rng, d)))
+            rho = random_density(rng, d)
             dws = rng.normal(scale=np.sqrt(1e-3), size=2)
             t = rng.uniform(0.0, 2.0)
-            got = sme.step(model, sme.to_coords(rho)[None], 1e-3, dws[None], t)
             want = matrix_euler_step(model, rho, 1e-3, dws, t)
-            assert np.max(np.abs(sme.from_coords(got[0]) - want)) < 1e-12, d
-            assert np.max(np.abs(sme.sme_step(model, rho, 1e-3, dws, t) - want)) < 1e-12
+            assert np.max(np.abs(sme.sme_step(model, rho, 1e-3, dws, t) - want)) < 1e-12, d
 
 
 def test_batch_rows_match_single_steps():
     rng = np.random.default_rng(22)
     for d in (2, 3, 5):
         model = random_model(rng, d)
-        x = sme.to_coords(np.array([random_density(rng, d) for _ in range(7)]))
+        rho = np.array([random_density(rng, d) for _ in range(7)])
         dws = rng.normal(scale=np.sqrt(1e-3), size=(7, 2))
-        batch = sme.step(model, x, 1e-3, dws, 0.4)
+        batch = sme.sme_step(model, rho, 1e-3, dws, 0.4)
         for i in range(7):
-            one = sme.step(model, x[i:i + 1], 1e-3, dws[i:i + 1], 0.4)
-            assert np.max(np.abs(batch[i] - one[0])) < 1e-14
-        assert np.allclose(batch[:, :d].sum(axis=1), 1.0, rtol=0, atol=1e-15)
+            one = sme.sme_step(model, rho[i], 1e-3, dws[i], 0.4)
+            assert np.max(np.abs(batch[i] - one)) < 1e-14
+        assert np.allclose(np.trace(batch, axis1=1, axis2=2), 1.0, rtol=0, atol=1e-15)
+        # without channels the exact unitary, one H(t, rho) per state
+        free = sme.SmeModel(dim=d, hamiltonian_base=model.hamiltonian_base,
+                            control_channel=model.control_channel,
+                            control_law=model.control_law)
+        batch = sme.lindblad_step(free, rho, 1e-3, 0.4)
+        for i in range(7):
+            one = sme.lindblad_step(free, rho[i], 1e-3, 0.4)
+            assert np.max(np.abs(batch[i] - one)) < 1e-14
 
 
 def test_step_raises_when_the_trace_is_lost():
     model = dephasing_model(1.0)
-    x = sme.to_coords(np.eye(2) / 2.0)[None]
-    for bad_x, dw in ((x, [[np.nan]]), (x, [[np.inf]]), (0.0 * x, [[0.0]]),
-                      (-x, [[0.0]])):
+    rho = np.eye(2) / 2.0
+    for bad_rho, dw in ((rho, [np.nan]), (rho, [np.inf]), (0.0 * rho, [0.0]),
+                        (-rho, [0.0])):
         with np.errstate(invalid="ignore"), pytest.raises(IntegrationError):
-            sme.step(model, bad_x, 1e-3, np.array(dw))
-    # finite coordinates whose trace overflows
+            sme.sme_step(model, bad_rho, 1e-3, dw)
+    # finite entries whose trace overflows
     unmonitored = sme.SmeModel(dim=2, channels=[sme.Channel(op=SZ, rate=2.0)])
-    with np.errstate(over="ignore"), pytest.raises(IntegrationError):
-        sme.step(unmonitored, np.array([[1e308, 1e308, 0.0, 0.0]]), 1e-3,
-                 np.zeros((1, 0)))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError):
+        sme.sme_step(unmonitored, np.diag([1e308, 1e308]), 1e-3, [])
