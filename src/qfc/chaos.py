@@ -241,7 +241,7 @@ _CRITICAL_STEPS = 4096
 # reach it, and its points must be settled to well within cycle_tol before
 # a pixel's arrival on them can be counted.
 _CRITICAL_BUDGETS = 4
-# Pixels per raster block, not counting the reflections it carries: with
+# Lead pixels per raster block, not counting the partners it carries: with
 # them a block holds up to 16384 pixels, a size that iterates faster than
 # whole rasters or blocks twice as large
 _BLOCK_PIXELS = 8192
@@ -343,31 +343,47 @@ def _attracting_cycles(p, tol, steps=_CRITICAL_STEPS):
     return cycles
 
 
-def _raster_block(job, cycles, lo, hi):
-    """Flat indices and counts of the pixels [lo, hi) and their reflections.
+def _raster_block(job, cycles, rows, lo, hi):
+    """Flat indices and counts of the lead pixels [lo, hi) and their partners.
 
-    Pixel k's point reflection is N - 1 - k; a block takes those past k, so
-    the middle pixel of an odd raster has none.  F_p is even, so a
-    reflection whose first image equals its pixel's bit for bit (-0.0 and
-    0.0 differ) has the same orbit from step 1 on: unless either settled at
-    step 0, it leaves the active set after its first step and takes its
-    pixel's count.  At max_iters < 10 no step precedes the tail test, which
-    reads the differing start points, so none shares.
+    At real p, `rows` given, the leads run row-major over the left
+    ceil(W / 2) columns of those rows and pixel (j, i) partners its mirrored
+    column (j, W - 1 - i); otherwise (rows None) the leads are the first
+    ceil(N / 2) row-major pixels and pixel k partners its point reflection
+    N - 1 - k.  A lead that is its own mirror has no partner.  A partner
+    whose centre coordinates negate its lead's exactly (re alone at real p)
+    has, up to the sign of zero parts, the conjugate first image at real p
+    and the same one at complex p, and so on along the orbit; every test
+    below reads only magnitudes, against cycle points that are real at real
+    p.  Such a partner takes its own step-0 test and, unless either pixel
+    settled then, leaves the active set and takes its lead's count.  At
+    max_iters < 10 no step precedes the tail test, which reads the start
+    points, so none shares.
     """
     p = complex(job.params.p)
     pc = np.conj(p)
     tol = job.cycle_tol
     n = job.max_iters
+    w = job.width
     re, im = job.pixel_centers()
-    k = np.arange(lo, hi)
-    mirror = job.width * job.height - 1 - k
-    pixels = np.concatenate([k, mirror[mirror > k]])
-    z0 = re[pixels % job.width] + 1j * im[pixels // job.width]
+    flip = re == -re[::-1]  # column i mirrors column W - 1 - i
+    idx = np.arange(lo, hi)
+    if rows is None:
+        k, mirror = idx, w * job.height - 1 - idx
+        twin = flip[k % w] & (im == -im[::-1])[k // w]
+    else:
+        i = idx % ((w + 1) // 2)
+        k = rows[idx // ((w + 1) // 2)] * w + i
+        mirror, twin = k + w - 1 - 2 * i, flip[i]
+    has = mirror > k
+    pixels = np.concatenate([k, mirror[has]])
+    lead, twin = np.flatnonzero(has), twin[has]  # partner t sits at k.size + t
+    z0 = re[pixels % w] + 1j * im[pixels // w]
     r = np.hypot(np.abs(z0), 1.0)
     u, v = z0 / r, 1.0 / r
     counts = np.full(u.size, -1, dtype=np.int64)
-    lead = np.arange(u.size)  # the pixel whose orbit gives each count
-    active = lead.copy()
+    active = np.arange(u.size)
+    shared = np.zeros(twin.size, dtype=bool)
     cycle_u = np.concatenate([cu for cu, _ in cycles])
     cycle_v = np.concatenate([cv for _, cv in cycles])
 
@@ -379,29 +395,20 @@ def _raster_block(job, cycles, lo, hi):
 
     # steps up to n - _TAIL: a pixel within tol of an attracting cycle
     # point settles there and leaves the active set
-    pairs = lead.size - k.size  # pixel i < pairs has its reflection at k.size + i
     first_tail = max(0, n + 1 - _TAIL)
     for step in range(first_tail):
         near = near_cycle(u, v)
         counts[active[near]] = step
         if step == 0:
-            # every pixel takes its first step, so pixel i and its reflection
-            # still sit at i and k.size + i; a reflection whose first image
-            # is its pixel's bit for bit, neither settled at step 0, leaves
-            # with the settled pixels and takes that pixel's count
-            u, v = _step(u, v, p, pc)
-            ub, vb = u.view(np.uint64), v.view(np.uint64)  # re, im bits
-            diff = (ub[:2 * pairs] ^ ub[2 * k.size:]) | (vb[:2 * pairs] ^ vb[2 * k.size:])
-            twin = ((diff[0::2] | diff[1::2]) == 0) & ~near[:pairs] & ~near[k.size:]
-            lead[k.size:][twin] = np.flatnonzero(twin)
-            near[k.size:] |= twin
+            # every pixel is still active and in place
+            shared = twin & ~near[lead] & ~near[k.size:]
+            near[k.size:] |= shared
         if near.any():
             keep = ~near
             active, u, v = active[keep], u[keep], v[keep]
             if not active.size:
                 break
-        if step:
-            u, v = _step(u, v, p, pc)
+        u, v = _step(u, v, p, pc)
 
     # the last _TAIL steps: a pixel whose newest points pass the tail test
     # settles at its first step within tol of one period of them if the
@@ -416,7 +423,8 @@ def _raster_block(job, cycles, lo, hi):
             own |= (m < period) & (_chord(tail_u, tail_v, tail_u[-1 - m], tail_v[-1 - m]) < tol)
         near = np.where(on_cycle[-1], own, on_cycle)
         counts[active] = np.where(near.any(axis=0), first_tail + near.argmax(axis=0), -1)
-    return pixels, counts[lead]
+    counts[k.size:][shared] = counts[lead[shared]]
+    return pixels, counts
 
 
 def julia_raster(job, threads=1):
@@ -435,29 +443,40 @@ def julia_raster(job, threads=1):
     those points; otherwise it is the first of them within cycle_tol of a
     cycle point.  A pixel with neither reads -1.
 
-    F_p(-z) = F_p(z), so a pixel and its point reflection whose first
-    images agree bit for bit, as on a window centred on 0 whose pixel
-    centres are symmetric to the bit ([-2, 2]^2 at a power-of-two size),
-    iterate one orbit from step 1 on (see _raster_block).  The first half
-    of the row-major pixels is cut into blocks of _BLOCK_PIXELS, the last
-    one ragged, each also carrying its pixels' reflections; they run in the
-    calling thread or, for threads > 1, on a pool of that many workers.
-    The blocks depend only on the grid and pixels are independent, so the
-    raster is the same at every thread count.
+    Pixels share orbits by symmetries read off the pixel axes (see
+    _raster_block): at real p, F_p commutes with conjugation and its cycles
+    are real, so a row whose centre is the exact negative of a row above
+    copies that row's counts, and a pixel and its mirrored column iterate
+    one orbit from step 1 on if their re centres negate exactly; at complex
+    p, F_p(-z) = F_p(z), and a pixel and its point reflection do if both
+    centres negate exactly.  On a centred window whose centres are
+    symmetric to the bit ([-2, 2]^2 at a power-of-two size) that is one
+    orbit per four pixels at real p, one per two otherwise.  The lead
+    pixels are cut into blocks of _BLOCK_PIXELS, the last one ragged, each
+    also carrying its pixels' partners; they run in the calling thread or,
+    for threads > 1, on a pool of that many workers.  The blocks depend
+    only on the grid and on whether p is real, and pixels are independent,
+    so the raster is the same at every thread count.
     """
     cycles = _attracting_cycles(job.params.p, job.cycle_tol,
                                 max(_CRITICAL_STEPS, _CRITICAL_BUDGETS * job.max_iters))
     if not cycles:
         return RasterGrid(counts=np.full((job.height, job.width), -1, dtype=np.int64),
                           job=job)
-    counts = np.empty(job.width * job.height, dtype=np.int64)
-    half = (counts.size + 1) // 2
+    counts = np.empty((job.height, job.width), dtype=np.int64)
+    rows = None
+    if complex(job.params.p).imag == 0:
+        im = job.pixel_centers()[1]
+        j = np.arange(job.height)
+        copied = (im == -im[::-1]) & (j > job.height - 1 - j)
+        rows = np.flatnonzero(~copied)
+    leads = (counts.size + 1) // 2 if rows is None else rows.size * ((job.width + 1) // 2)
 
     def block(lo):
-        pixels, got = _raster_block(job, cycles, lo, min(lo + _BLOCK_PIXELS, half))
-        counts[pixels] = got
+        pixels, got = _raster_block(job, cycles, rows, lo, min(lo + _BLOCK_PIXELS, leads))
+        counts.flat[pixels] = got
 
-    starts = range(0, half, _BLOCK_PIXELS)
+    starts = range(0, leads, _BLOCK_PIXELS)
     if int(threads) > 1:
         # imported here: one thread, the default, starts no pool
         from concurrent.futures import ThreadPoolExecutor
@@ -467,7 +486,9 @@ def julia_raster(job, threads=1):
     else:
         for lo in starts:
             block(lo)
-    return RasterGrid(counts=counts.reshape(job.height, job.width), job=job)
+    if rows is not None:
+        counts[copied] = counts[::-1][copied]
+    return RasterGrid(counts=counts, job=job)
 
 
 def boundary_mask(mask):

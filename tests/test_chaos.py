@@ -253,52 +253,80 @@ def test_raster_unit_circle_classification():
 def test_julia_raster_thread_count_invariance(monkeypatch):
     # each block writes its pixels into the one counts array: small blocks,
     # more workers than cores and a short switch interval interleave them
+    # (at real p the mirrored rows are copied after the pool has finished)
     monkeypatch.setattr(ch, "_BLOCK_PIXELS", 97)
-    job = ch.RasterJob(re_min=-2.0, re_max=2.0, im_min=-2.0, im_max=2.0,
-                       width=64, height=64, max_iters=24,
-                       params=ch.MapParams(p=1.0))
-    one = ch.julia_raster(job, threads=1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        many = ch.julia_raster(job, threads=5)
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(one.counts, many.counts)
-    assert np.array_equal(one.counts, unshared_raster(job))
-    assert many.job == job
+    for p in (1.0, -1.0913 + 0.9491j):
+        job = ch.RasterJob(re_min=-2.0, re_max=2.0, im_min=-2.0, im_max=2.0,
+                           width=64, height=64, max_iters=24,
+                           params=ch.MapParams(p=p))
+        one = ch.julia_raster(job, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = ch.julia_raster(job, threads=5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(one.counts, many.counts), p
+        assert np.array_equal(one.counts, unshared_raster(job)), p
+        assert many.job == job
+
+
+def _raster_partition(job):
+    """The lead pixel count and the copied-row mask of julia_raster's partition,
+    derived here from the pixel axes: at real p a row whose centre is the exact
+    negative of a row above it copies that row, and the leads are the left
+    ceil(W / 2) columns of the other rows; at complex p they are the first
+    ceil(N / 2) row-major pixels and no row is copied."""
+    im = job.pixel_centers()[1]
+    h = job.height
+    if complex(job.params.p).imag != 0:
+        return (job.width * h + 1) // 2, np.zeros(h, dtype=bool)
+    j = np.arange(h)
+    copied = (im == -im[::-1]) & (j > h - 1 - j)
+    return int((~copied).sum()) * ((job.width + 1) // 2), copied
 
 
 @pytest.mark.parametrize("width, height, block", [(100, 500, 6000), (20000, 3, 7000),
                                                   (15, 17, 37)])
 def test_julia_raster_blocks_depend_only_on_the_grid(monkeypatch, width, height, block):
-    # the first ceil(N / 2) row-major pixels cut into blocks of _BLOCK_PIXELS,
-    # the last one ragged, at any thread count; each block also counts its
-    # pixels' reflections, and a row wider than the block spans blocks
+    # the lead pixels cut into blocks of _BLOCK_PIXELS, the last one ragged,
+    # at any thread count; the blocks and the pixels each counts (its leads
+    # and their partners) depend on the grid and on whether p is real, and
+    # together with the copied rows they cover every pixel once; a row wider
+    # than the block spans blocks
     monkeypatch.setattr(ch, "_BLOCK_PIXELS", block)
-    job = ch.RasterJob(re_min=-2.0, re_max=2.0, im_min=-2.0, im_max=2.0,
-                       width=width, height=height, max_iters=24,
-                       params=ch.MapParams(p=1.0))
-    half = (width * height + 1) // 2
-    pixels, counts = ch._raster_block(job, ch._attracting_cycles(1.0, job.cycle_tol), 0, half)
-    whole = np.full(width * height, -2)
-    whole[pixels] = counts
-    assert (whole >= -1).all()
-    blocks = [(lo, min(lo + block, half)) for lo in range(0, half, block)]
-    assert len(blocks) >= 4
     raster_block, calls = ch._raster_block, []
 
-    def record(job, cycles, lo, hi):
-        calls.append((lo, hi, threading.current_thread() is threading.main_thread()))
-        return raster_block(job, cycles, lo, hi)
+    def record(job, cycles, rows, lo, hi):
+        pixels, counts = raster_block(job, cycles, rows, lo, hi)
+        calls.append((lo, hi, tuple(pixels),
+                      threading.current_thread() is threading.main_thread()))
+        return pixels, counts
 
     monkeypatch.setattr(ch, "_raster_block", record)
-    for threads in (1, 3):
-        calls.clear()
-        assert np.array_equal(ch.julia_raster(job, threads=threads).counts.ravel(), whole)
-        assert sorted(call[:2] for call in calls) == blocks
-        # one thread runs every block in the calling thread, three on the pool
-        assert {call[2] for call in calls} == {threads == 1}
+    for pair in ((1.0, 0.6544), (0.3 + 0.2j, -1.0913 + 0.9491j)):
+        partitions = []
+        for p in pair:
+            job = ch.RasterJob(re_min=-2.0, re_max=2.0, im_min=-2.0, im_max=2.0,
+                               width=width, height=height, max_iters=24,
+                               params=ch.MapParams(p=p))
+            leads, copied = _raster_partition(job)
+            blocks = [(lo, min(lo + block, leads)) for lo in range(0, leads, block)]
+            assert len(blocks) >= 3
+            expected = unshared_raster(job)
+            for threads in (1, 3):
+                calls.clear()
+                assert np.array_equal(ch.julia_raster(job, threads=threads).counts, expected)
+                calls.sort()
+                assert [call[:2] for call in calls] == blocks
+                # one thread runs every block in the calling thread, three on the pool
+                assert {call[3] for call in calls} == {threads == 1}
+                partitions.append([call[2] for call in calls])
+            covered = np.zeros((height, width), dtype=np.int64)
+            np.add.at(covered.ravel(), np.concatenate(partitions[-1]), 1)
+            covered[copied] += 1
+            assert (covered == 1).all()
+        assert all(blocks == partitions[0] for blocks in partitions)
 
 
 def unshared_raster(job):
@@ -356,19 +384,62 @@ def _window(width, height, centred):
                 im_min=dy - height / 8, im_max=dy + height / 8, width=width, height=height)
 
 
+# real p, among them p = 0.1 with two attracting fixed points and a p whose
+# imaginary part is -0.0, then complex p
+_REAL_P = (1.0, 0.6544, -0.3, 0.1, complex(0.5, -0.0))
+_SHARED_P = _REAL_P + (-1.0913 + 0.9491j, 0.2j)
+
+
+def _assert_shared_orbits_match(window):
+    # budgets below, at and above _TAIL move the last step before the tail
+    # test across step 0
+    for p in _SHARED_P:
+        for max_iters in (1, 9, 10, 11, 400):
+            job = ch.RasterJob(**window, max_iters=max_iters, params=ch.MapParams(p=p))
+            expected = unshared_raster(job)
+            for threads in (1, 3):
+                assert np.array_equal(ch.julia_raster(job, threads=threads).counts,
+                                      expected), (p, max_iters, threads)
+
+
 @pytest.mark.parametrize("block", [37, ch._BLOCK_PIXELS])
 @pytest.mark.parametrize("centred", [True, False], ids=["centred", "off-centre"])
 @pytest.mark.parametrize("width, height", [(16, 16), (15, 17), (17, 14), (1, 1)])
 def test_shared_orbits_match_the_per_pixel_raster(monkeypatch, width, height, centred, block):
-    # odd sizes put a middle row, and at odd N a centre pixel that is its
-    # own reflection, in play; budgets below, at and above _TAIL move the
-    # last step before the tail test across step 0
+    # odd sizes put a middle row, a middle column and, at odd N, a centre
+    # pixel that is its own reflection in play
     monkeypatch.setattr(ch, "_BLOCK_PIXELS", block)
-    for p in (1.0, -1.0913 + 0.9491j, 0.2j):
-        for max_iters in (1, 9, 10, 11, 400):
-            job = ch.RasterJob(**_window(width, height, centred), max_iters=max_iters,
-                               params=ch.MapParams(p=p))
-            assert np.array_equal(ch.julia_raster(job).counts, unshared_raster(job)), (p, max_iters)
+    _assert_shared_orbits_match(_window(width, height, centred))
+
+
+_SQUARE = dict(re_min=-2.0, re_max=2.0, im_min=-2.0, im_max=2.0)
+
+
+@pytest.mark.parametrize("block", [37, ch._BLOCK_PIXELS])
+@pytest.mark.parametrize("window", [
+    dict(_SQUARE, width=15, height=17), dict(_SQUARE, width=64, height=63),
+    dict(re_min=-2.0, re_max=2.0, im_min=-2.2, im_max=1.8, width=16, height=15),
+    dict(re_min=-1.7, re_max=2.3, im_min=-2.0, im_max=2.0, width=15, height=16)],
+    ids=["15x17", "64x63", "re-centred", "im-centred"])
+def test_shared_orbits_match_the_per_pixel_raster_on_partly_symmetric_grids(
+        monkeypatch, window, block):
+    # over [-2, 2]^2 these pixel centres are symmetric to the bit only in
+    # some rows and columns; the other two windows are centred on one axis
+    monkeypatch.setattr(ch, "_BLOCK_PIXELS", block)
+    re, im = ch.RasterJob(**window, max_iters=1).pixel_centers()
+    assert any((axis == -axis[::-1]).any() for axis in (re, im))
+    assert not all((axis == -axis[::-1]).all() for axis in (re, im))
+    _assert_shared_orbits_match(window)
+
+
+@pytest.mark.parametrize("p", _REAL_P, ids=repr)
+def test_cycles_of_real_p_are_real(p):
+    # the raster shares conjugate orbits at real p because its tests then
+    # read only magnitudes against real cycle points
+    cycles = ch._attracting_cycles(p, 1e-9)
+    assert cycles
+    for cu, cv in cycles:
+        assert (cu.imag == 0).all() and (cv.imag == 0).all()
 
 
 def _fixed_point_of_p_tenth():
@@ -399,11 +470,12 @@ def test_reflection_of_a_pixel_settled_at_step_0_counts_its_own_arrival(max_iter
             assert (counts[settled], counts[twin]) == (0, 1), p
 
 
-@pytest.mark.parametrize("centred, iterated", [(True, 0.5), (False, 1.0)],
-                         ids=["centred", "off-centre"])
-def test_centred_grid_iterates_one_orbit_per_reflected_pair(monkeypatch, centred, iterated):
-    # p = 0.6544 settles no pixel within 12 steps, so every orbit the blocks
-    # still run after step 1 reaches the tail test
+@pytest.mark.parametrize("centred", [True, False], ids=["centred", "off-centre"])
+def test_centred_grid_iterates_one_orbit_per_reflected_pair(monkeypatch, centred):
+    # neither p settles a pixel of this window within 12 steps, so every
+    # orbit the blocks still run after step 1 reaches the tail test: one per
+    # four pixels at real p, one per two at complex p on the centred window,
+    # and one per pixel off-centre
     monkeypatch.setattr(ch, "_BLOCK_PIXELS", 100)
     orbit_tail, sizes = ch._orbit_tail, []
 
@@ -413,10 +485,32 @@ def test_centred_grid_iterates_one_orbit_per_reflected_pair(monkeypatch, centred
         return orbit_tail(u, v, p, steps)
 
     monkeypatch.setattr(ch, "_orbit_tail", record)
-    job = ch.RasterJob(**_window(32, 16, centred), max_iters=12, params=ch.MapParams(p=0.6544))
-    counts = ch.julia_raster(job).counts
-    assert (counts == -1).all()
-    assert sizes == [int(200 * iterated)] * 2 + [int(112 * iterated)]
+    for p, share in ((0.6544, 4), (0.3 + 0.2j, 2)):
+        job = ch.RasterJob(**_window(32, 16, centred), max_iters=12, params=ch.MapParams(p=p))
+        expected = unshared_raster(job)
+        sizes.clear()
+        counts = ch.julia_raster(job).counts
+        assert (counts == -1).all()
+        assert np.array_equal(counts, expected)
+        assert sum(sizes) == 512 // (share if centred else 1), p
+
+
+def test_default_window_steps_one_orbit_per_four_pixels(monkeypatch):
+    # the 256^2 raster at p = 1 over [-2, 2]^2, one block: no pixel settles
+    # at step 0, and one orbit per class {z, -z, conj z, -conj z} steps on
+    monkeypatch.setattr(ch, "_BLOCK_PIXELS", 1 << 20)
+    step, sizes = ch._step, []
+
+    def record(u, v, p, pc):
+        if isinstance(u, np.ndarray):
+            sizes.append(u.size)
+        return step(u, v, p, pc)
+
+    monkeypatch.setattr(ch, "_step", record)
+    ch.julia_raster(ch.RasterJob(re_min=-2.0, re_max=2.0, im_min=-2.0, im_max=2.0,
+                                 width=256, height=256, max_iters=400,
+                                 params=ch.MapParams(p=1.0)))
+    assert sizes[0] == 256 * 256 // 4
 
 
 def _raster_counts(p, size, max_iters):
