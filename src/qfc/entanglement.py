@@ -138,25 +138,6 @@ def clip_psd(rho):
     return (vecs * (vals / total)) @ vecs.conj().T
 
 
-def q1_rotation(beta):
-    """Rotate the which-block qubit by beta about its x axis.
-
-    Physically I x Rx(beta), a single rotation of the second qubit.
-    """
-    c, s = math.cos(0.5 * beta), math.sin(0.5 * beta)
-    return c * I4 - 1j * s * IX
-
-
-def q2_rotation(beta):
-    """Rotate the within-block qubit by beta about its z axis.
-
-    Physically Rz(beta) x I, a single rotation of the first qubit.  It
-    turns the D+ and D- qubits alike and leaves the which-block qubit alone.
-    """
-    c, s = math.cos(0.5 * beta), math.sin(0.5 * beta)
-    return c * I4 - 1j * s * Q2_TRIPLE[2]
-
-
 def _wrap_half(beta):
     # smallest rotation with the same axis-zeroing effect
     return (beta + _HALF_PI) % math.pi - _HALF_PI
@@ -221,10 +202,6 @@ def _equator_purity(x, y, z, w):
     # elementwise on arrays; the safe denominator keeps w = 0 free of warnings
     small = np.less(w, 1e-12)
     return np.where(small, 0.5, 0.5 * (1.0 + (x * x + y * y) / np.where(small, 1.0, w * w)))
-
-
-def _q2_equator_purity(rho):
-    return _equator_purity(*block_components(rho, "minus"))
 
 
 def _coefficients(rho):
@@ -298,9 +275,16 @@ def entangle_protocol(rho0, k, dt, horizon, seed, *, sample_every=10):
     filtered r_00 = tr as it is formed (r_00 itself becomes 1.0, which is
     tr / tr), the other entries divided by tr, then the hold turns rows
     (y, z) or columns (x, y).  Each stage is one loop of straight-line float
-    code on the 16 r_ab.  The sampled rows are read once, at the end, by
-    one elementwise _reads over all of them.  It is exact at any dt; the
-    k*dt <= 1e-3 guard bounds the time between kicks.
+    code on the 16 r_ab.  A step always updates the entries that drive it
+    or that the maximally mixed start makes live: r00, r20 and r30 in stage
+    one, rows 0, 2 and 3 x columns 0-2 in stage two.  The rest ride in one
+    block, skipped for the whole stage when every rider is zero as the
+    stage begins.  No driver reads a rider, and a step keeps zeros at zero
+    (tr > 0 and the hold's cosine is positive; only the sign of a -0.0 can
+    change, which no read sees), so skipping moves no bit of the result.
+    The sampled rows are read once, at the end, by one elementwise _reads
+    over all of them.  It is exact at any dt; the k*dt <= 1e-3 guard bounds
+    the time between kicks.
     """
     if not 0.0 < k < math.inf:
         raise ValueError("k must be positive and finite")
@@ -332,7 +316,9 @@ def entangle_protocol(rho0, k, dt, horizon, seed, *, sample_every=10):
     step, stage, dfs_time, countdown = 0, 1, None, sample_every
     samples[0.0] = r = _coefficients(rho).tolist()
     (r00, r01, r02, r03, r10, r11, r12, r13, r20, r21, r22, r23, r30, r31, r32, r33) = r
-    # stage one: monitor ZZ = S_z, hold q1 = (r10, r20, r30) on its equator
+    # stage one: monitor ZZ = S_z, hold q1 = (r10, r20, r30) on its equator;
+    # r00, r20 and r30 drive the step, r10 and columns 1-3 ride
+    ride = any((r01, r02, r03, r10, r11, r12, r13, r21, r22, r23, r31, r32, r33))
     while True:
         if hypot(r10, r20, r30) >= _Q1_THRESHOLD:
             r = [r00, r01, r02, r03, r10, r11, r12, r13, r20, r21, r22, r23, r30, r31, r32, r33]
@@ -350,25 +336,28 @@ def entangle_protocol(rho0, k, dt, horizon, seed, *, sample_every=10):
         tr = ch * r00 + sh * r30
         if not 0.0 < tr < inf:  # NaN fails too
             raise IntegrationError("trace lost in the measurement filter")
-        r00, r30 = 1.0, (sh * r00 + ch * r30) / tr
-        r01, r31 = (ch * r01 + sh * r31) / tr, (sh * r01 + ch * r31) / tr
-        r02, r32 = (ch * r02 + sh * r32) / tr, (sh * r02 + ch * r32) / tr
-        r03, r33 = (ch * r03 + sh * r33) / tr, (sh * r03 + ch * r33) / tr
-        r10, r11, r12, r13 = r10 / tr, r11 / tr, r12 / tr, r13 / tr
-        r20, r21, r22, r23 = r20 / tr, r21 / tr, r22 / tr, r23 / tr
+        r00, r30, r20 = 1.0, (sh * r00 + ch * r30) / tr, r20 / tr
         beta = (atan2(-r30, r20) + _HALF_PI) % pi - _HALF_PI  # equator_hold_angle
         c, s = cos(beta), sin(beta)
         r20, r30 = c * r20 - s * r30, s * r20 + c * r30
-        r21, r31 = c * r21 - s * r31, s * r21 + c * r31
-        r22, r32 = c * r22 - s * r32, s * r22 + c * r32
-        r23, r33 = c * r23 - s * r33, s * r23 + c * r33
+        if ride:
+            r01, r31 = (ch * r01 + sh * r31) / tr, (sh * r01 + ch * r31) / tr
+            r02, r32 = (ch * r02 + sh * r32) / tr, (sh * r02 + ch * r32) / tr
+            r03, r33 = (ch * r03 + sh * r33) / tr, (sh * r03 + ch * r33) / tr
+            r10, r11, r12, r13 = r10 / tr, r11 / tr, r12 / tr, r13 / tr
+            r21, r22, r23 = r21 / tr, r22 / tr, r23 / tr
+            r21, r31 = c * r21 - s * r31, s * r21 + c * r31
+            r22, r32 = c * r22 - s * r32, s * r22 + c * r32
+            r23, r33 = c * r23 - s * r33, s * r23 + c * r33
         step += 1
         countdown -= 1
         if not countdown:
             countdown = sample_every
             samples[step * dt] = [r00, r01, r02, r03, r10, r11, r12, r13,
                                   r20, r21, r22, r23, r30, r31, r32, r33]
-    # stage two: monitor XX = T_x, hold the D- x at 0 (the angle reads 2x, 2y)
+    # stage two: monitor XX = T_x, hold the D- x at 0 (the angle reads 2x, 2y);
+    # rows 0, 2 and 3 x columns 0-2 step, row 1 and column 3 ride
+    ride = any((r03, r10, r11, r12, r13, r23, r33))
     while stage == 2:
         # the D- x, y and weight; a weight below 1e-12 reads purity 0.5
         x, y, w = 0.5 * (r01 - r31), 0.5 * (r02 - r32), 0.5 * (r00 - r30)
@@ -384,17 +373,18 @@ def entangle_protocol(rho0, k, dt, horizon, seed, *, sample_every=10):
         if not 0.0 < tr < inf:  # NaN fails too
             raise IntegrationError("trace lost in the measurement filter")
         r00, r01 = 1.0, (sh * r00 + ch * r01) / tr
-        r10, r11 = (ch * r10 + sh * r11) / tr, (sh * r10 + ch * r11) / tr
         r20, r21 = (ch * r20 + sh * r21) / tr, (sh * r20 + ch * r21) / tr
         r30, r31 = (ch * r30 + sh * r31) / tr, (sh * r30 + ch * r31) / tr
-        r02, r03, r12, r13 = r02 / tr, r03 / tr, r12 / tr, r13 / tr
-        r22, r23, r32, r33 = r22 / tr, r23 / tr, r32 / tr, r33 / tr
+        r02, r22, r32 = r02 / tr, r22 / tr, r32 / tr
         beta = (atan2(r01 - r31, r02 - r32) + _HALF_PI) % pi - _HALF_PI  # phase_hold_angle
         c, s = cos(beta), sin(beta)
         r01, r02 = c * r01 - s * r02, s * r01 + c * r02
-        r11, r12 = c * r11 - s * r12, s * r11 + c * r12
         r21, r22 = c * r21 - s * r22, s * r21 + c * r22
         r31, r32 = c * r31 - s * r32, s * r31 + c * r32
+        if ride:
+            r10, r11 = (ch * r10 + sh * r11) / tr, (sh * r10 + ch * r11) / tr
+            r03, r12, r13, r23, r33 = r03 / tr, r12 / tr, r13 / tr, r23 / tr, r33 / tr
+            r11, r12 = c * r11 - s * r12, s * r11 + c * r12
         step += 1
         countdown -= 1
         if not countdown:

@@ -13,6 +13,29 @@ import qfc.states as st
 from qfc.stochastic import IntegrationError, RngStream
 
 
+def q1_rotation(beta):
+    """Rotate the which-block qubit by beta about its x axis.
+
+    Physically I x Rx(beta), a single rotation of the second qubit.
+    """
+    c, s = math.cos(0.5 * beta), math.sin(0.5 * beta)
+    return c * en.I4 - 1j * s * en.IX
+
+
+def q2_rotation(beta):
+    """Rotate the within-block qubit by beta about its z axis.
+
+    Physically Rz(beta) x I, a single rotation of the first qubit.  It
+    turns the D+ and D- qubits alike and leaves the which-block qubit alone.
+    """
+    c, s = math.cos(0.5 * beta), math.sin(0.5 * beta)
+    return c * en.I4 - 1j * s * en.Q2_TRIPLE[2]
+
+
+def q2_equator_purity(rho):
+    return en._equator_purity(*en.block_components(rho, "minus"))
+
+
 def embed_block(rho2, block):
     """Place a single-qubit density matrix on one parity block."""
     out = np.zeros((4, 4), dtype=complex)
@@ -162,7 +185,7 @@ def test_inter_block_coherence_decays_at_four_k():
 def test_q1_rotation_matrix():
     beta = 0.83
     expect = math.cos(0.5 * beta) * np.eye(4) - 1j * math.sin(0.5 * beta) * en.IX
-    u = en.q1_rotation(beta)
+    u = q1_rotation(beta)
     assert np.allclose(u, expect)
     assert np.allclose(u @ u.conj().T, np.eye(4), atol=1e-14)
     rx = math.cos(0.5 * beta) * st.SI - 1j * math.sin(0.5 * beta) * st.SX
@@ -173,7 +196,7 @@ def test_q2_rotation_matrix():
     # Rz(beta) x I = exp(-i beta ZI / 2), q2's own rotation: on D- it is the
     # pair Rz(beta/2) x Rz(-beta/2), on D+ it turns the corners too
     beta = 1.21
-    u = en.q2_rotation(beta)
+    u = q2_rotation(beta)
     phase = np.exp(-0.5j * beta)
     assert np.allclose(u, np.diag([phase, phase, np.conj(phase), np.conj(phase)]))
     assert np.allclose(u @ u.conj().T, np.eye(4), atol=1e-14)
@@ -188,7 +211,7 @@ def test_q1_rotation_turns_which_block_vector():
     rho = random_density(np.random.default_rng(17), 4)
     x0, y0, z0 = en.which_block_vector(rho)
     beta = 0.77
-    u = en.q1_rotation(beta)
+    u = q1_rotation(beta)
     x1, y1, z1 = en.which_block_vector(u @ rho @ u.conj().T)
     assert x1 == pytest.approx(x0, abs=1e-12)
     assert y1 == pytest.approx(y0 * math.cos(beta) - z0 * math.sin(beta), abs=1e-12)
@@ -198,7 +221,7 @@ def test_q1_rotation_turns_which_block_vector():
 def test_q2_rotation_turns_minus_block_only():
     rho = random_density(np.random.default_rng(19), 4)
     beta = -0.58
-    u = en.q2_rotation(beta)
+    u = q2_rotation(beta)
     rotated = u @ rho @ u.conj().T
     x0, y0, z0, w0 = en.block_components(rho, "minus")
     x1, y1, z1, w1 = en.block_components(rotated, "minus")
@@ -274,11 +297,11 @@ def test_r_squared_and_equator_purity():
     u = st.tensor_product(a, b)
     assert abs(en._r_squared(u @ rho @ u.conj().T) - en._r_squared(rho)) < 1e-10
 
-    assert en._q2_equator_purity(en.BELL_TARGET) == pytest.approx(1.0)
-    assert en._q2_equator_purity(np.eye(4) / 4.0) == pytest.approx(0.5)
+    assert q2_equator_purity(en.BELL_TARGET) == pytest.approx(1.0)
+    assert q2_equator_purity(np.eye(4) / 4.0) == pytest.approx(0.5)
     ket01 = np.zeros(4)
     ket01[1] = 1.0
-    assert en._q2_equator_purity(st.density(ket01)) == pytest.approx(0.5)
+    assert q2_equator_purity(st.density(ket01)) == pytest.approx(0.5)
 
 
 def test_protocol_at_target_returns_immediately():
@@ -382,7 +405,7 @@ def matrix_protocol(rho0, k, dt, horizon, seed, q1_threshold=0.999,
         if rows and rows[-1][0] == t:
             rows.pop()
         rows.append((t, en._r_squared(rho), en.leakage_weight(rho),
-                     en.which_block_vector(rho)[2], en._q2_equator_purity(rho),
+                     en.which_block_vector(rho)[2], q2_equator_purity(rho),
                      en.bell_fidelity(rho)))
 
     def package():
@@ -397,15 +420,15 @@ def matrix_protocol(rho0, k, dt, horizon, seed, q1_threshold=0.999,
         if stage == 1:
             q1 = en.which_block_vector(rho)
             if float(np.linalg.norm(q1)) >= q1_threshold:
-                u = en.q1_rotation(en.align_down_angle(q1[1], q1[2]))
+                u = q1_rotation(en.align_down_angle(q1[1], q1[2]))
                 candidate = u @ rho @ u.conj().T
                 if en.leakage_weight(candidate) <= leakage_threshold:
                     rho, stage = candidate, 2
                     dfs_time = t if step > 0 else None
                     sample(t)
-        if stage == 2 and en._q2_equator_purity(rho) >= purity_threshold:
+        if stage == 2 and q2_equator_purity(rho) >= purity_threshold:
             x, y, _, _ = en.block_components(rho, "minus")
-            u = en.q2_rotation(en.azimuth_align_angle(x, y))
+            u = q2_rotation(en.azimuth_align_angle(x, y))
             rho = u @ rho @ u.conj().T
             sample(t)
             return package()
@@ -418,10 +441,10 @@ def matrix_protocol(rho0, k, dt, horizon, seed, q1_threshold=0.999,
         rho /= np.trace(rho).real
         if stage == 1:
             q1 = en.which_block_vector(rho)
-            u = en.q1_rotation(en.equator_hold_angle(q1[1], q1[2]))
+            u = q1_rotation(en.equator_hold_angle(q1[1], q1[2]))
         else:
             x, y, _, _ = en.block_components(rho, "minus")
-            u = en.q2_rotation(en.phase_hold_angle(x, y))
+            u = q2_rotation(en.phase_hold_angle(x, y))
         rho = u @ rho @ u.conj().T
         if eigenvalues is not None:
             eigenvalues.append(np.linalg.eigvalsh(rho).min())
@@ -536,9 +559,9 @@ def test_coefficient_maps_match_the_matrix_helpers():
         back = np.einsum("ab,abij->ij", r.reshape(4, 4), en._PRODUCTS) / 4.0
         assert np.max(np.abs(back - rho)) <= 1e-15
         expect = (en._r_squared(rho), en.leakage_weight(rho), en.which_block_vector(rho)[2],
-                  en._q2_equator_purity(rho), en.bell_fidelity(rho))
+                  q2_equator_purity(rho), en.bell_fidelity(rho))
         assert np.max(np.abs(np.array(en._reads(r)) - expect)) <= 1e-14
-        for pairs, make in ((en._ROWS_YZ, en.q1_rotation), (en._COLS_XY, en.q2_rotation)):
+        for pairs, make in ((en._ROWS_YZ, q1_rotation), (en._COLS_XY, q2_rotation)):
             u = make(beta)
             expect = en._coefficients(u @ rho @ u.conj().T)
             assert np.max(np.abs(np.array(en._turn(r, pairs, beta)) - expect)) <= 1e-14
@@ -622,6 +645,15 @@ def pairwise_protocol(rho0, k, dt, horizon, seed, sample_every=10):
     raise en.ProtocolBudgetError("horizon", package())
 
 
+# Only rows 0, 2, 3 x columns 0-2 nonzero, all dyadic so that _coefficients
+# gives them back exactly: stage one's riders (r10, columns 1-3) are live,
+# stage two's (row 1, column 3) are zero and stay zero through stage one.
+RIDES_IN_STAGE_ONE_ONLY = np.einsum("ab,abij->ij", np.array([[1.0, 0.125, -0.125, 0.0], [0.0] * 4,
+                                                             [0.0625, 0.125, -0.0625, 0.0],
+                                                             [-0.25, 0.0625, 0.125, 0.0]]),
+                                    en._PRODUCTS) / 4.0
+
+
 @pytest.mark.parametrize("rho0, horizon, seed, sample_every", [
     *[(MIXED, 10.0, seed, 10) for seed in range(30)],
     (random_density(np.random.default_rng(41), 4), 10.0, 41, 1),
@@ -629,6 +661,8 @@ def pairwise_protocol(rho0, k, dt, horizon, seed, sample_every=10):
     (MIXED, 0.01, 0, 10),  # budget error with a partial result
     # |00><00| lies in D+: rotated onto D- at t = 0, superseding its first row
     (np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), 10.0, 5, 1),
+    (RIDES_IN_STAGE_ONE_ONLY, 10.0, 48, 1),
+    (RIDES_IN_STAGE_ONE_ONLY, 10.0, 49, 10),
 ])
 def test_protocol_matches_the_pairwise_loop_bit_for_bit(rho0, horizon, seed, sample_every):
     assert_matches_pairwise(rho0, horizon, seed, sample_every)
@@ -638,12 +672,43 @@ def test_protocol_matches_the_pairwise_loop_at_another_k_and_dt():
     assert_matches_pairwise(MIXED, 10.0, 47, 1, k=0.5, dt=2e-3)
 
 
+@pytest.mark.parametrize("drivers", [(0.0, 0.0), (-0.25, 0.5)])
+def test_protocol_matches_the_pairwise_loop_from_signed_zero_riders(monkeypatch, drivers):
+    # no density matrix gives _coefficients a -0.0, so the start row is set
+    # directly: stage one's riders are zeros of both signs, which the zero
+    # test skips in both stages and the pairwise loop steps
+    r = [1.0, -0.0, 0.0, -0.0, -0.0, 0.0, -0.0, -0.0, drivers[0], 0.0, -0.0, 0.0,
+         drivers[1], -0.0, -0.0, 0.0]
+    monkeypatch.setattr(en, "_coefficients", lambda rho: np.array(r))
+    assert_matches_pairwise(MIXED, 10.0, 50, 1)
+
+
+def test_the_maximally_mixed_start_skips_the_riders_in_both_stages(monkeypatch):
+    # the CLI start is r00 = 1 with every other entry zero, so stage one's
+    # riders start at zero; stage one keeps them zero, so stage two's riders
+    # (row 1 and column 3 of the row the switch to D- writes) start at zero
+    r = en._coefficients(MIXED)
+    assert r[0] == 1.0 and not r[1:].any()
+    turn, switched = en._turn, []
+
+    def record(r, pairs, beta):
+        switched.append(turn(r, pairs, beta))
+        return switched[-1]
+
+    monkeypatch.setattr(en, "_turn", record)
+    en.entangle_protocol(MIXED, 1.0, 1e-3, 10.0, seed=0)
+    rows = np.reshape(switched[0], (4, 4))
+    assert rows[0, 0] == 1.0 and rows[2:, :3].any()
+    assert not rows[1].any() and not rows[:, 3].any()
+
+
 def assert_matches_pairwise(rho0, horizon, seed, sample_every, k=1.0, dt=1e-3):
     (res, failed), (ref, ref_failed) = run_both(rho0, horizon, seed, pairwise_protocol,
                                                 sample_every, k, dt)
     assert failed == ref_failed
-    for name in RESULT_FIELDS:
-        assert np.array_equal(getattr(res, name), getattr(ref, name)), name
+    for name in RESULT_FIELDS:  # to the bit, -0.0 included
+        a, b = np.asarray(getattr(res, name)), np.asarray(getattr(ref, name))
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_reads_of_all_rows_equal_the_reads_of_each_row():
