@@ -8,13 +8,16 @@ complex variable,
 
     F_p(z) = (z^2 + p) / (1 - conj(p) z^2),    p = tan(x) e^{i phi},
 
-acting on the Riemann sphere.  The module provides both pictures plus the
-tools hung off them: Bell-state purification by iteration, convergence-time
-rasters whose slow set draws the Julia set of F_p, a box-counting dimension
-estimate for its boundary, and Lyapunov exponents.  The fiducial orbit of
-the Lyapunov work runs in arbitrary precision, as Python-int fixed point: a
-repelling orbit loses roughly one bit per step, so float64 orbits fall off
-the Julia set after about fifty steps no matter how accurately they start.
+acting on the Riemann sphere.  The module squares elementwise
+(square_elements) and steps F_p on normalized homogeneous coordinates
+(_step); the gate-and-projector circuit and F_p on points of the sphere are
+the tests' references for both.  On top sit Bell-state purification by
+iteration, convergence-time rasters whose slow set draws the Julia set of
+F_p, a box-counting dimension estimate for its boundary, and Lyapunov
+exponents.  The fiducial orbit of the Lyapunov work runs in arbitrary
+precision, as Python-int fixed point: a repelling orbit loses roughly one
+bit per step, so float64 orbits fall off the Julia set after about fifty
+steps no matter how accurately they start.
 mpmath is imported only by ``lyapunov_estimate``, to parse its start point
 and parameter, so the rest of the module, and the CLI, load without it.
 """
@@ -27,9 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import bell_state, check_density, density, fidelity_trace, partial_trace, tensor_product
-
-INFINITY = complex(math.inf, 0.0)
+from .states import bell_state, check_density, density, fidelity_trace, tensor_product
 
 # The iteration benchmark: a slightly perturbed, deliberately non-Hermitian
 # Bell-state density matrix.  Only square_elements(raw=True) accepts it.
@@ -42,12 +43,6 @@ PERTURBED_BELL = np.array(
     ],
     dtype=complex,
 )
-
-
-def is_infinity(z):
-    """True for the point at infinity (any non-finite complex works)."""
-    z = complex(z)
-    return not (math.isfinite(z.real) and math.isfinite(z.imag))
 
 
 @dataclass(frozen=True)
@@ -74,7 +69,7 @@ def square_elements(rho, raw=False):
 
     Returns (out, success_prob) with out_ij = rho_ij^2 / N and
     N = success_prob = sum_i rho_ii^2, the probability that the XOR
-    post-selection below accepts.  The elementwise square of a Hermitian
+    post-selection accepts.  The elementwise square of a Hermitian
     PSD matrix is again Hermitian PSD (Schur product with itself), so
     proper states map to proper states.  raw=True skips the Hermiticity
     and positivity checks for the PERTURBED_BELL benchmark.
@@ -85,35 +80,6 @@ def square_elements(rho, raw=False):
     if abs(norm) < 1e-15:
         raise ValueError("squared diagonal sums below 1e-15, squaring map degenerate")
     return squared / norm, float(norm.real)
-
-
-def xor_postselect(rho):
-    """Realize the squaring map by gate and measurement, literally.
-
-    Takes two copies of the state, applies XOR12 |i>|j> = |i>|i xor j>
-    (bitwise, so the dimension must be a power of two), projects the second
-    register onto |0...0> and traces it out.  Agrees with square_elements
-    including the success probability; the two are independent
-    implementations of the same channel.
-    """
-    rho = check_density(rho)
-    d = rho.shape[0]
-    if d & (d - 1):
-        raise ValueError(f"XOR register needs a power-of-two dimension, got {d}")
-    pair = np.kron(rho, rho)
-    xor = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            xor[i * d + (i ^ j), i * d + j] = 1.0
-    pair = xor @ pair @ xor  # involution, so this is XOR . XOR^dag
-    keep = np.zeros((d, d))
-    keep[0, 0] = 1.0
-    projected = np.kron(np.eye(d), keep)
-    pair = projected @ pair @ projected
-    success = np.trace(pair).real
-    if abs(success) < 1e-15:
-        raise ValueError("post-selection accepts with probability below 1e-15")
-    return partial_trace(pair, (d, d), keep=0) / success, float(success)
 
 
 def f_step(rho, x, phi, raw=False):
@@ -151,32 +117,6 @@ def bell_purify_iterate(rho0, n_steps, x=math.pi / 4, phi=math.pi / 2, raw=False
         rho = f_step(rho, x, phi, raw=True)
         fids.append(fidelity_trace(target, rho))
     return np.array(fids)
-
-
-def fp_map(z, p):
-    """Evaluate F_p(z) = (z^2 + p)/(1 - conj(p) z^2) on the sphere.
-
-    One _step on the normalized homogeneous coordinates of z, read back as
-    u/v.  The point at infinity maps to -1/conj(p) (to infinity when
-    p = 0), and a vanishing denominator yields infinity; no input raises.
-    """
-    p = complex(p)
-    u, v = _step(*_to_uv(z), p, p.conjugate())
-    return u / v if v else INFINITY
-
-
-def chordal_distance(a, b):
-    """Riemann-sphere chordal distance, diameter 2, infinity regular."""
-    return _chord(*_to_uv(a), *_to_uv(b))
-
-
-def _to_uv(z):
-    # normalized homogeneous coordinates z = u/v
-    if is_infinity(z):
-        return 1.0 + 0.0j, 0.0j
-    z = complex(z)
-    r = math.hypot(abs(z), 1.0)
-    return z / r, 1.0 / r
 
 
 @dataclass(frozen=True)
@@ -620,9 +560,9 @@ def lyapunov_estimate(z0, p, n_iters, offset=1e-15, supersink_tol=1e-12):
     double-rounded e^{0.7i} sits 1e-16 off the unit circle, and squaring
     doubles that error every step, so pass lambda: mpmath.exp(0.7j)
     instead.  mpmath's global precision is neither read nor changed.  One
-    ValueError names every bad n_iters, offset and supersink_tol, including
-    an offset below 1e-290 / supersink_tol; a non-finite p raises
-    ValueError too.
+    ValueError names every bad n_iters (an integer, not a bool), offset and
+    supersink_tol, including an offset below 1e-290 / supersink_tol; a
+    non-finite p raises ValueError too.
     """
     problems = [f"{name} must be positive and finite, got {value!r}"
                 for name, value in (("offset", offset), ("supersink_tol", supersink_tol))
@@ -631,8 +571,8 @@ def lyapunov_estimate(z0, p, n_iters, offset=1e-15, supersink_tol=1e-12):
     # and at _FLOOR the clamp would feed the shadow sum a gain (slack: rounding)
     if not problems and offset * supersink_tol < 1e-290 * (1 - 1e-12):
         problems.append(f"offset must be at least 1e-290 / supersink_tol, got {offset!r}")
-    if not 1 <= n_iters < math.inf:
-        problems.insert(0, f"n_iters must be at least 1, got {n_iters!r}")
+    if isinstance(n_iters, bool) or not isinstance(n_iters, numbers.Integral) or n_iters < 1:
+        problems.insert(0, f"n_iters must be an integer of at least 1, got {n_iters!r}")
     if problems:
         raise ValueError("; ".join(problems))
     n = int(n_iters)

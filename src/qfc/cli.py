@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chaos, purification, sme, stabilization
-from .entanglement import entangle_protocol
+from .entanglement import K_DT_LIMIT, entangle_protocol
 from .output import format_value, write_csv, write_pgm
 from .stochastic import RngStream, run_ensemble
 
@@ -252,10 +252,8 @@ def _run_spin_collapse(cfg):
 
 
 def _entangle_step_check(cfg):
-    # entangle's filter is exact on any grid, like the QND ensembles, but its
-    # feedback acts once per step: k*dt bounds the motion between two kicks
-    if cfg["k"] * cfg["dt"] > 1e-3 * (1 + 1e-12):
-        return "dt: k*dt must be at most 0.001, the feedback acts once per step"
+    if cfg["k"] * cfg["dt"] > K_DT_LIMIT:
+        return f"dt: k*dt must be at most {K_DT_LIMIT:g}, the feedback acts once per step"
     return None
 
 
@@ -319,7 +317,7 @@ for _cmd in [
         "entangle",
         [Field("k", float, 1.0, _positive, "parity measurement strength"),
          Field("dt", float, 1e-4, _positive,
-               "time between feedback kicks; k*dt at most 1e-3"),
+               f"time between feedback kicks; k*dt at most {K_DT_LIMIT:g}"),
          Field("horizon", float, 10.0, _positive, "time budget"),
          Field("sample_every", int, 10, _at_least(1),
                "steps between recorded samples")],

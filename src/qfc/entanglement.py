@@ -23,16 +23,16 @@ Q2_TRIPLE.  A step is an exact Kraus filter of the monitor, which is quantum
 non-demolition between kicks (Jacobs & Steck, Contemp. Phys. 47, 279
 (2006)), then the hold rotation: stage one (ZZ = S_z, hold about S_x) moves
 rows of r only, stage two (XX = T_x, hold about T_z) columns only.  The
-loop writes the hold angles inline; equator_hold_angle and phase_hold_angle
-state them, and with the matrix helpers (which_block_vector, leakage_weight,
-block_components, bell_fidelity) they are the test oracles of the
-coefficient loop and of _reads.
+loop writes the minimal hold angles inline and reads the sampled rows off
+the coefficients (_reads).  Their density-matrix forms, with the block
+triples and the Bell target they use, are the tests' oracles for both.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -59,13 +59,6 @@ Q1_TRIPLE = (IX, ZY, ZZ)
 # commutes with the first, so C^4 = q1 x q2.  Its restriction to a block,
 # T_b (I +- ZZ)/2, is that block's qubit and vanishes on the other block.
 Q2_TRIPLE = (XX, tensor_product(SY, SX), tensor_product(SZ, SI))
-PLUS_TRIPLE = tuple(0.5 * t @ (I4 + ZZ) for t in Q2_TRIPLE)
-MINUS_TRIPLE = tuple(0.5 * t @ (I4 - ZZ) for t in Q2_TRIPLE)
-# each block's triple and its projector
-_BLOCKS = {"plus": PLUS_TRIPLE + (0.5 * (I4 + ZZ),), "minus": MINUS_TRIPLE + (0.5 * (I4 - ZZ),)}
-
-BELL_TARGET = np.zeros((4, 4), dtype=complex)
-BELL_TARGET[1:3, 1:3] = 0.5
 
 # S_a T_b: Hermitian, with tr(S_a T_b S_c T_d) = 4 delta_ac delta_bd
 _PRODUCTS = np.array([[s @ t for t in (I4,) + Q2_TRIPLE] for s in (I4,) + Q1_TRIPLE])
@@ -86,34 +79,6 @@ def two_qubit_sme_step(rho, k, dt, dw):
     deterministic and the stochastic part vanish identically there.
     """
     return sme_step(parity_model(k), rho, dt, [dw])
-
-
-def leakage_weight(rho):
-    """Frobenius weight of the off-block corners, 2 sum |rho_ij|^2."""
-    rho = np.asarray(rho, dtype=complex)
-    corners = (rho[0, 1], rho[0, 2], rho[3, 1], rho[3, 2])
-    return 2.0 * float(sum(abs(c) ** 2 for c in corners))
-
-
-def block_components(rho, block="minus"):
-    """Unnormalized within-block triple expectations and the block weight.
-
-    Returns (x, y, z, weight) with x, y, z the expectations of the block's
-    triple on the unnormalized state; divide by weight for the conditional
-    Bloch vector.
-    """
-    if block not in _BLOCKS:
-        raise ValueError("block must be 'plus' or 'minus'")
-    return tuple(float(np.trace(op @ rho).real) for op in _BLOCKS[block])
-
-
-def which_block_vector(rho):
-    """Bloch vector of the which-block qubit, (<IX>, <ZY>, <ZZ>)."""
-    rho = np.asarray(rho, dtype=complex)
-    x = 2.0 * float((rho[0, 1] + rho[2, 3]).real)
-    y = 2.0 * float((rho[2, 3] - rho[0, 1]).imag)
-    z = float((rho[0, 0] - rho[1, 1] - rho[2, 2] + rho[3, 3]).real)
-    return np.array([x, y, z])
 
 
 def bell_fidelity(rho):
@@ -138,24 +103,9 @@ def clip_psd(rho):
     return (vecs * (vals / total)) @ vecs.conj().T
 
 
-def _wrap_half(beta):
-    # smallest rotation with the same axis-zeroing effect
-    return (beta + _HALF_PI) % math.pi - _HALF_PI
-
-
-def equator_hold_angle(y, z):
-    """Minimal x-rotation returning (y, z) to the equator z = 0."""
-    return _wrap_half(math.atan2(-z, y))
-
-
 def align_down_angle(y, z):
     """X-rotation sending (y, z) to (0, -r): straight onto the D- pole."""
     return math.remainder(math.atan2(y, z) - math.pi, 2.0 * math.pi)
-
-
-def phase_hold_angle(x, y):
-    """Minimal z-rotation returning (x, y) to the plane x = 0."""
-    return _wrap_half(math.atan2(x, y))
 
 
 def azimuth_align_angle(x, y):
@@ -198,7 +148,7 @@ def _r_squared(rho):
 
 
 def _equator_purity(x, y, z, w):
-    # of the D- qubit, from its unnormalized block_components (x, y, z, w),
+    # of the D- qubit, from the unnormalized (x, y, z, w) of _minus,
     # elementwise on arrays; the safe denominator keeps w = 0 free of warnings
     small = np.less(w, 1e-12)
     return np.where(small, 0.5, 0.5 * (1.0 + (x * x + y * y) / np.where(small, 1.0, w * w)))
@@ -219,7 +169,8 @@ def _turn(r, pairs, beta):
 
 
 def _minus(r):
-    # the D- block_components (x, y, z, w): T_b (I - ZZ)/2 = T_b (S_0 - S_z)/2
+    # the D- triple's unnormalized expectations and the block weight (x, y, z, w):
+    # T_b (I - ZZ)/2 = T_b (S_0 - S_z)/2
     return [0.5 * (r[b] - r[12 + b]) for b in (1, 2, 3, 0)]
 
 
@@ -243,6 +194,10 @@ _COLS_XY = [(4 * a + 1, 4 * a + 2) for a in range(4)]
 # and the D- qubit's equatorial purity that ends stage two
 _Q1_THRESHOLD, _LEAKAGE_THRESHOLD, _PURITY_THRESHOLD = 0.999, 1e-3, 0.995
 _WIENER_BLOCK = 1024  # increments entangle_protocol draws at a time
+# The largest k*dt accepted, 1e-3 up to a relative 1e-12 of rounding in k*dt.
+# The filter is exact at any dt, but the feedback kicks once per step, so
+# this bounds the motion between two kicks.
+K_DT_LIMIT = 1e-3 * (1.0 + 1e-12)
 
 
 def _increments(stream, dt, n):
@@ -283,22 +238,28 @@ def entangle_protocol(rho0, k, dt, horizon, seed, *, sample_every=10):
     (tr > 0 and the hold's cosine is positive; only the sign of a -0.0 can
     change, which no read sees), so skipping moves no bit of the result.
     The sampled rows are read once, at the end, by one elementwise _reads
-    over all of them.  It is exact at any dt; the k*dt <= 1e-3 guard bounds
-    the time between kicks.
+    over all of them.  It is exact at any dt; K_DT_LIMIT on k*dt bounds the
+    time between kicks.  One ValueError names every bad argument.
     """
-    if not 0.0 < k < math.inf:
-        raise ValueError("k must be positive and finite")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if k * dt > 1e-3 * (1.0 + 1e-12):
-        raise ValueError("k*dt must not exceed 1e-3")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if sample_every < 1:
-        raise ValueError("sample_every must be at least 1")
-    rho = check_density(rho0)
-    if rho.shape != (4, 4):
-        raise ValueError("state must be two-qubit")
+    problems = [f"{name} must be positive and finite, got {value!r}"
+                for name, value in (("k", k), ("dt", dt), ("horizon", horizon))
+                if not 0.0 < value < math.inf]
+    if 0.0 < k < math.inf and 0.0 < dt < math.inf and k * dt > K_DT_LIMIT:
+        problems.append(f"k*dt must not exceed {K_DT_LIMIT:g}, got {k * dt!r}")
+    if 0.0 < dt and 0.0 < horizon < math.inf and horizon / dt == math.inf:
+        problems.append(f"horizon / dt must be finite, got {horizon!r} / {dt!r}")
+    if (isinstance(sample_every, bool) or not isinstance(sample_every, numbers.Integral)
+            or sample_every < 1):
+        problems.append(f"sample_every must be an integer of at least 1, got {sample_every!r}")
+    try:
+        rho = check_density(rho0)
+    except ValueError as exc:
+        problems.append(f"rho0: {exc}")
+    else:
+        if rho.shape != (4, 4):
+            problems.append(f"rho0 must be a two-qubit state, got shape {rho.shape}")
+    if problems:
+        raise ValueError("; ".join(problems))
     root = 2.0 * math.sqrt(2.0 * k)  # 2 sqrt(Gamma)
     n_max = int(round(horizon / dt))
     draw = _increments(RngStream(seed, 0), dt, n_max).__next__
@@ -337,7 +298,7 @@ def entangle_protocol(rho0, k, dt, horizon, seed, *, sample_every=10):
         if not 0.0 < tr < inf:  # NaN fails too
             raise IntegrationError("trace lost in the measurement filter")
         r00, r30, r20 = 1.0, (sh * r00 + ch * r30) / tr, r20 / tr
-        beta = (atan2(-r30, r20) + _HALF_PI) % pi - _HALF_PI  # equator_hold_angle
+        beta = (atan2(-r30, r20) + _HALF_PI) % pi - _HALF_PI  # minimal turn to z = 0
         c, s = cos(beta), sin(beta)
         r20, r30 = c * r20 - s * r30, s * r20 + c * r30
         if ride:
@@ -376,7 +337,7 @@ def entangle_protocol(rho0, k, dt, horizon, seed, *, sample_every=10):
         r20, r21 = (ch * r20 + sh * r21) / tr, (sh * r20 + ch * r21) / tr
         r30, r31 = (ch * r30 + sh * r31) / tr, (sh * r30 + ch * r31) / tr
         r02, r22, r32 = r02 / tr, r22 / tr, r32 / tr
-        beta = (atan2(r01 - r31, r02 - r32) + _HALF_PI) % pi - _HALF_PI  # phase_hold_angle
+        beta = (atan2(r01 - r31, r02 - r32) + _HALF_PI) % pi - _HALF_PI  # minimal turn to x = 0
         c, s = cos(beta), sin(beta)
         r01, r02 = c * r01 - s * r02, s * r01 + c * r02
         r21, r22 = c * r21 - s * r22, s * r21 + c * r22

@@ -1,11 +1,12 @@
 """Discrete-time protection of two non-orthogonal qubit states against dephasing.
 
 The protected pair has Bloch vectors (cos theta, 0, +/- sin theta); the noise
-applies sigma_z with probability p.  Four strategies are scored by the average
-fidelity of the output with the intended state:
+applies sigma_z with probability p.  The source compares four strategies by
+the average fidelity of the output with the intended state:
 
   1. do nothing,
-  2. (reference only) measure sigma_z and reprepare naively,
+  2. measure sigma_z and reprepare naively, a reference this module does not
+     model,
   3. discriminate optimally, then prepare the best pair of recovery states,
   4. weak measurement of strength chi in the |0> +/- i|1> basis followed by a
      conditional rotation about z by the angle eta(p, theta, chi).
@@ -37,17 +38,6 @@ def protected_pair(theta):
 
 def f1_do_nothing(p, theta):
     return 1.0 - np.asarray(p, dtype=float) * np.cos(theta) ** 2
-
-
-def f2_naive(theta):
-    """Projective sigma_z measurement plus naive repreparation (no p dependence)."""
-    s = np.sin(theta)
-    return 1.0 - 0.5 * (s**2 - s**3)
-
-
-def helstrom_prob(theta):
-    """Best single-shot discrimination probability for the pair."""
-    return 0.5 * (1.0 + np.sin(theta))
 
 
 def f3_discriminate_prepare(p, theta):

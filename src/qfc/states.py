@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-# Pauli matrices and friends.
+# The identity and the Pauli matrices.
 SI = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 
 
 def dag(a):
@@ -78,29 +77,6 @@ def bell_state(which):
         raise ValueError(f"unknown Bell state {which!r}") from None
 
 
-def partial_trace(rho, dims, keep):
-    """Trace out all subsystems except dims[keep].
-
-    dims lists the subsystem dimensions in tensor order (first factor most
-    significant, matching tensor_product).
-    """
-    dims = [int(d) for d in dims]
-    d = int(np.prod(dims))
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (d, d):
-        raise ValueError(f"dims {dims} do not match matrix of shape {rho.shape}")
-    if not 0 <= keep < len(dims):
-        raise ValueError(f"keep index {keep} out of range for {len(dims)} subsystems")
-    t = rho.reshape(dims + dims)
-    n = len(dims)
-    for ax in reversed(range(len(dims))):
-        if ax == keep:
-            continue
-        t = np.trace(t, axis1=ax, axis2=ax + n)
-        n -= 1
-    return t
-
-
 def fidelity_trace(a, b):
     """Re Tr(a b), clamped to [0, 1 + 1e-9].
 
@@ -120,32 +96,3 @@ def von_neumann_entropy(rho):
     evals = np.linalg.eigvalsh(np.asarray(rho))
     evals = evals[evals > _ENTROPY_CUTOFF]
     return float(-(evals * np.log(evals)).sum())
-
-
-def bloch_from_density(rho):
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got {rho.shape}")
-    return np.array(
-        [
-            2.0 * rho[0, 1].real,
-            -2.0 * rho[0, 1].imag,
-            (rho[0, 0] - rho[1, 1]).real,
-        ]
-    )
-
-
-def angular_momentum_ops(two_j):
-    """(F_x, F_y, F_z) for spin j = two_j / 2, basis ordered m = j .. -j."""
-    two_j = int(two_j)
-    if two_j < 1:
-        raise ValueError("two_j must be a positive integer")
-    j = two_j / 2.0
-    m = j - np.arange(two_j + 1)
-    fz = np.diag(m).astype(complex)
-    lower = m[1:]
-    raise_amp = np.sqrt(j * (j + 1) - lower * (lower + 1))
-    fp = np.diag(raise_amp, 1).astype(complex)
-    fx = 0.5 * (fp + fp.conj().T)
-    fy = (fp - fp.conj().T) / 2j
-    return fx, fy, fz

@@ -12,6 +12,8 @@ reproducible.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,12 +120,21 @@ def run_ensemble(drift, read, dt, n_steps, n_traj, base_seed, sample_every=1,
     t = dt * n_steps and gives a row per trajectory.  Chunks bound the
     memory, and their means and sums of squared deviations are merged
     pairwise in fixed order (Chan, Golub & LeVeque 1979).  Returns
-    (times, EnsembleStats) over the samples in time order, then the final reads.
+    (times, EnsembleStats) over the samples in time order, then the final
+    reads.  One ValueError names a dt that is not positive and finite and
+    every count that is not an integer of at least 1, or of at least 0 for
+    n_steps.
     """
-    n_traj = int(n_traj)
-    if n_traj < 1:
-        raise ValueError("n_traj must be at least 1")
-    n_steps, sample_every, chunk = int(n_steps), max(1, int(sample_every)), max(1, int(chunk))
+    problems = [f"{name} must be an integer of at least {lo}, got {value!r}"
+                for name, value, lo in (("n_steps", n_steps, 0), ("n_traj", n_traj, 1),
+                                        ("sample_every", sample_every, 1), ("chunk", chunk, 1))
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                or value < lo]
+    if not 0 < dt < math.inf:
+        problems.insert(0, f"dt must be positive and finite, got {dt!r}")
+    if problems:
+        raise ValueError("; ".join(problems))
+    n_steps, n_traj, sample_every, chunk = int(n_steps), int(n_traj), int(sample_every), int(chunk)
     steps = np.arange(0, n_steps + 1, sample_every)
     times = dt * steps
     taus = dt * np.diff(np.append(steps, n_steps) if steps[-1] < n_steps else steps)

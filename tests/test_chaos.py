@@ -9,10 +9,71 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import random_density
+from conftest import partial_trace, random_density
 
 import qfc.chaos as ch
 import qfc.states as st
+
+INFINITY = complex(math.inf, 0.0)
+
+
+def is_infinity(z):
+    """True for the point at infinity (any non-finite complex works)."""
+    z = complex(z)
+    return not (math.isfinite(z.real) and math.isfinite(z.imag))
+
+
+def _to_uv(z):
+    """Normalized homogeneous coordinates (u, v) of z = u/v."""
+    if is_infinity(z):
+        return 1.0 + 0.0j, 0.0j
+    z = complex(z)
+    r = math.hypot(abs(z), 1.0)
+    return z / r, 1.0 / r
+
+
+def fp_map(z, p):
+    """F_p(z) = (z^2 + p)/(1 - conj(p) z^2) on the sphere, through ch._step.
+
+    The point at infinity maps to -1/conj(p) (to infinity when p = 0), and a
+    vanishing denominator yields infinity; no input raises.
+    """
+    p = complex(p)
+    u, v = ch._step(*_to_uv(z), p, p.conjugate())
+    return u / v if v else INFINITY
+
+
+def chordal_distance(a, b):
+    """Riemann-sphere chordal distance, diameter 2, infinity regular."""
+    return ch._chord(*_to_uv(a), *_to_uv(b))
+
+
+def xor_postselect(rho):
+    """The squaring map by gate and measurement, literally.
+
+    Takes two copies of the state, applies XOR12 |i>|j> = |i>|i xor j>
+    (bitwise, so the dimension must be a power of two), projects the second
+    register onto |0...0> and traces it out: the gate-level reference for
+    ch.square_elements, success probability included.
+    """
+    rho = st.check_density(rho)
+    d = rho.shape[0]
+    if d & (d - 1):
+        raise ValueError(f"XOR register needs a power-of-two dimension, got {d}")
+    pair = np.kron(rho, rho)
+    xor = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            xor[i * d + (i ^ j), i * d + j] = 1.0
+    pair = xor @ pair @ xor  # involution, so this is XOR . XOR^dag
+    keep = np.zeros((d, d))
+    keep[0, 0] = 1.0
+    projected = np.kron(np.eye(d), keep)
+    pair = projected @ pair @ projected
+    success = np.trace(pair).real
+    if abs(success) < 1e-15:
+        raise ValueError("post-selection accepts with probability below 1e-15")
+    return partial_trace(pair, (d, d), keep=0) / success, float(success)
 
 
 def test_perturbed_bell_fixture():
@@ -55,7 +116,7 @@ def test_square_elements_degenerate_diagonal():
 def test_xor_postselect_matches_square_elements(dim):
     rho = random_density(np.random.default_rng(dim), dim)
     a, pa = ch.square_elements(rho)
-    b, pb = ch.xor_postselect(rho)
+    b, pb = xor_postselect(rho)
     assert np.max(np.abs(a - b)) <= 1e-13
     assert pa == pytest.approx(pb, rel=1e-12)
 
@@ -64,7 +125,7 @@ def test_xor_postselect_needs_power_of_two():
     rho = random_density(np.random.default_rng(3), 3)
     ch.square_elements(rho)  # elementwise form has no such restriction
     with pytest.raises(ValueError):
-        ch.xor_postselect(rho)
+        xor_postselect(rho)
 
 
 def test_su2_unitary_and_f_step_guard():
@@ -88,7 +149,7 @@ def test_f_step_reduces_to_rational_map_on_pure_states():
     z = 0.4 - 0.2j
     psi = np.array([z, 1.0]) / math.sqrt(1.0 + abs(z) ** 2)
     out = ch.f_step(st.density(psi), x, phi)
-    zp = ch.fp_map(z, p)
+    zp = fp_map(z, p)
     psip = np.array([zp, 1.0]) / math.sqrt(1.0 + abs(zp) ** 2)
     assert np.allclose(out, st.density(psip), atol=1e-12)
 
@@ -96,7 +157,7 @@ def test_f_step_reduces_to_rational_map_on_pure_states():
     # the ratio at F(infinity)
     out = ch.f_step(st.density(np.array([1.0, 0.0])), x, phi)
     z_inf = out[0, 1] / out[1, 1]
-    assert abs(z_inf - ch.fp_map(ch.INFINITY, p)) < 1e-12
+    assert abs(z_inf - fp_map(INFINITY, p)) < 1e-12
 
 
 def test_bell_purify_iterate_frozen_values():
@@ -119,20 +180,20 @@ def test_bell_purify_iterate_guards():
 
 
 def test_fp_map_special_points():
-    assert ch.is_infinity(ch.fp_map(ch.INFINITY, 0.0))
+    assert is_infinity(fp_map(INFINITY, 0.0))
     p = 1j
-    assert ch.fp_map(ch.INFINITY, p) == pytest.approx(-1.0 / np.conj(p))
-    assert ch.fp_map(0.0, p) == pytest.approx(p)
+    assert fp_map(INFINITY, p) == pytest.approx(-1.0 / np.conj(p))
+    assert fp_map(0.0, p) == pytest.approx(p)
     # a vanishing denominator sends the point to infinity
-    assert ch.is_infinity(ch.fp_map(1.0, 1.0))
+    assert is_infinity(fp_map(1.0, 1.0))
     # overflow guard: huge arguments behave like infinity
-    assert ch.fp_map(1e200, p) == ch.fp_map(ch.INFINITY, p)
-    assert ch.is_infinity(ch.fp_map(1e200, 0.0))
+    assert fp_map(1e200, p) == fp_map(INFINITY, p)
+    assert is_infinity(fp_map(1e200, 0.0))
 
 
 def _pairs(zs):
     """Normalized homogeneous coordinates of the points zs, as two arrays."""
-    return tuple(np.array(c) for c in zip(*(ch._to_uv(z) for z in zs)))
+    return tuple(np.array(c) for c in zip(*(_to_uv(z) for z in zs)))
 
 
 def test_step_and_chord_serve_scalars_and_arrays():
@@ -145,7 +206,7 @@ def test_step_and_chord_serve_scalars_and_arrays():
     generic = list(rng.normal(size=40) + 1j * rng.normal(size=40))
     for p in (0j, 1 + 0j, 1j, -1 + 0j, 0.5j, 0.3 + 0.1j, -0.7 + 0.2j):
         pc = p.conjugate()
-        for zs, tol in (([0.0, ch.INFINITY], 0.0), (generic, 1e-15)):
+        for zs, tol in (([0.0, INFINITY], 0.0), (generic, 1e-15)):
             u, v = _pairs(zs)
             au, av = ch._step(u, v, p, pc)
             chords = ch._chord(au, av, u[::-1], v[::-1])
@@ -155,7 +216,7 @@ def test_step_and_chord_serve_scalars_and_arrays():
                 assert abs(su - au[i]) <= tol and abs(sv - av[i]) <= tol
                 chord = ch._chord(su, sv, complex(u[-1 - i]), complex(v[-1 - i]))
                 assert abs(chord - chords[i]) <= 2 * tol
-    assert ch.chordal_distance(0.0, ch.INFINITY) == ch._chord(0j, 1 + 0j, 1 + 0j, 0j) == 2.0
+    assert chordal_distance(0.0, INFINITY) == ch._chord(0j, 1 + 0j, 1 + 0j, 0j) == 2.0
 
 
 @pytest.mark.parametrize("p", [1 + 0j, 1j, 0.3 + 0.1j])
@@ -163,7 +224,7 @@ def test_orbit_tail_of_pixel_array_matches_scalar_tails(p):
     # the raster's last _TAIL - 1 steps run _orbit_tail on arrays; for the
     # study parameters 1 and i the points 0, infinity, +-1 and +-i stay
     # exact, and a generic p agrees to rounding grown over the steps
-    zs = [0.0, ch.INFINITY, 1.0, -1.0, 1j, -1j, 0.4 - 0.2j, -1.3 + 0.5j]
+    zs = [0.0, INFINITY, 1.0, -1.0, 1j, -1j, 0.4 - 0.2j, -1.3 + 0.5j]
     n_exact = 6 if p in (1, 1j) else 0
     u, v = _pairs(zs)
     steps = ch._TAIL - 1
@@ -177,14 +238,14 @@ def test_orbit_tail_of_pixel_array_matches_scalar_tails(p):
 
 
 def test_chordal_distance():
-    assert ch.chordal_distance(0.0, ch.INFINITY) == pytest.approx(2.0)
-    assert ch.chordal_distance(0.3 + 1j, 0.3 + 1j) == 0.0
-    assert ch.chordal_distance(0.0, 1.0) == pytest.approx(math.sqrt(2.0))
+    assert chordal_distance(0.0, INFINITY) == pytest.approx(2.0)
+    assert chordal_distance(0.3 + 1j, 0.3 + 1j) == 0.0
+    assert chordal_distance(0.0, 1.0) == pytest.approx(math.sqrt(2.0))
     a, b = 0.7 - 0.1j, -1.3 + 0.4j
-    assert ch.chordal_distance(a, b) == pytest.approx(ch.chordal_distance(b, a))
+    assert chordal_distance(a, b) == pytest.approx(chordal_distance(b, a))
     expect = 2.0 * abs(a - b) / math.sqrt((1 + abs(a) ** 2) * (1 + abs(b) ** 2))
-    assert ch.chordal_distance(a, b) == pytest.approx(expect)
-    assert ch.chordal_distance(1e300, ch.INFINITY) == pytest.approx(0.0, abs=1e-12)
+    assert chordal_distance(a, b) == pytest.approx(expect)
+    assert chordal_distance(1e300, INFINITY) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_raster_job_guards_and_pixel_centers():
@@ -709,21 +770,21 @@ def test_julia_raster_tail_counts_arrival_off_the_newest_point(case):
 
 def _sphere_points(cycle):
     cu, cv = cycle
-    return [ch.INFINITY if v == 0 else complex(u / v) for u, v in zip(cu, cv)]
+    return [INFINITY if v == 0 else complex(u / v) for u, v in zip(cu, cv)]
 
 
 def test_attracting_cycles_from_critical_orbits():
     def has(zs, w):
-        return min(ch.chordal_distance(z, w) for z in zs) < 1e-12
+        return min(chordal_distance(z, w) for z in zs) < 1e-12
 
     (two_cycle,) = ch._attracting_cycles(1.0, 1e-9)  # both critical orbits
     zs = _sphere_points(two_cycle)
-    assert len(zs) == 2 and has(zs, -1.0) and has(zs, ch.INFINITY)
+    assert len(zs) == 2 and has(zs, -1.0) and has(zs, INFINITY)
 
     fixed = ch._attracting_cycles(0.0, 1e-9)  # z^2 fixes 0 and infinity
     zs = [z for cycle in fixed for z in _sphere_points(cycle)]
     assert len(fixed) == 2 and len(zs) == 2
-    assert has(zs, 0.0) and has(zs, ch.INFINITY)
+    assert has(zs, 0.0) and has(zs, INFINITY)
 
     # p = i: 0 -> i -> -1 -> 1 and infinity -> -i -> -1 -> 1 land exactly on
     # the fixed point 1 in floating point, but its multiplier is 2
@@ -798,7 +859,7 @@ def test_lyapunov_estimators_agree_where_boundary_orbits_terminate():
 
 
 def test_lyapunov_starting_at_infinity():
-    res = ch.lyapunov_estimate(ch.INFINITY, 1.0, 10)
+    res = ch.lyapunov_estimate(INFINITY, 1.0, 10)
     assert res.terminated
     assert res.n_used == 0
     assert math.isnan(res.chain)
@@ -859,6 +920,11 @@ def test_lyapunov_names_every_bad_argument():
         ch.lyapunov_estimate(0.5, 0.0, 0, offset=math.inf, supersink_tol=-1.0)
     for name in ("n_iters", "offset", "supersink_tol"):
         assert name in str(info.value)
+    # a fractional n_iters ran its floor, 10 steps, and True ran one
+    for n_iters in (10.7, True, 10.0, math.inf):
+        with pytest.raises(ValueError, match="n_iters"):
+            ch.lyapunov_estimate(0.5, 0.0, n_iters)
+    assert ch.lyapunov_estimate(0.25 + 0.5j, 1j, np.int64(10)).n_used == 10
     with pytest.raises(ValueError, match="p must be finite"):
         ch.lyapunov_estimate(0.5, complex(math.inf, 0.0), 10)
     # an offset whose separation, shrunk by supersink_tol, reaches the
@@ -915,7 +981,7 @@ def _lyapunov_mpmath(z0, p, n_iters, offset=1e-9, supersink_tol=1e-12):
         pc = mpmath.conj(pm)
 
         zraw = z0() if callable(z0) else z0
-        zm = None if (isinstance(zraw, complex) and ch.is_infinity(zraw)) else mpmath.mpc(zraw)
+        zm = None if (isinstance(zraw, complex) and is_infinity(zraw)) else mpmath.mpc(zraw)
         if zm is not None and (mpmath.isinf(zm.real) or mpmath.isinf(zm.imag)):
             zm = None
         if zm is None:
@@ -989,7 +1055,7 @@ def _lyapunov_mpmath(z0, p, n_iters, offset=1e-9, supersink_tol=1e-12):
     (-0.5 + 0.75j, 0.3 + 0.2j, 1e-9, 1e-12),
     ("0.5", 0.0, 1e-9, 1e-12),
     ("0.5", 0.0, 1e-9, 1e-200),
-    (ch.INFINITY, 1.0, 1e-9, 1e-12),
+    (INFINITY, 1.0, 1e-9, 1e-12),
 ], ids=["circle", "p1-boundary-a", "p1-boundary-b", "pi", "pi-offset-1e-30",
         "attracting-cycle", "supersink-string", "supersink-tol-1e-200", "infinity"])
 def test_lyapunov_matches_mpmath_loop(z0, p, offset, tol):

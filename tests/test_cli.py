@@ -1,10 +1,12 @@
 """Tests for the artifact writers and the command-line front end."""
 
+import ast
 import decimal
 import hashlib
 import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -618,3 +620,25 @@ def test_benchmark_tracer_names_resolve(monkeypatch):
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
     for module in tracer.RNG_MODULES:
         assert getattr(importlib.import_module(module), "RngStream", None) is RngStream, module
+
+
+def test_every_package_name_is_reached():
+    # a top-level name of src/qfc that no other top-level statement there
+    # uses, and that neither the acceptance tests nor the benchmark name, is
+    # test-only: it belongs beside the test that checks it
+    root = Path(__file__).resolve().parents[1]
+    roots = set()
+    for path in [root / "tests" / "test_acceptance.py", *(root / "perfbench").glob("*.py")]:
+        roots.update(re.findall(r"\w+", path.read_text()))
+    defined, used = set(), set()
+    for path in (root / "src" / "qfc").glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            names = set()
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            defined |= names
+            used |= {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(stmt)} - names
+    assert sorted(defined - used - roots) == []

@@ -12,6 +12,58 @@ import qfc.entanglement as en
 import qfc.states as st
 from qfc.stochastic import IntegrationError, RngStream
 
+# Each block's triple T_b (I +- ZZ)/2; BLOCKS adds the block's projector.
+PLUS_TRIPLE = tuple(0.5 * t @ (en.I4 + en.ZZ) for t in en.Q2_TRIPLE)
+MINUS_TRIPLE = tuple(0.5 * t @ (en.I4 - en.ZZ) for t in en.Q2_TRIPLE)
+BLOCKS = {"plus": PLUS_TRIPLE + (0.5 * (en.I4 + en.ZZ),),
+          "minus": MINUS_TRIPLE + (0.5 * (en.I4 - en.ZZ),)}
+
+BELL_TARGET = np.zeros((4, 4), dtype=complex)
+BELL_TARGET[1:3, 1:3] = 0.5
+
+
+def leakage_weight(rho):
+    """Frobenius weight of the off-block corners, 2 sum |rho_ij|^2."""
+    rho = np.asarray(rho, dtype=complex)
+    corners = (rho[0, 1], rho[0, 2], rho[3, 1], rho[3, 2])
+    return 2.0 * float(sum(abs(c) ** 2 for c in corners))
+
+
+def block_components(rho, block="minus"):
+    """Unnormalized within-block triple expectations and the block weight.
+
+    Returns (x, y, z, weight) with x, y, z the expectations of the block's
+    triple on the unnormalized state; divide by weight for the conditional
+    Bloch vector.
+    """
+    if block not in BLOCKS:
+        raise ValueError("block must be 'plus' or 'minus'")
+    return tuple(float(np.trace(op @ rho).real) for op in BLOCKS[block])
+
+
+def which_block_vector(rho):
+    """Bloch vector of the which-block qubit, (<IX>, <ZY>, <ZZ>)."""
+    rho = np.asarray(rho, dtype=complex)
+    x = 2.0 * float((rho[0, 1] + rho[2, 3]).real)
+    y = 2.0 * float((rho[2, 3] - rho[0, 1]).imag)
+    z = float((rho[0, 0] - rho[1, 1] - rho[2, 2] + rho[3, 3]).real)
+    return np.array([x, y, z])
+
+
+def wrap_half(beta):
+    """The smallest rotation with the same axis-zeroing effect as beta."""
+    return (beta + 0.5 * math.pi) % math.pi - 0.5 * math.pi
+
+
+def equator_hold_angle(y, z):
+    """Minimal x-rotation returning (y, z) to the equator z = 0."""
+    return wrap_half(math.atan2(-z, y))
+
+
+def phase_hold_angle(x, y):
+    """Minimal z-rotation returning (x, y) to the plane x = 0."""
+    return wrap_half(math.atan2(x, y))
+
 
 def q1_rotation(beta):
     """Rotate the which-block qubit by beta about its x axis.
@@ -33,7 +85,7 @@ def q2_rotation(beta):
 
 
 def q2_equator_purity(rho):
-    return en._equator_purity(*en.block_components(rho, "minus"))
+    return en._equator_purity(*block_components(rho, "minus"))
 
 
 def embed_block(rho2, block):
@@ -71,7 +123,7 @@ def test_within_block_triple_is_pauli_and_commutes_with_which_block():
 
 @pytest.mark.parametrize("block", ["plus", "minus"])
 def test_within_block_triple_restricts_to_pauli(block):
-    triple = en.PLUS_TRIPLE if block == "plus" else en.MINUS_TRIPLE
+    triple = PLUS_TRIPLE if block == "plus" else MINUS_TRIPLE
     own = [0, 3] if block == "plus" else [1, 2]
     other = [1, 2] if block == "plus" else [0, 3]
     paulis = (st.SX, st.SY, st.SZ)
@@ -82,24 +134,24 @@ def test_within_block_triple_restricts_to_pauli(block):
 
 def test_bell_target_is_symmetric_bell_state():
     rho = st.density(st.bell_state("psi+"))
-    assert np.allclose(en.BELL_TARGET, rho)
+    assert np.allclose(BELL_TARGET, rho)
 
 
 def test_which_block_vector_examples():
     psi_minus = st.density(st.bell_state("psi-"))
-    assert np.allclose(en.which_block_vector(psi_minus), [0.0, 0.0, -1.0])
+    assert np.allclose(which_block_vector(psi_minus), [0.0, 0.0, -1.0])
     phi_plus = st.density(st.bell_state("phi+"))
-    assert np.allclose(en.which_block_vector(phi_plus), [0.0, 0.0, 1.0])
+    assert np.allclose(which_block_vector(phi_plus), [0.0, 0.0, 1.0])
     # |0>|+> has parity fully undetermined: a which-block equator state
     plus_x = st.density(np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0))
-    assert np.allclose(en.which_block_vector(plus_x), [1.0, 0.0, 0.0])
+    assert np.allclose(which_block_vector(plus_x), [1.0, 0.0, 0.0])
     plus_y = st.density(np.array([1.0, 1.0j, 0.0, 0.0]) / math.sqrt(2.0))
-    assert np.allclose(en.which_block_vector(plus_y), [0.0, 1.0, 0.0])
+    assert np.allclose(which_block_vector(plus_y), [0.0, 1.0, 0.0])
 
 
 def test_which_block_vector_matches_triple_expectations():
     rho = random_density(np.random.default_rng(7), 4)
-    vec = en.which_block_vector(rho)
+    vec = which_block_vector(rho)
     expect = [float(np.trace(op @ rho).real) for op in en.Q1_TRIPLE]
     assert np.allclose(vec, expect, atol=1e-13)
 
@@ -112,10 +164,10 @@ def test_block_components_on_bell_states():
         ("phi-", "plus", -1.0),
     ]:
         rho = st.density(st.bell_state(name))
-        x, y, z, w = en.block_components(rho, block)
+        x, y, z, w = block_components(rho, block)
         assert np.allclose([x, y, z, w], [sign, 0.0, 0.0, 1.0], atol=1e-14)
     with pytest.raises(ValueError):
-        en.block_components(np.eye(4) / 4.0, "sideways")
+        block_components(np.eye(4) / 4.0, "sideways")
 
 
 def test_bell_fidelity_values():
@@ -125,19 +177,19 @@ def test_bell_fidelity_values():
     assert en.bell_fidelity(np.eye(4) / 4.0) == pytest.approx(0.25)
     rho = random_density(np.random.default_rng(11), 4)
     assert en.bell_fidelity(rho) == pytest.approx(
-        st.fidelity_trace(en.BELL_TARGET, rho), abs=1e-13
+        st.fidelity_trace(BELL_TARGET, rho), abs=1e-13
     )
 
 
 def test_leakage_weight():
-    assert en.leakage_weight(np.eye(4) / 4.0) == 0.0
+    assert leakage_weight(np.eye(4) / 4.0) == 0.0
     for name in ("psi+", "psi-", "phi+", "phi-"):
-        assert en.leakage_weight(st.density(st.bell_state(name))) == pytest.approx(0.0, abs=1e-15)
+        assert leakage_weight(st.density(st.bell_state(name))) == pytest.approx(0.0, abs=1e-15)
     plus_plus = st.density(np.full(4, 0.5))
-    assert en.leakage_weight(plus_plus) == pytest.approx(0.5)
+    assert leakage_weight(plus_plus) == pytest.approx(0.5)
     rho = random_density(np.random.default_rng(3), 4)
     corners = np.array([rho[0, 1], rho[0, 2], rho[3, 1], rho[3, 2]])
-    assert en.leakage_weight(rho) == pytest.approx(2.0 * np.sum(np.abs(corners) ** 2))
+    assert leakage_weight(rho) == pytest.approx(2.0 * np.sum(np.abs(corners) ** 2))
 
 
 def test_parity_models():
@@ -209,10 +261,10 @@ def test_q2_rotation_matrix():
 
 def test_q1_rotation_turns_which_block_vector():
     rho = random_density(np.random.default_rng(17), 4)
-    x0, y0, z0 = en.which_block_vector(rho)
+    x0, y0, z0 = which_block_vector(rho)
     beta = 0.77
     u = q1_rotation(beta)
-    x1, y1, z1 = en.which_block_vector(u @ rho @ u.conj().T)
+    x1, y1, z1 = which_block_vector(u @ rho @ u.conj().T)
     assert x1 == pytest.approx(x0, abs=1e-12)
     assert y1 == pytest.approx(y0 * math.cos(beta) - z0 * math.sin(beta), abs=1e-12)
     assert z1 == pytest.approx(y0 * math.sin(beta) + z0 * math.cos(beta), abs=1e-12)
@@ -223,20 +275,20 @@ def test_q2_rotation_turns_minus_block_only():
     beta = -0.58
     u = q2_rotation(beta)
     rotated = u @ rho @ u.conj().T
-    x0, y0, z0, w0 = en.block_components(rho, "minus")
-    x1, y1, z1, w1 = en.block_components(rotated, "minus")
+    x0, y0, z0, w0 = block_components(rho, "minus")
+    x1, y1, z1, w1 = block_components(rotated, "minus")
     assert x1 == pytest.approx(x0 * math.cos(beta) - y0 * math.sin(beta), abs=1e-12)
     assert y1 == pytest.approx(x0 * math.sin(beta) + y0 * math.cos(beta), abs=1e-12)
     assert z1 == pytest.approx(z0, abs=1e-12)
     assert w1 == pytest.approx(w0, abs=1e-12)
     # it turns the D+ qubit by the same angle, so a product q1 x q2 stays a
     # product, and it leaves the which-block qubit alone
-    x0, y0, z0, w0 = en.block_components(rho, "plus")
-    x1, y1, z1, w1 = en.block_components(rotated, "plus")
+    x0, y0, z0, w0 = block_components(rho, "plus")
+    x1, y1, z1, w1 = block_components(rotated, "plus")
     assert np.allclose([x1, y1, z1, w1], [x0 * math.cos(beta) - y0 * math.sin(beta),
                                           x0 * math.sin(beta) + y0 * math.cos(beta), z0, w0],
                        atol=1e-12)
-    assert np.allclose(en.which_block_vector(rotated), en.which_block_vector(rho), atol=1e-12)
+    assert np.allclose(which_block_vector(rotated), which_block_vector(rho), atol=1e-12)
 
 
 def test_feedback_angles():
@@ -245,7 +297,7 @@ def test_feedback_angles():
         y, z = rng.normal(size=2)
         r = math.hypot(y, z)
 
-        beta = en.equator_hold_angle(y, z)
+        beta = equator_hold_angle(y, z)
         assert abs(beta) <= 0.5 * math.pi + 1e-12
         z_new = y * math.sin(beta) + z * math.cos(beta)
         assert abs(z_new) <= 1e-12 * max(1.0, r)
@@ -259,7 +311,7 @@ def test_feedback_angles():
         x, y = rng.normal(size=2)
         r = math.hypot(x, y)
 
-        beta = en.phase_hold_angle(x, y)
+        beta = phase_hold_angle(x, y)
         assert abs(beta) <= 0.5 * math.pi + 1e-12
         x_new = x * math.cos(beta) - y * math.sin(beta)
         assert abs(x_new) <= 1e-12 * max(1.0, r)
@@ -288,7 +340,7 @@ def test_clip_psd():
 
 def test_r_squared_and_equator_purity():
     assert en._r_squared(np.eye(4) / 4.0) == pytest.approx(0.0, abs=1e-15)
-    assert en._r_squared(en.BELL_TARGET) == pytest.approx(3.0)
+    assert en._r_squared(BELL_TARGET) == pytest.approx(3.0)
     assert en._r_squared(st.density(np.array([1.0, 0, 0, 0]))) == pytest.approx(3.0)
 
     rho = random_density(np.random.default_rng(31), 4)
@@ -297,7 +349,7 @@ def test_r_squared_and_equator_purity():
     u = st.tensor_product(a, b)
     assert abs(en._r_squared(u @ rho @ u.conj().T) - en._r_squared(rho)) < 1e-10
 
-    assert q2_equator_purity(en.BELL_TARGET) == pytest.approx(1.0)
+    assert q2_equator_purity(BELL_TARGET) == pytest.approx(1.0)
     assert q2_equator_purity(np.eye(4) / 4.0) == pytest.approx(0.5)
     ket01 = np.zeros(4)
     ket01[1] = 1.0
@@ -305,12 +357,12 @@ def test_r_squared_and_equator_purity():
 
 
 def test_protocol_at_target_returns_immediately():
-    res = en.entangle_protocol(en.BELL_TARGET, 1.0, 1e-3, 10.0, seed=0)
+    res = en.entangle_protocol(BELL_TARGET, 1.0, 1e-3, 10.0, seed=0)
     assert res.final_fidelity > 1.0 - 1e-9
     assert res.dfs_time is None
     assert len(res.times) == 1
     assert res.times[0] == 0.0
-    assert np.allclose(res.final_state, en.BELL_TARGET, atol=1e-12)
+    assert np.allclose(res.final_state, BELL_TARGET, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -336,7 +388,7 @@ def test_protocol_from_maximally_mixed(seed):
     # the accepted state sits in the minus block for the rest of the run
     assert res.leakage[-1] <= 1e-3
     rho = res.final_state
-    assert en.leakage_weight(rho) <= 2e-3
+    assert leakage_weight(rho) <= 2e-3
     assert (rho[1, 1] + rho[2, 2]).real >= 1.0 - 2e-3
 
     # the filter and the rotations keep the state positive
@@ -385,6 +437,23 @@ def test_protocol_input_guards():
         en.entangle_protocol(np.eye(2) / 2.0, 1.0, 1e-3, 1.0, seed=0)
     with pytest.raises(ValueError):
         en.entangle_protocol(np.eye(4), 1.0, 1e-3, 1.0, seed=0)
+    # a NaN dt or horizon read "cannot convert float NaN to integer", an
+    # infinite horizon or horizon / dt raised OverflowError, and
+    # sample_every=10.5 recorded 3 rows instead of 138
+    for dt, horizon, every in ((math.nan, 10.0, 10), (1e-3, math.nan, 10),
+                               (1e-3, math.inf, 10), (5e-324, 1e300, 10),
+                               (1e-3, 10.0, 10.5), (1e-3, 10.0, True)):
+        with pytest.raises(ValueError):
+            en.entangle_protocol(rho, 1.0, dt, horizon, seed=0, sample_every=every)
+    with pytest.raises(ValueError) as info:
+        en.entangle_protocol(np.eye(2), math.nan, -1.0, math.inf, seed=0, sample_every=0.5)
+    for name in ("k must", "dt must", "horizon must", "sample_every must", "rho0"):
+        assert name in str(info.value)
+    with pytest.raises(ValueError) as info:
+        en.entangle_protocol(rho, 1.0, 2e-3, -1.0, seed=0)
+    assert "k*dt" in str(info.value) and "horizon" in str(info.value)
+    res = en.entangle_protocol(rho, 1.0, 1e-3, 10.0, seed=0, sample_every=np.int64(10))
+    assert len(res.times) == 138
 
 
 def matrix_protocol(rho0, k, dt, horizon, seed, q1_threshold=0.999,
@@ -404,8 +473,8 @@ def matrix_protocol(rho0, k, dt, horizon, seed, q1_threshold=0.999,
     def sample(t):
         if rows and rows[-1][0] == t:
             rows.pop()
-        rows.append((t, en._r_squared(rho), en.leakage_weight(rho),
-                     en.which_block_vector(rho)[2], q2_equator_purity(rho),
+        rows.append((t, en._r_squared(rho), leakage_weight(rho),
+                     which_block_vector(rho)[2], q2_equator_purity(rho),
                      en.bell_fidelity(rho)))
 
     def package():
@@ -418,16 +487,16 @@ def matrix_protocol(rho0, k, dt, horizon, seed, q1_threshold=0.999,
     for step in range(n_max + 1):
         t = step * dt
         if stage == 1:
-            q1 = en.which_block_vector(rho)
+            q1 = which_block_vector(rho)
             if float(np.linalg.norm(q1)) >= q1_threshold:
                 u = q1_rotation(en.align_down_angle(q1[1], q1[2]))
                 candidate = u @ rho @ u.conj().T
-                if en.leakage_weight(candidate) <= leakage_threshold:
+                if leakage_weight(candidate) <= leakage_threshold:
                     rho, stage = candidate, 2
                     dfs_time = t if step > 0 else None
                     sample(t)
         if stage == 2 and q2_equator_purity(rho) >= purity_threshold:
-            x, y, _, _ = en.block_components(rho, "minus")
+            x, y, _, _ = block_components(rho, "minus")
             u = q2_rotation(en.azimuth_align_angle(x, y))
             rho = u @ rho @ u.conj().T
             sample(t)
@@ -440,11 +509,11 @@ def matrix_protocol(rho0, k, dt, horizon, seed, q1_threshold=0.999,
         rho = m @ rho @ m
         rho /= np.trace(rho).real
         if stage == 1:
-            q1 = en.which_block_vector(rho)
-            u = q1_rotation(en.equator_hold_angle(q1[1], q1[2]))
+            q1 = which_block_vector(rho)
+            u = q1_rotation(equator_hold_angle(q1[1], q1[2]))
         else:
-            x, y, _, _ = en.block_components(rho, "minus")
-            u = q2_rotation(en.phase_hold_angle(x, y))
+            x, y, _, _ = block_components(rho, "minus")
+            u = q2_rotation(phase_hold_angle(x, y))
         rho = u @ rho @ u.conj().T
         if eigenvalues is not None:
             eigenvalues.append(np.linalg.eigvalsh(rho).min())
@@ -558,7 +627,7 @@ def test_coefficient_maps_match_the_matrix_helpers():
         r = en._coefficients(rho)
         back = np.einsum("ab,abij->ij", r.reshape(4, 4), en._PRODUCTS) / 4.0
         assert np.max(np.abs(back - rho)) <= 1e-15
-        expect = (en._r_squared(rho), en.leakage_weight(rho), en.which_block_vector(rho)[2],
+        expect = (en._r_squared(rho), leakage_weight(rho), which_block_vector(rho)[2],
                   q2_equator_purity(rho), en.bell_fidelity(rho))
         assert np.max(np.abs(np.array(en._reads(r)) - expect)) <= 1e-14
         for pairs, make in ((en._ROWS_YZ, q1_rotation), (en._COLS_XY, q2_rotation)):
@@ -602,8 +671,8 @@ def pairwise_protocol(rho0, k, dt, horizon, seed, sample_every=10):
     monitored pairs, divides by r_00 and turns the held pairs, each through
     a list.  The bit-exact reference of its straight-line stages."""
     # (filtered pairs, index of <c>, held pairs, hold angle) per stage
-    stages = {1: (ROWS_0Z, 12, ROWS_YZ, lambda r: en.equator_hold_angle(r[8], r[12])),
-              2: (COLS_0X, 1, COLS_XY, lambda r: en.phase_hold_angle(r[1] - r[13], r[2] - r[14]))}
+    stages = {1: (ROWS_0Z, 12, ROWS_YZ, lambda r: equator_hold_angle(r[8], r[12])),
+              2: (COLS_0X, 1, COLS_XY, lambda r: phase_hold_angle(r[1] - r[13], r[2] - r[14]))}
     root = 2.0 * math.sqrt(2.0 * k)
     n_max = int(round(horizon / dt))
     dws = RngStream(seed, 0).wiener(dt, n_max).tolist()

@@ -3,12 +3,11 @@
 import mpmath
 import numpy as np
 import pytest
-from conftest import random_density, random_hermitian, random_unitary
+from conftest import angular_momentum_ops, random_density, random_hermitian, random_unitary
 
 from qfc import purification as pf
 from qfc import sme
-from qfc.states import (SZ, angular_momentum_ops, density, tensor_product,
-                        von_neumann_entropy)
+from qfc.states import SZ, density, tensor_product, von_neumann_entropy
 from qfc.stochastic import IntegrationError, RngStream
 
 ZZ = tensor_product(SZ, SZ)

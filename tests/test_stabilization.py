@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from conftest import bloch_from_density
 
 from qfc import stabilization as sb
-from qfc.states import bloch_from_density, density
+from qfc.states import density
 from qfc.stochastic import RngStream
 
 
@@ -23,14 +24,8 @@ def test_closed_forms_special_points():
     assert abs(sb.f4_closed(0.0, 0.7) - 1.0) < 1e-12
     # orthogonal pair: discrimination is perfect
     assert abs(sb.f3_discriminate_prepare(0.3, np.pi / 2.0) - 1.0) < 1e-12
-    assert abs(sb.helstrom_prob(np.pi / 2.0) - 1.0) < 1e-12
-    assert abs(sb.helstrom_prob(0.0) - 0.5) < 1e-12
     # identical pair: preparing that state is perfect
     assert abs(sb.f3_discriminate_prepare(0.3, 0.0) - 1.0) < 1e-12
-    # the naive reprepare reference never beats the optimal discriminator
-    thetas = np.linspace(0.0, np.pi / 2.0, 50)
-    assert np.all(sb.f2_naive(thetas)
-                  <= sb.f3_discriminate_prepare(0.0, thetas) + 1e-12)
 
 
 def test_weak_operator_pair_limits():

@@ -139,6 +139,25 @@ def test_run_ensemble_time_grid_at_a_non_dividing_stride():
     assert np.array_equal(stats.mean, direct)
 
 
+def test_run_ensemble_names_every_bad_count():
+    # sample_every and chunk were clamped (0 and -5 ran as 1, 2.5 as 2), an
+    # n_steps of 2.7 ran 2 steps, one of -1 raised IndexError, and an
+    # infinite dt returned NaN statistics
+    for n_steps, n_traj, every, chunk in ((4, 4, 0, 8), (4, 4, 1, -5), (4, 4, 2.5, 8),
+                                          (4, 4, 1, True), (4, 2.0, 1, 8), (2.7, 4, 1, 8),
+                                          (-1, 4, 1, 8)):
+        with pytest.raises(ValueError):
+            run_ensemble(0.0, record, 0.1, n_steps, n_traj, base_seed=1, sample_every=every,
+                         chunk=chunk)
+    with pytest.raises(ValueError) as info:
+        run_ensemble(0.0, record, np.inf, -1, 0, base_seed=1, sample_every=2.5, chunk=0)
+    for name in ("dt", "n_steps", "n_traj", "sample_every", "chunk"):
+        assert name in str(info.value)
+    times, stats = run_ensemble(0.0, record, 0.1, np.int64(4), np.int64(5), base_seed=1,
+                                sample_every=np.int64(2), chunk=np.int32(2))
+    assert times.size == 3 and stats.n_traj == 5
+
+
 @pytest.mark.parametrize("drift", [1.5, lambda stream: 10.0 * stream.uniform()],
                          ids=["constant", "uniform"])
 def test_run_ensemble_records_are_the_fresh_streams(drift):
