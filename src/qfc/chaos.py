@@ -456,12 +456,14 @@ def box_counts(mask, sizes):
     return np.array(out)
 
 
-def boundary_box_dimension(mask, sizes=(1, 2, 4, 8, 16, 32)):
+def boundary_box_dimension(mask):
     """Box-counting dimension estimate of a set's boundary.
 
-    Fits log(count) against log(1/size) for the boundary cells of the mask.
+    Fits log(count) against log(1/size) for the boundary cells of the mask,
+    at box sizes 1, 2, 4, ..., 32.
     A smooth curve scores near 1, a space-filling boundary near 2.
     """
+    sizes = (1, 2, 4, 8, 16, 32)
     edge = boundary_mask(mask)
     counts = box_counts(edge, sizes)
     if (counts == 0).any():

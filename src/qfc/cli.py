@@ -12,7 +12,6 @@ identical configuration plus seed gives byte-identical files for any
 from __future__ import annotations
 
 import math
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ import numpy as np
 from . import chaos, purification, sme, stabilization
 from .entanglement import K_DT_LIMIT, entangle_protocol
 from .output import format_value, write_csv, write_pgm
-from .stochastic import RngStream, run_ensemble
+from .stochastic import MAX_STEPS, RngStream, run_ensemble
 
 
 class ConfigError(Exception):
@@ -77,24 +76,11 @@ def _grid_check(v):
     return None
 
 
-def _default_threads():
-    raw = os.environ.get("QFC_THREADS")
-    if raw is None:
-        return 1, None
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1, f"threads: QFC_THREADS is not an integer: {raw!r}"
-    if value < 1:
-        return 1, "threads: QFC_THREADS must be at least 1"
-    return value, None
-
-
 def _shared_fields(command):
     return [
         Field("seed", int, 0, _seed_check, "base seed for all random streams"),
-        Field("threads", int, None, _at_least(1),
-              "julia worker threads (default: QFC_THREADS or 1); never changes output bytes"),
+        Field("threads", int, 1, _at_least(1),
+              "julia worker threads; never changes output bytes"),
         Field("out", str, "qfc_" + command.replace("-", "_"), None,
               "output base path; files are written as <out>.csv (and <out>.pgm)"),
     ]
@@ -257,6 +243,14 @@ def _entangle_step_check(cfg):
     return None
 
 
+def _step_count_check(span):
+    def check(cfg):
+        if not cfg[span] / cfg["dt"] <= MAX_STEPS:  # an overflow to inf fails too
+            return f"dt: {span}/dt must round to at most 2**63 - 1 steps"
+        return None
+    return check
+
+
 def _spot_mode_check(cfg):
     if (cfg["p"] is None) != (cfg["theta"] is None):
         return ("p: give both --p and --theta for a spot check, "
@@ -310,7 +304,7 @@ for _cmd in [
          Field("target", float, 1e-3,
                _in_closed(1e-12, 0.499999, "(0, 1/2)"),
                "impurity target for the reported time ratio")],
-        [],
+        [_step_count_check("t_max")],
         _run_purify,
         "ensemble impurity with and without feedback"),
     Command(
@@ -321,7 +315,7 @@ for _cmd in [
          Field("horizon", float, 10.0, _positive, "time budget"),
          Field("sample_every", int, 10, _at_least(1),
                "steps between recorded samples")],
-        [_entangle_step_check],
+        [_entangle_step_check, _step_count_check("horizon")],
         _run_entangle,
         "drive two qubits onto a Bell state by parity monitoring"),
     Command(
@@ -357,7 +351,7 @@ for _cmd in [
          Field("trajectories", int, 2000, _at_least(2), "ensemble size"),
          Field("sample_every", int, 10, _at_least(1),
                "steps between recorded samples")],
-        [],
+        [_step_count_check("t_max")],
         _run_sme,
         "monitored-dephasing ensemble against the deterministic average"),
     Command(
@@ -372,7 +366,7 @@ for _cmd in [
          Field("trajectories", int, 100, _at_least(2), "ensemble size"),
          Field("sample_every", int, 10, _at_least(1),
                "steps between recorded samples")],
-        [],
+        [_step_count_check("t_max")],
         _run_spin_collapse,
         "projective collapse of a monitored spin ensemble"),
 ]:
@@ -415,15 +409,7 @@ def resolve_config(command, cli_values, config_path):
     by_name = {f.name: f for f in fields}
     problems = []
 
-    cfg = {}
-    for f in fields:
-        if f.name == "threads":
-            value, problem = _default_threads()
-            if problem:
-                problems.append(problem)
-            cfg[f.name] = value
-        else:
-            cfg[f.name] = f.default
+    cfg = {f.name: f.default for f in fields}
 
     if config_path is not None:
         for key, raw in parse_config_file(config_path, problems).items():

@@ -41,7 +41,7 @@ import numpy as np
 # perfbench/tracer.py patches this module's sme_step, clip_psd and RngStream
 from .sme import Channel, SmeModel, sme_step
 from .states import SI, SX, SY, SZ, check_density, tensor_product
-from .stochastic import IntegrationError, RngStream
+from .stochastic import MAX_STEPS, IntegrationError, RngStream
 
 _HALF_PI = 0.5 * math.pi  # exact
 I4 = np.eye(4, dtype=complex)
@@ -246,8 +246,9 @@ def entangle_protocol(rho0, k, dt, horizon, seed, *, sample_every=10):
                 if not 0.0 < value < math.inf]
     if 0.0 < k < math.inf and 0.0 < dt < math.inf and k * dt > K_DT_LIMIT:
         problems.append(f"k*dt must not exceed {K_DT_LIMIT:g}, got {k * dt!r}")
-    if 0.0 < dt and 0.0 < horizon < math.inf and horizon / dt == math.inf:
-        problems.append(f"horizon / dt must be finite, got {horizon!r} / {dt!r}")
+    if 0.0 < dt and 0.0 < horizon < math.inf and not horizon / dt <= MAX_STEPS:
+        problems.append(f"horizon / dt must round to at most 2**63 - 1 steps, "
+                        f"got {horizon!r} / {dt!r}")
     if (isinstance(sample_every, bool) or not isinstance(sample_every, numbers.Integral)
             or sample_every < 1):
         problems.append(f"sample_every must be an integer of at least 1, got {sample_every!r}")

@@ -144,6 +144,7 @@ def time_to_target_nofeedback(target, k):
     return 0.5 * (lo + hi)
 
 
-def speedup_ratio(target, k=1.0):
-    """Feedback time over no-feedback time to a common target impurity."""
-    return time_to_target_feedback(target, k) / time_to_target_nofeedback(target, k)
+def speedup_ratio(target):
+    """Feedback time over no-feedback time to a common target impurity; both
+    times scale as 1/k, so the ratio is taken at k = 1."""
+    return time_to_target_feedback(target, 1.0) / time_to_target_nofeedback(target, 1.0)

@@ -12,7 +12,10 @@ the average fidelity of the output with the intended state:
      conditional rotation about z by the angle eta(p, theta, chi).
 
 Schemes 1, 3 and 4 have closed forms; Monte-Carlo estimators sample the exact
-branch distribution of each finite protocol.
+branch distribution of each finite protocol.  With a = (1 - 2p) cos theta,
+d = 1 - a^2 and u = sin chi, scheme 4 averages
+(1 + cos theta sqrt(1 - d u^2) + sin^2 theta u) / 2, which is concave in u and
+peaks at u* = sin^2 theta / sqrt(d (cos^2 theta d + sin^4 theta)).
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import numpy as np
 from .states import SZ, dag, density
 
 _HALF_PI = 0.5 * np.pi
-_CHI_TOL = 1e-4  # final golden-section bracket of optimize_chi
 
 
 def protected_pair(theta):
@@ -108,27 +110,20 @@ def channel_average_fidelity(p, theta, chi):
 
 
 def optimize_chi(p, theta):
-    """Golden-section maximization of the scheme-4 channel average over chi,
-    to a final bracket of 1e-4.  At p = 0 no measurement (chi = pi/2) is
-    optimal, and is returned exactly: the average is flat to rounding there."""
+    """The chi that maximizes the scheme-4 channel average, and that average.
+
+    At u = sin chi the average is (1 + cos theta sqrt(1 - d u^2) + sin^2 theta u) / 2
+    with d = 1 - ((1 - 2p) cos theta)^2; setting its u-derivative to zero gives
+    u* = sin^2 theta / sqrt(d (cos^2 theta d + sin^4 theta)), and chi = pi/2
+    (no measurement) when u* >= 1.  At p = 0, where u* is 1 up to rounding,
+    chi = pi/2 is returned exactly.
+    """
     if p == 0:
         return _HALF_PI, channel_average_fidelity(p, theta, _HALF_PI)
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = 1e-9, _HALF_PI - 1e-9
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc = channel_average_fidelity(p, theta, c)
-    fd = channel_average_fidelity(p, theta, d)
-    while b - a > _CHI_TOL:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = channel_average_fidelity(p, theta, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = channel_average_fidelity(p, theta, d)
-    chi = 0.5 * (a + b)
+    d = 1.0 - ((1.0 - 2.0 * p) * np.cos(theta)) ** 2
+    s2 = np.sin(theta) ** 2
+    u = s2 / np.sqrt(d * (np.cos(theta) ** 2 * d + s2 * s2))
+    chi = _HALF_PI if u >= 1.0 else float(np.arcsin(u))
     return chi, channel_average_fidelity(p, theta, chi)
 
 

@@ -19,6 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
+MAX_STEPS = 2**63 - 1  # the most steps a run can count in numpy's int64
+
+
 class IntegrationError(RuntimeError):
     """A step produced a non-finite state."""
 
@@ -65,8 +68,8 @@ class RngStream:
         one per increment, each drawn in turn."""
         return self.gen.normal(0.0, _std(dt), size)
 
-    def uniform(self, size=None):
-        return self.gen.uniform(size=size)
+    def uniform(self):
+        return self.gen.uniform()
 
 
 def ito_quadratic_variation(rng, t_total, n_steps):
@@ -102,8 +105,11 @@ def sech(x):
     return 2.0 * e / (1.0 + e * e)
 
 
+_CHUNK = 256  # trajectories per chunk of run_ensemble
+
+
 def run_ensemble(drift, read, dt, n_steps, n_traj, base_seed, sample_every=1,
-                 chunk=256, final=None):
+                 final=None):
     """Mean and variance over trajectories 0 .. n_traj-1 of reads of their
     measurement records.
 
@@ -111,14 +117,14 @@ def run_ensemble(drift, read, dt, n_steps, n_traj, base_seed, sample_every=1,
     stride misses it.  One RngStream serves the call, rekeyed to stream
     (base_seed, i) for trajectory i, which draws first mu = drift(stream)
     (or takes drift itself, if a number), then in one draw one N(0, 1) per
-    grid interval tau into its row.  Per chunk the rows are then scaled by
-    sqrt(tau) (dB ~ N(0, tau), the numbers wiener(taus) gives), shifted by
-    mu tau and summed in place: a record starts at y = 0 and advances
-    y += mu tau + dB.  A chunk's records are rows: read(y, t) takes them at
-    the sampled times t = dt * step and gives a value (or row) per
-    trajectory and time; final(y, t), if given, takes them at
-    t = dt * n_steps and gives a row per trajectory.  Chunks bound the
-    memory, and their means and sums of squared deviations are merged
+    grid interval tau into its row.  Trajectories run in chunks of 256; per
+    chunk the rows are then scaled by sqrt(tau) (dB ~ N(0, tau), the numbers
+    wiener(taus) gives), shifted by mu tau and summed in place: a record
+    starts at y = 0 and advances y += mu tau + dB.  A chunk's records are
+    rows: read(y, t) takes them at the sampled times t = dt * step and gives
+    a value (or row) per trajectory and time; final(y, t), if given, takes
+    them at t = dt * n_steps and gives a row per trajectory.  Chunks bound
+    the memory, and their means and sums of squared deviations are merged
     pairwise in fixed order (Chan, Golub & LeVeque 1979).  Returns
     (times, EnsembleStats) over the samples in time order, then the final
     reads.  One ValueError names a dt that is not positive and finite and
@@ -127,22 +133,22 @@ def run_ensemble(drift, read, dt, n_steps, n_traj, base_seed, sample_every=1,
     """
     problems = [f"{name} must be an integer of at least {lo}, got {value!r}"
                 for name, value, lo in (("n_steps", n_steps, 0), ("n_traj", n_traj, 1),
-                                        ("sample_every", sample_every, 1), ("chunk", chunk, 1))
+                                        ("sample_every", sample_every, 1))
                 if isinstance(value, bool) or not isinstance(value, numbers.Integral)
                 or value < lo]
     if not 0 < dt < math.inf:
         problems.insert(0, f"dt must be positive and finite, got {dt!r}")
     if problems:
         raise ValueError("; ".join(problems))
-    n_steps, n_traj, sample_every, chunk = int(n_steps), int(n_traj), int(sample_every), int(chunk)
+    n_steps, n_traj, sample_every = int(n_steps), int(n_traj), int(sample_every)
     steps = np.arange(0, n_steps + 1, sample_every)
     times = dt * steps
     taus = dt * np.diff(np.append(steps, n_steps) if steps[-1] < n_steps else steps)
     sd, stream = _std(taus), RngStream(base_seed)
 
     parts = []
-    for lo in range(0, n_traj, chunk):
-        ids = range(lo, min(lo + chunk, n_traj))
+    for lo in range(0, n_traj, _CHUNK):
+        ids = range(lo, min(lo + _CHUNK, n_traj))
         y = np.zeros((len(ids), len(taus) + 1))
         dy, mu = y[:, 1:], []
         for row, i in zip(dy, ids):

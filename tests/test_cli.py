@@ -203,8 +203,7 @@ def test_write_pgm(tmp_path):
         out.write_pgm(path, counts, 0)
 
 
-def test_resolve_config_defaults(monkeypatch):
-    monkeypatch.delenv("QFC_THREADS", raising=False)
+def test_resolve_config_defaults():
     cfg = cli.resolve_config("julia", {}, None)
     assert cfg["p_re"] == 1.0
     assert cfg["grid"] == "512x512"
@@ -249,6 +248,15 @@ def test_non_finite_floats_are_rejected(tmp_path, capsys):
         assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert [f"{name}: must be finite" in err for name in bad] == [True, True]
+    # a step count that cannot run: t_max/dt overflowed int() ("cannot convert
+    # float infinity to integer"), passed numpy's largest array size, or, for
+    # entangle, asked for 1e301 steps
+    for command, span in (("purify", "t_max"), ("sme-run", "t_max"),
+                          ("spin-collapse", "t_max"), ("entangle", "horizon")):
+        for dt in ("5e-324", "1e-300"):
+            assert cli.main([command, "--dt", dt, "--out", str(tmp_path / "x")]) == 2
+            err = capsys.readouterr().err
+            assert f"dt: {span}/dt must round to at most" in err, (command, dt)
     assert not list(tmp_path.glob("x.*"))
 
 
@@ -256,14 +264,6 @@ def test_resolve_config_unreadable_file():
     with pytest.raises(cli.ConfigError) as info:
         cli.resolve_config("julia", {}, "/nonexistent/qfc.cfg")
     assert "cannot read" in str(info.value)
-
-
-def test_threads_env_fallback(monkeypatch):
-    monkeypatch.setenv("QFC_THREADS", "3")
-    assert cli.resolve_config("julia", {}, None)["threads"] == 3
-    monkeypatch.setenv("QFC_THREADS", "zero")
-    with pytest.raises(cli.ConfigError):
-        cli.resolve_config("julia", {}, None)
 
 
 def test_stabilize_spot_mode_needs_both_coordinates():
@@ -386,8 +386,7 @@ def test_main_runtime_error_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: entangle:")
 
 
-def test_julia_run_and_byte_reproducibility(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("QFC_THREADS", raising=False)
+def test_julia_run_and_byte_reproducibility(tmp_path, capsys):
     base = tmp_path / "j"
     args = ["julia", "--grid", "48x48", "--max-iters", "30",
             "--out", str(base)]
@@ -411,11 +410,6 @@ def test_julia_run_and_byte_reproducibility(tmp_path, capsys, monkeypatch):
     assert csv_path.read_bytes() == csv_bytes
     assert pgm_path.read_bytes() == pgm_bytes
 
-    monkeypatch.setenv("QFC_THREADS", "3")
-    assert cli.main(args) == 0
-    assert csv_path.read_bytes() == csv_bytes
-    assert pgm_path.read_bytes() == pgm_bytes
-
 
 # sha256 of the files julia wrote: the 48x48 case before the one-pass
 # raster and the per-axis coordinate formatting, the 256x256 case (the
@@ -436,7 +430,6 @@ FROZEN_JULIA = {
 def test_julia_output_bytes_are_frozen(tmp_path, monkeypatch):
     # the relative --out keeps the temporary directory out of the preamble
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("QFC_THREADS", raising=False)
     for grid, (args, frozen) in FROZEN_JULIA.items():
         assert cli.main(["julia", *args, "--p-re", "1", "--out", "j"]) == 0
         digests = {suffix: hashlib.sha256((tmp_path / f"j.{suffix}").read_bytes()).hexdigest()
@@ -445,7 +438,8 @@ def test_julia_output_bytes_are_frozen(tmp_path, monkeypatch):
 
 
 # sha256 of the CSV each command wrote with the row-at-a-time writer, which
-# passed every cell through format_value
+# passed every cell through format_value; "spot" with chi at its closed-form
+# optimum
 FROZEN_CSVS = {
     "s": (["stabilize", "--grid-size", "50"],
           "ec20fd523d6c9951a215a60e7996c7985556e01f361e72547b53f9fe72f062ac"),
@@ -454,7 +448,7 @@ FROZEN_CSVS = {
           "bb64c578c0d0a3ea6315bc4066f2f23d4eec41f149d9b6d54e49c0a86fa90449"),
     "spot": (["stabilize", "--p", "0.115", "--theta", "0.715",
               "--samples", "2000", "--seed", "7"],
-             "0463c46272b02f71013506f579f50adef87fbc5443616ff9bc8ebd41a3ef7ea6"),
+             "c756d91b9b389f162e361531e9a44a9819343be700cbbac1bb200b9e801ae100"),
     "b": (["bellpurify"],
           "8766fd7baddffb57dc9eee7b844d83375a03c25c30864eeef66ee7941be0ebed"),
     # the ensemble commands as they write them from exactly sampled records:
@@ -642,3 +636,16 @@ def test_every_package_name_is_reached():
             defined |= names
             used |= {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(stmt)} - names
     assert sorted(defined - used - roots) == []
+
+
+def test_no_setting_comes_from_the_environment():
+    # a setting comes from a flag or the config file, and so is echoed in the
+    # output preamble; a read of the environment would be neither
+    names = {"environ", "environb", "getenv", "getenvb"}
+    reads = []
+    for path in (Path(__file__).resolve().parents[1] / "src" / "qfc").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in names
+                    or isinstance(node, ast.alias) and node.name in names):
+                reads.append((path.name, node.lineno))
+    assert reads == []

@@ -452,6 +452,10 @@ def test_protocol_input_guards():
     with pytest.raises(ValueError) as info:
         en.entangle_protocol(rho, 1.0, 2e-3, -1.0, seed=0)
     assert "k*dt" in str(info.value) and "horizon" in str(info.value)
+    # 1e301 steps is finite but would not return
+    with pytest.raises(ValueError) as info:
+        en.entangle_protocol(rho, 1.0, 1e-300, 10.0, 0)
+    assert "horizon / dt must round to at most" in str(info.value)
     res = en.entangle_protocol(rho, 1.0, 1e-3, 10.0, seed=0, sample_every=np.int64(10))
     assert len(res.times) == 138
 

@@ -87,9 +87,10 @@ def path(stream, taus, mu=0.0):
 
 
 def test_run_ensemble_matches_direct_loop():
+    # three chunks of 256 trajectories, the last one partial
     dt, n = 0.01, 5
-    times, stats = run_ensemble(0.0, record, dt, n, 100, base_seed=5, chunk=16)
-    direct = np.array([path(RngStream(5, i), np.full(n, dt)) for i in range(100)])
+    times, stats = run_ensemble(0.0, record, dt, n, 600, base_seed=5)
+    direct = np.array([path(RngStream(5, i), np.full(n, dt)) for i in range(600)])
     assert np.allclose(stats.mean, direct.mean(axis=0))
     assert np.allclose(stats.var, direct.var(axis=0))
     assert isinstance(stats, EnsembleStats)
@@ -101,24 +102,23 @@ def test_run_ensemble_draws_the_drift_first():
     def drift(stream):
         return 10.0 * stream.uniform()
 
-    _, stats = run_ensemble(drift, record, 0.5, 3, 40, base_seed=8, chunk=16)
+    _, stats = run_ensemble(drift, record, 0.5, 3, 300, base_seed=8)
     direct = [path(stream, np.full(3, 0.5), drift(stream))
-              for stream in (RngStream(8, i) for i in range(40))]
+              for stream in (RngStream(8, i) for i in range(300))]
     assert np.allclose(stats.mean, np.mean(direct, axis=0), rtol=1e-13, atol=0.0)
 
 
 def test_run_ensemble_variance_of_a_large_offset():
     # E[x^2] - mean^2 loses every digit of a variance 1e-16 times the
     # squared mean; merging per-chunk deviations keeps it
-    _, stats = run_ensemble(0.0, lambda y, t: 1e8 + y, 1.0, 1, 200, base_seed=3,
-                            chunk=7)
-    direct = np.array([1e8 + RngStream(3, i).wiener(1.0, 1)[0] for i in range(200)])
+    _, stats = run_ensemble(0.0, lambda y, t: 1e8 + y, 1.0, 1, 700, base_seed=3)
+    direct = np.array([1e8 + RngStream(3, i).wiener(1.0, 1)[0] for i in range(700)])
     assert abs(stats.var[-1] / np.var(direct) - 1.0) < 1e-6
 
 
 def test_run_ensemble_appends_final_once():
-    _, plain = run_ensemble(0.0, record, 0.1, 4, 50, base_seed=2, chunk=8)
-    _, both = run_ensemble(0.0, record, 0.1, 4, 50, base_seed=2, chunk=8,
+    _, plain = run_ensemble(0.0, record, 0.1, 4, 300, base_seed=2)
+    _, both = run_ensemble(0.0, record, 0.1, 4, 300, base_seed=2,
                            final=lambda y, t: np.stack([y, -y], axis=1))
     assert both.mean.shape == (5 + 2,)
     assert np.array_equal(both.mean[:5], plain.mean)
@@ -140,21 +140,19 @@ def test_run_ensemble_time_grid_at_a_non_dividing_stride():
 
 
 def test_run_ensemble_names_every_bad_count():
-    # sample_every and chunk were clamped (0 and -5 ran as 1, 2.5 as 2), an
-    # n_steps of 2.7 ran 2 steps, one of -1 raised IndexError, and an
-    # infinite dt returned NaN statistics
-    for n_steps, n_traj, every, chunk in ((4, 4, 0, 8), (4, 4, 1, -5), (4, 4, 2.5, 8),
-                                          (4, 4, 1, True), (4, 2.0, 1, 8), (2.7, 4, 1, 8),
-                                          (-1, 4, 1, 8)):
+    # sample_every was clamped (0 ran as 1, 2.5 as 2), an n_steps of 2.7
+    # ran 2 steps, one of -1 raised IndexError, and an infinite dt returned
+    # NaN statistics
+    for n_steps, n_traj, every in ((4, 4, 0), (4, 4, 2.5), (4, 2.0, 1), (2.7, 4, 1),
+                                   (-1, 4, 1)):
         with pytest.raises(ValueError):
-            run_ensemble(0.0, record, 0.1, n_steps, n_traj, base_seed=1, sample_every=every,
-                         chunk=chunk)
+            run_ensemble(0.0, record, 0.1, n_steps, n_traj, base_seed=1, sample_every=every)
     with pytest.raises(ValueError) as info:
-        run_ensemble(0.0, record, np.inf, -1, 0, base_seed=1, sample_every=2.5, chunk=0)
-    for name in ("dt", "n_steps", "n_traj", "sample_every", "chunk"):
+        run_ensemble(0.0, record, np.inf, -1, 0, base_seed=1, sample_every=2.5)
+    for name in ("dt", "n_steps", "n_traj", "sample_every"):
         assert name in str(info.value)
     times, stats = run_ensemble(0.0, record, 0.1, np.int64(4), np.int64(5), base_seed=1,
-                                sample_every=np.int64(2), chunk=np.int32(2))
+                                sample_every=np.int64(2))
     assert times.size == 3 and stats.n_traj == 5
 
 
