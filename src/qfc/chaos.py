@@ -192,13 +192,20 @@ def _step(u, v, p, pc):
 
     u and v are complex scalars (the critical orbits) or arrays of pixels.
     np.sqrt takes both and is correctly rounded, like math.sqrt; a Python
-    float's ** 0.5 calls C pow, which is not.
+    float's ** 0.5 calls C pow, which is not.  numpy divides a complex
+    array by a real one as (a + b 0i) (1 / c), so arrays are multiplied by
+    the reciprocal norm: the same values, up to the sign of a zero part,
+    which no test of the orbit reads.  A Python complex divides as a / c,
+    so the critical orbits keep the quotient.
     """
     uu, vv = u * u, v * v
     nu, nv = uu + p * vv, vv - pc * uu
     norm = np.sqrt(abs(nu) ** 2 + abs(nv) ** 2)
     # a zero norm cannot occur for finite p: u^2 = -p v^2 and
     # v^2 = conj(p) u^2 together force u = v = 0
+    if np.ndim(norm):
+        norm = 1.0 / norm
+        return np.multiply(nu, norm, out=nu), np.multiply(nv, norm, out=nv)
     return nu / norm, nv / norm
 
 

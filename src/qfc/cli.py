@@ -20,7 +20,7 @@ import numpy as np
 
 from . import chaos, purification, sme, stabilization
 from .entanglement import K_DT_LIMIT, entangle_protocol
-from .output import format_value, write_csv, write_pgm
+from .output import write_csv, write_pgm
 from .stochastic import MAX_STEPS, RngStream, run_ensemble
 
 
@@ -91,9 +91,8 @@ def _shared_fields(command):
 
 
 def _grid_axis(values, shape, axis):
-    """format_value once per axis value, broadcast along the other grid axis."""
-    cells = np.array([format_value(v) for v in values], dtype=object)
-    return np.broadcast_to(cells[:, None] if axis == 0 else cells, shape)
+    """An axis's values broadcast along the other grid axis; the writer formats each once."""
+    return np.broadcast_to(values[:, None] if axis == 0 else values, shape)
 
 
 def _run_stabilize(cfg):

@@ -11,12 +11,14 @@ of fewer than _TEMPLATE_CELLS cells (every ensemble study's) is written with
 one ``%`` row template.  Larger tables (the stabilize gap surface, the julia
 table) and every PGM go through one renderer, ``_write_lines``: each block of
 lines becomes a zero-padded uint8 matrix, one slot per cell followed by its
-separator, and the file receives the matrix's nonzero bytes, which works
-because no cell's text contains a NUL byte.  Int, bool and text cells index a
-table of their distinct texts.  A float cell with 1e-6 < |x| < 1e16 is
-printed by the exact vectorised %.17g of ``_float_slots``, ±0 directly, and
-every other float (nan, ±inf, |x| <= 1e-6 and |x| >= 1e16) by
-``"%.17g" % x``.
+separator, and the file receives the matrix's bytes with the NULs deleted
+(``bytes.translate``), which works because no cell's text contains a NUL
+byte.  Int, bool and text cells, and those of a broadcast float axis, index
+a table of their distinct texts.  The other float cells of a block, of all
+its float columns, go through one call of ``_float_slots``: a float with
+1e-29 < |x| < 1e16 is printed by its exact vectorised %.17g, ±0 directly,
+and every other float (nan, ±inf, |x| <= 1e-29, |x| >= 1e16 and the rare
+tiny near-tie) by ``"%.17g" % x``.
 """
 
 from __future__ import annotations
@@ -38,23 +40,29 @@ def format_value(value):
 
 
 _KINDS = "fiubUO"  # float, int, unsigned, bool, str, object (of str)
-# Below about this many cells the row template beats the renderer's fixed
-# cost per block and column: on float tables the two cross near 1300 cells
-# with 4 columns and 1800 with 6 (1.5-1.8 ms).  Every ensemble table (at most
-# 1604 cells, spin-collapse in the benchmark) stays on the template.
+# Tables below this many cells take the row template.  On float tables the
+# renderer is as fast from about 450 cells with 4 columns and 600 with 6
+# (0.32-0.36 ms), and faster above; the bound keeps every ensemble table (at
+# most 1604 cells, spin-collapse in the benchmark) on the template.
 _TEMPLATE_CELLS = 2048
-_BLOCK_CELLS = 16384  # cells per rendered block
+_BLOCK_CELLS = 24576  # cells per rendered block, the fastest tried on the stabilize surface
 
-# Exact %.17g of a double x with 1e-6 < |x| < 1e16: positional from 1e-4
-# up, exponent form (e-05, e-06) below.  With k = floor(log10|x|), the 17
-# significant digits are D = |x| * 10^(16 - k) rounded to an integer, ties
-# to even, as the dtoa of Python's % rounds.  10^q is exact for q <= 22
-# (k >= -6), and Dekker's two-product (Numer. Math. 18, 1971) splits
-# |x| * 10^q exactly into hi + lo.  hi is at least 1e16 > 2^53, so it is an
-# even integer and D = hi + rint(lo), rint rounding ties to even.  D never
-# reaches 10^17: a double below 10^(k+1) lies at least 2^-53 of it below,
-# 11 units of the 17th digit.
+# Exact %.17g of a double x with 1e-29 < |x| < 1e16: positional from 1e-4
+# up, exponent form (e-05 ... e-29) below.  With k = floor(log10|x|), the
+# 17 significant digits are D = |x| * 10^(16 - k) rounded to an integer,
+# ties to even, as the dtoa of Python's % rounds.  With q = 16 - k <= 45,
+# 10^q = 2^q 5^q and 5^q < 2^106, so 10^q is exactly t + r in two doubles
+# (r = 0 for q <= 22, k >= -6).  Dekker's two-product (Numer. Math. 18,
+# 1971) splits |x| * t exactly into hi + lo; hi is at least 1e16 > 2^53,
+# so it is an even integer and D = hi + rint(lo + |x| * r), rint rounding
+# ties to even.  For k < -6 that last product and sum round, by less than
+# 3e-15 of a unit, so a cell whose fraction lies within 1e-14 of one half
+# is left to "%.17g" % x.  No double in range lies within a relative 1e-18
+# of a power of ten, far outside that error, so k is corrected on the
+# computed product.  The closest, the double 1e-14, lies 1.2e-18 below
+# 10^-14: its D rounds up to 10^17 and carries into k + 1.
 _SPLITTER = 134217729.0  # 2^27 + 1
+_KMIN = -29
 
 
 def _split(a):
@@ -64,9 +72,11 @@ def _split(a):
     return hi, a - hi
 
 
-_POW10 = np.array([float(10 ** q) for q in range(23)])
-_POW10_HI, _POW10_LO = _split(_POW10)
-_POW10_INT = 10 ** np.arange(17, dtype=np.int64)
+_POW10 = np.array([float(10 ** q) for q in range(17 - _KMIN)])
+# row q: 10^q's double, Dekker's split of it and the rest, 10^q - double
+_POW10_PARTS = np.stack([_POW10, *_split(_POW10),
+                         [float(10 ** q - int(h)) for q, h in enumerate(_POW10)]], axis=1)
+_POW10_INT = 10 ** np.arange(18, dtype=np.int64)
 
 
 _FULL, _LEAD, _TRAIL = 0, 10000, 20000  # offsets into _CHUNKS
@@ -89,35 +99,42 @@ def _digit_groups():
 
 
 _CHUNKS = _digit_groups()
-# sign and what precedes the digits at exponent k in [-6, 15]: "0." and
-# -k-1 zeros for -4 <= k < 0; _HEAD[negative, k + 6], as a little-endian uint64
-_HEAD = np.array([[sign + (b"0.000"[:1 - k] if -4 <= k < 0 else b"") for k in range(-6, 16)]
-                  for sign in (b"", b"-")], dtype="S8").view("<u8")
-# what follows the digits at exponent k: _EXPONENT[k + 6], a uint32
-_EXPONENT = np.array([b"e-06", b"e-05"] + [b""] * 20, dtype="S4").view("<u4")
+_EXPONENTS = range(_KMIN, 16)
+# sign and what precedes the digits at exponent k: "0." and -k-1 zeros for
+# -4 <= k < 0; _HEAD[negative * len(_EXPONENTS) + k - _KMIN], a uint64
+_HEAD = np.array([(sign + (b"0.000"[:1 - k] if -4 <= k < 0 else b"")).rjust(8, b"\0")
+                  for sign in (b"", b"-") for k in _EXPONENTS], dtype="S8").view("<u8")
+# what follows the digits at exponent k: _EXPONENT[k - _KMIN], a uint32
+_EXPONENT = np.array([b"e-%02d" % -k if k < -4 else b"" for k in _EXPONENTS],
+                     dtype="S4").view("<u4")
 
 
 def _scaled(y, k):
-    """(hi, lo) with hi + lo = y * 10^(16 - k) exactly (Dekker's two-product)."""
-    q = 16 - k
+    """(hi, lo) with hi + lo = y * 10^(16 - k), exactly for k >= -6."""
+    t, th, tl, r = _POW10_PARTS.take(16 - k, axis=0).T
     yh, yl = _split(y)
-    hi = y * _POW10[q]
-    bh, bl = _POW10_HI[q], _POW10_LO[q]
-    return hi, ((yh * bh - hi) + yh * bl + yl * bh) + yl * bl
+    hi = y * t
+    return hi, (((yh * th - hi) + yh * tl + yl * th) + yl * tl) + y * r
 
 
 def _digits17(y):
-    """(k, D): |y| = D * 10^(k - 16) to 17 significant digits, for 1e-6 < y < 1e16."""
-    # k >= -6 for y > 1e-6, even where log10 rounds below -6
-    k = np.maximum(np.floor(np.log10(y)), -6).astype(np.int64)
+    """(k, D, sure): y = D * 10^(k - 16) to 17 digits where sure, for 1e-29 < y < 1e16."""
+    # k >= _KMIN for y > 1e-29, even where log10 rounds below it
+    k = np.maximum(np.floor(np.log10(y)), _KMIN).astype(np.int64)
     hi, lo = _scaled(y, k)
-    # log10 may round across a power of ten: correct k on the exact product
-    fixed = (k - ((hi < 1e16) | ((hi == 1e16) & (lo < 0)))
-             + ((hi > 1e17) | ((hi == 1e17) & (lo >= 0))))
-    if (fixed != k).any():
-        k = fixed
+    # log10 may round across a power of ten: correct k on the product,
+    # whose sign against 1e16 (1e17) the first difference keeps exactly
+    below, above = hi - 1e16 + lo < 0, hi - 1e17 + lo >= 0
+    if (below | above).any():
+        k = k - below + above
         hi, lo = _scaled(y, k)
-    return k, hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    d = np.rint(lo)
+    sure = (k >= -6) | (np.abs(lo - d) < 0.5 - 1e-14)
+    d = hi.astype(np.int64) + d.astype(np.int64)
+    carry = d == _POW10_INT[17]
+    if carry.any():
+        k, d = k + carry, np.where(carry, _POW10_INT[16], d)
+    return k, d, sure
 
 
 def _groups(v, out, blank):
@@ -126,62 +143,72 @@ def _groups(v, out, blank):
     blank is _LEAD to blank v's leading zeros (an integer part), _TRAIL to
     blank its trailing zeros (a fraction's digits).
     """
-    seen = np.zeros(v.shape, bool)  # a nonzero group above this one
+    top = v
     for j in range(out.shape[1] - 1, -1, -1):
         unit = _POW10_INT[4 * j]
         g = v // unit
         v = v - g * unit
-        bare = ~seen if blank == _LEAD else v == 0
-        seen |= g != 0
-        out[:, -1 - j] = _CHUNKS[g + np.where(bare, blank, _FULL)]
+        # a leading group has no nonzero group above, a trailing none below
+        bare = top < 10000 * unit if blank == _LEAD else v == 0
+        out[:, -1 - j] = _CHUNKS.take(g + bare * blank)
 
 
 def _float_slots(x):
     """format_value of each float in x, as rows of NUL-padded bytes.
 
-    The row of a float with 1e-6 < |x| < 1e16 holds five fields, whose NUL
+    The row of a float with 1e-29 < |x| < 1e16 holds five fields, whose NUL
     bytes fall away when it is written: the sign and any "0.000" prefix
-    (_HEAD), the integer part, the point, 16 fraction digits and any
-    exponent.  For |x| < 1 the integer field holds the first significant
-    digit, and in positional form the prefix holds the point.  ±0 is
-    written directly and every other float (nan, ±inf, and |x| <= 1e-6 or
-    >= 1e16, which print in exponent form) by "%.17g" % x.
+    (_HEAD, right-aligned over the integer field's blank leading bytes),
+    the integer part, the point, 16 fraction digits and any exponent.  For
+    |x| < 1 the integer field holds the first significant digit, and in
+    positional form the prefix holds the point.  ±0 is written directly and
+    every other float (nan, ±inf, |x| <= 1e-29 or >= 1e16, which print in
+    exponent form, and the rare tiny x whose rounding _digits17 cannot
+    decide) by "%.17g" % x, both right-aligned, so that a row's padding
+    comes first and _write_lines can drop a column's shared NUL margins.
     """
     a = np.abs(x)
-    fast = (a > 1e-6) & (a < 1e16)  # the double 1e-6 lies below 10^-6
-    k, d = _digits17(np.where(fast, a, 1.0))
+    fast = (a > 1e-29) & (a < 1e16)  # the double 1e-29 lies below 10^-29
+    k, d, sure = _digits17(np.where(fast, a, 1.0))
     kk = np.maximum(k, 0)
-    unit = _POW10_INT[16 - kk]
+    unit = _POW10_INT.take(16 - kk)
     whole = d // unit
     part = d - whole * unit
-    n = (len(str(whole.max())) + 3) // 4  # groups of the integer field
-    out = np.empty((x.size, 29 + 4 * n), np.uint8)
-    out[:, :8].view("<u8")[:, 0] = _HEAD[np.signbit(x).view(np.uint8), k + 6]
+    w = len(str(whole.max()))  # digits of the integer field
+    n = (w + 3) // 4  # its groups
+    out = np.zeros((x.size, 29 + 4 * n), np.uint8)
+    e = k - _KMIN
     _groups(whole, out[:, 8:8 + 4 * n].view("<u4"), _LEAD)
+    # the right-aligned head overwrites the integer field's blank lead
+    out[:, 4 * n - w:8 + 4 * n - w].view("<u8")[:, 0] = _HEAD.take(
+        np.signbit(x) * len(_EXPONENTS) + e)
     out[:, 8 + 4 * n] = (((k >= 0) | (k < -4)) & (part > 0)) * np.uint8(46)  # "."
-    _groups(part * _POW10_INT[kk], out[:, 9 + 4 * n:25 + 4 * n].view("<u4"), _TRAIL)
-    out[:, 25 + 4 * n:].view("<u4")[:, 0] = _EXPONENT[k + 6]
+    _groups(part * _POW10_INT.take(kk), out[:, 9 + 4 * n:25 + 4 * n].view("<u4"), _TRAIL)
+    out[:, 25 + 4 * n:].view("<u4")[:, 0] = _EXPONENT.take(e)
     zero = np.flatnonzero(a == 0)
-    rest = np.flatnonzero(~fast & (a != 0))
-    for rows, texts in ((zero, np.where(np.signbit(x[zero]), b"-0", b"0")),
-                        (rest, [("%.17g" % v).encode() for v in x[rest].tolist()])):
+    rest = np.flatnonzero(~(fast & sure) & (a != 0))
+    width = out.shape[1]
+    for rows, texts in ((zero, np.where(np.signbit(x[zero]), b"-0".rjust(width, b"\0"),
+                                        b"0".rjust(width, b"\0"))),
+                        (rest, [("%.17g" % v).encode().rjust(width, b"\0")
+                                for v in x[rest].tolist()])):
         if rows.size:
-            out[rows] = np.array(texts, "S%d" % out.shape[1]).view(np.uint8).reshape(
-                rows.size, -1)
+            out[rows] = np.array(texts, "S%d" % width).view(np.uint8).reshape(rows.size, -1)
     return out
 
 
 def _table(c):
-    """(slots, index): cell i of an int, bool or text column is slots[index[i]].
+    """(slots, index): cell i of an int, bool, text or float column is slots[index[i]].
 
-    Each distinct text is encoded once.  A text column's stride-0 axes (an
-    np.broadcast_to view) are collapsed and its index broadcast back, so the
-    column is never materialised.  An int column indexes a table by value -
-    min when its range is smaller than the column, else by np.unique.
+    Each distinct text is encoded once.  A text or float column's stride-0
+    axes (an np.broadcast_to view, such as a grid axis) are collapsed and
+    its index broadcast back, so the column is never materialised.  An int
+    column indexes a table by value - min when its range is smaller than the
+    column, else by np.unique.
     """
-    if c.dtype.kind in "UO":
+    if c.dtype.kind in "fUO":
         base = c[tuple(slice(None) if s else slice(0, 1) for s in c.strides)]
-        texts = [str(v) for v in base.ravel().tolist()]
+        texts = list(map("%.17g".__mod__ if c.dtype.kind == "f" else str, base.ravel().tolist()))
         index = np.broadcast_to(np.arange(base.size).reshape(base.shape), c.shape)
     else:
         if c.dtype.kind == "b":
@@ -198,14 +225,6 @@ def _table(c):
     return slots.view(np.uint8).reshape(len(slots), slots.itemsize), index
 
 
-def _slots(column, block):
-    """The slots of a column's cells in block (of axis 0), one row per cell."""
-    if isinstance(column, tuple):
-        table, index = column
-        return np.take(table, index[block].ravel(), axis=0)
-    return _float_slots(column[block].ravel().astype(np.float64, copy=False))
-
-
 def _write_lines(fh, columns, sep, line_cells=1):
     """The one renderer of CSV and PGM cells.
 
@@ -213,25 +232,37 @@ def _write_lines(fh, columns, sep, line_cells=1):
     takes line_cells cells of every column in turn, each followed by sep and
     the line's last by "\n".  A block of about _BLOCK_CELLS cells becomes
     one uint8 matrix, a row per line and a slot per cell, and is written
-    without its NUL padding.
+    without its NUL padding.  All float cells of a block go through one
+    _float_slots call, and each float column drops its all-NUL byte margins.
     """
     shapes = [np.shape(c[1] if isinstance(c, tuple) else c) for c in columns]
     units = shapes[0][0]
     step = max(1, _BLOCK_CELLS * units // max(1, sum(int(np.prod(s)) for s in shapes)))
+    floats = [c for c in columns if not isinstance(c, tuple)]
     for lo in range(0, units, step):
-        parts = [_slots(c, slice(lo, lo + step)) for c in columns]
+        block = slice(lo, lo + step)
+        if floats:
+            x = np.concatenate([c[block].ravel() for c in floats]).astype(np.float64, copy=False)
+            slots = _float_slots(x).reshape(len(floats), x.size // len(floats), -1)
+            live = slots  # the byte columns any slot uses: OR halves of the rows
+            while live.shape[1] > 1:
+                h = (live.shape[1] + 1) // 2
+                live = live[:, :h] | live[:, -h:]
+            live = live[:, 0] != 0
+            slots = iter(s[:, u.argmax():u.size - u[::-1].argmax()] for s, u in zip(slots, live))
+        parts = [np.take(c[0], c[1][block].ravel(), axis=0) if isinstance(c, tuple)
+                 else next(slots) for c in columns]
         lines = len(parts[0]) // line_cells
-        matrix = np.empty((lines, sum(line_cells * (p.shape[1] + 1) for p in parts)),
-                          np.uint8)
+        matrix = np.full((lines, sum(line_cells * (p.shape[1] + 1) for p in parts)),
+                         ord(sep), np.uint8)
         at = 0
-        for p in parts:
-            width = p.shape[1] + 1
-            cells = matrix[:, at:at + line_cells * width].reshape(lines, line_cells, width)
-            cells[:, :, :-1] = p.reshape(lines, line_cells, -1)
-            cells[:, :, -1] = ord(sep)
-            at += line_cells * width
+        for p in parts:  # each slot copied as one raw item, not byte by byte; sep follows
+            w, slot = p.shape[1], "V%d" % p.shape[1]
+            cells = matrix[:, at:at + line_cells * (w + 1)].reshape(lines, line_cells, w + 1)
+            cells[:, :, :w].view(slot)[...] = p.reshape(lines, line_cells, w).view(slot)
+            at += line_cells * (w + 1)
         matrix[:, -1] = ord("\n")
-        fh.write(matrix[matrix != 0])
+        fh.write(matrix.tobytes().translate(None, b"\0"))
 
 
 def _write_preamble(fh, preamble):
@@ -245,7 +276,7 @@ def write_csv(path, header, columns, preamble=None):
     columns holds one entry per header name, all of one 1-d or 2-d shape: a
     float array is printed with %.17g, an int or bool array as integers, a
     list (or array) of str as it is; a 2-d table is written row-major, and
-    an axis column may be an ``np.broadcast_to`` view of its text.  A table
+    an axis column may be an ``np.broadcast_to`` view of its values.  A table
     of fewer than _TEMPLATE_CELLS cells is one ``%`` row template, a larger
     one goes through _write_lines.  The preamble mapping is emitted in
     insertion order before the header row.
@@ -267,7 +298,8 @@ def write_csv(path, header, columns, preamble=None):
             cells = [c.ravel().tolist() for c in columns]
             fh.write("".join(map(line, zip(*cells))).encode())
         else:
-            _write_lines(fh, [c if c.dtype.kind == "f" else _table(c) for c in columns], ",")
+            _write_lines(fh, [c if c.dtype.kind == "f" and all(c.strides) else _table(c)
+                              for c in columns], ",")
 
 
 def write_pgm(path, counts, max_iters, preamble=None):

@@ -237,6 +237,51 @@ def test_orbit_tail_of_pixel_array_matches_scalar_tails(p):
         assert np.abs(sv - tail_v[:, i]).max() <= tol
 
 
+def _quotient_step(u, v, p, pc):
+    """ch._step with both coordinates divided by the norm, on arrays too."""
+    uu, vv = u * u, v * v
+    nu, nv = uu + p * vv, vv - pc * uu
+    norm = np.sqrt(abs(nu) ** 2 + abs(nv) ** 2)
+    return nu / norm, nv / norm
+
+
+@pytest.mark.parametrize("p", [1 + 0j, 0.6544 + 0j, 0.3 + 0.2j, 1j])
+def test_step_on_arrays_is_the_quotient_bit_for_bit(p, monkeypatch):
+    # numpy divides a complex array by a real one as (a + b 0i) (1 / c), so
+    # the reciprocal norm gives the quotient's bits; 20000 points, 30 steps
+    pc = p.conjugate()
+    rng = np.random.default_rng(30)
+    z = rng.normal(size=20_000) + 1j * rng.normal(size=20_000)
+    r = np.hypot(np.abs(z), 1.0)
+    u = ru = z / r
+    v = rv = (1.0 / r).astype(complex)
+    for _ in range(30):
+        u, v = ch._step(u, v, p, pc)
+        ru, rv = _quotient_step(ru, rv, p, pc)
+        for a, b in ((u, ru), (v, rv)):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    # on the axes a part is zero, whose sign alone may differ
+    u, v = ru, rv = _pairs([0.0, INFINITY, 1.0, -1.0, 1j, -1j, 2.5, -0.5j])
+    for _ in range(30):
+        u, v = ch._step(u, v, p, pc)
+        ru, rv = _quotient_step(ru, rv, p, pc)
+        assert np.array_equal(u, ru) and np.array_equal(v, rv)
+    # the critical orbits run on Python complex scalars, which keep the quotient
+    def critical():
+        tails = [ch._orbit_tail(0j, 1 + 0j, p, ch._CRITICAL_STEPS),
+                 ch._orbit_tail(1 + 0j, 0j, p, ch._CRITICAL_STEPS)]
+        cycles = ch._attracting_cycles(p, 1e-9)
+        return (np.array(tails).view(np.uint64),
+                [np.array(cycle).view(np.uint64) for cycle in cycles])
+
+    tails, cycles = critical()
+    monkeypatch.setattr(ch, "_step", _quotient_step)
+    ref_tails, ref_cycles = critical()
+    assert np.array_equal(tails, ref_tails)
+    assert len(cycles) == len(ref_cycles)
+    assert all(np.array_equal(a, b) for a, b in zip(cycles, ref_cycles))
+
+
 def test_chordal_distance():
     assert chordal_distance(0.0, INFINITY) == pytest.approx(2.0)
     assert chordal_distance(0.3 + 1j, 0.3 + 1j) == 0.0

@@ -4,6 +4,7 @@ import ast
 import decimal
 import hashlib
 import importlib.util
+import itertools
 import math
 import os
 import re
@@ -135,20 +136,34 @@ def test_write_csv_matches_format_value_per_cell(tmp_path):
 def edge_floats():
     """Doubles where a %.17g shortcut could slip, each with both signs.
 
-    +-40 ulps around 10^j for j in [-7, 18] (log10 rounding across a power
-    of ten; both sides of 1e-4, 1e16 and 1e17; the largest double below a
-    power of ten, whose 17 digits are all nines and must not carry), exact
-    ties m / 2^(q+1) for q in [1, 22] (odd m with m 5^(q+1) of 18 digits, so
-    that the 18th significant digit is a final 5), and 0, the smallest
-    subnormal and the largest double.
+    +-40 ulps around 10^j for j in [-31, 18] (log10 rounding across a power
+    of ten; both sides of 1e-29, 1e-4, 1e16 and 1e17; the largest double
+    below a power of ten, whose 17 digits are all nines and must not carry,
+    and the double 1e-14, which lies so close below 10^-14 that they do),
+    exact ties m / 2^(q+1) for q in [1, 24] (odd m with m 5^(q+1) of 18
+    digits, so that the 18th significant digit is a final 5; none exist for
+    q > 24), near ties below 1e-6, and 0, the smallest subnormal and the
+    largest double.
+
+    A near tie y = m 2^e with k = floor(log10 y) has y 10^q = m 5^q / 2^s,
+    q = 16 - k and s = -e - q; m = (2^(s-1) + d) / 5^q mod 2^s puts that
+    product d / 2^s, under 1e-14, from a half-integer, closer than the
+    rounded product with 10^q's tail can tell apart.
     """
-    near = [np.float64(f"1e{j}").view(np.int64) + np.arange(-40, 41) for j in range(-7, 19)]
+    near = [np.float64(f"1e{j}").view(np.int64) + np.arange(-40, 41) for j in range(-31, 19)]
     rng = np.random.default_rng(17)
     ties = []
-    for q in range(1, 23):
+    for q in range(1, 25):
         five = 5 ** (q + 1)
         m = rng.integers(-(-10**17 // five), min(10**18 // five, 2**53), 300) | 1
         ties += [int(v) / 2.0 ** (q + 1) for v in m if int(v) * five < 10**18]
+    for k, e, d in itertools.product((-9, -8, -7), range(-90, -70), (-3, -2, -1, 1, 2, 3)):
+        s = -e - (16 - k)
+        m = (2 ** (s - 1) + d) * pow(5 ** (16 - k), -1, 2 ** s) % 2 ** s
+        m += -(-(2 ** 52 - m) // 2 ** s) * 2 ** s if m < 2 ** 52 else 0
+        y = math.ldexp(m, e)
+        if m < 2 ** 53 and 10.0 ** k <= y < 10.0 ** (k + 1) and abs(d) / 2 ** s < 1e-14:
+            ties.append(y)
     x = np.concatenate([np.concatenate(near).view(np.float64), ties,
                         [0.0, 5e-324, np.finfo(float).max]])
     return np.concatenate([x, -x])
@@ -164,15 +179,58 @@ def test_float_slots_match_percent_format_on_edge_values():
     ties = [v for v in x.tolist() if 1e-6 < abs(v) < 1e16
             and len(decimal.Decimal(v).as_tuple().digits) == 18]
     assert len(ties) > 10_000  # the exact path meets many exact ties
+    # below 1e-6 the product with 10^(16 - k) rounds: exact ties at k = -7
+    # and -8, and near ties the rounded product cannot decide
+    assert sum(1e-8 <= abs(v) < 1e-6 and len(decimal.Decimal(v).as_tuple().digits) == 18
+               for v in x.tolist()) >= 10
+    small = np.abs(x[(np.abs(x) > 1e-9) & (np.abs(x) < 1e-6)])
+    assert (~out._digits17(small)[2]).sum() >= 50
+    assert "%.17g" % 1e-14 == "1e-14"  # 9.99...988e-15 rounds up to 10^-14
     assert slot_texts(x) == ["%.17g" % v for v in x.tolist()]
 
 
 @hypothesis.settings(max_examples=300, deadline=None, database=None)
 @hypothesis.given(st.lists(st.floats() | st.floats(1e-6, 1e16, exclude_min=True, exclude_max=True)
-                           | st.floats(-1e16, -1e-6, exclude_min=True, exclude_max=True),
+                           | st.floats(-1e16, -1e-6, exclude_min=True, exclude_max=True)
+                           | st.floats(1e-300, 1e-6) | st.floats(-1e-6, -1e-300),
                            min_size=1))
 def test_float_slots_match_percent_format(values):
     assert slot_texts(values) == ["%.17g" % v for v in values]
+
+
+def test_renderer_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
+    # every float column of a block goes through one _float_slots call and
+    # is split back by column; blocks of 1 cell (one table row, one PGM
+    # row), of 97 cells (4 table rows, 2 PGM rows) and the default must
+    # write the same bytes.  Broadcast float axes are tables of their
+    # values, formatted once each.
+    rng = np.random.default_rng(30)
+    shape = (400, 3)
+    tiny = 10 ** rng.uniform(-40, -5, shape) * rng.choice([-1.0, 1.0], shape)
+    tiny.flat[::7] = 0.0
+    columns = [np.broadcast_to(np.array([f"r{i}" for i in range(400)], dtype=object)[:, None],
+                               shape),
+               np.broadcast_to(np.array(["a", "bb", "ccc"]), shape),
+               rng.choice(edge_floats(), shape), tiny, rng.integers(-5, 10**6, shape),
+               rng.random(shape) < 0.5, rng.random(shape).astype(np.float32),
+               np.broadcast_to(rng.choice(edge_floats(), 400)[:, None], shape),
+               np.broadcast_to(np.longdouble(1) / np.array([-3, 7, 10**9]), shape)]
+    header = ["r", "c", "edge", "tiny", "n", "flag", "f32", "xr", "xc"]
+    counts = rng.integers(-1, 8, (60, 35))
+    assert len(columns) * 1200 >= out._TEMPLATE_CELLS
+
+    def written(block):
+        monkeypatch.setattr(out, "_BLOCK_CELLS", block)
+        out.write_csv(tmp_path / "t.csv", header, columns)
+        out.write_pgm(tmp_path / "t.pgm", counts, 7)
+        return (tmp_path / "t.csv").read_bytes(), (tmp_path / "t.pgm").read_bytes()
+
+    default = written(out._BLOCK_CELLS)
+    cells = [np.asarray(c).ravel().tolist() for c in columns]
+    assert_lines_equal(tmp_path / "t.csv", [",".join(header)] + [
+        ",".join(map(out.format_value, row)) for row in zip(*cells)])
+    for block in (1, 97):
+        assert written(block) == default
 
 
 def test_write_pgm(tmp_path):
