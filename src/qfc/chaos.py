@@ -400,10 +400,8 @@ def julia_raster(job, threads=1):
     symmetric to the bit ([-2, 2]^2 at a power-of-two size) that is one
     orbit per four pixels at real p, one per two otherwise.  The lead
     pixels are cut into blocks of _BLOCK_PIXELS, the last one ragged, each
-    also carrying its pixels' partners; they run in the calling thread or,
-    for threads > 1, on a pool of that many workers.  The blocks depend
-    only on the grid and on whether p is real, and pixels are independent,
-    so the raster is the same at every thread count.
+    also carrying its pixels' partners, and run in turn on the calling
+    thread; threads is accepted and ignored.
     """
     cycles = _attracting_cycles(job.params.p, job.cycle_tol,
                                 max(_CRITICAL_STEPS, _CRITICAL_BUDGETS * job.max_iters))
@@ -419,20 +417,9 @@ def julia_raster(job, threads=1):
         rows = np.flatnonzero(~copied)
     leads = (counts.size + 1) // 2 if rows is None else rows.size * ((job.width + 1) // 2)
 
-    def block(lo):
+    for lo in range(0, leads, _BLOCK_PIXELS):
         pixels, got = _raster_block(job, cycles, rows, lo, min(lo + _BLOCK_PIXELS, leads))
         counts.flat[pixels] = got
-
-    starts = range(0, leads, _BLOCK_PIXELS)
-    if int(threads) > 1:
-        # imported here: one thread, the default, starts no pool
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            list(pool.map(block, starts))
-    else:
-        for lo in starts:
-            block(lo)
     if rows is not None:
         counts[copied] = counts[::-1][copied]
     return RasterGrid(counts=counts, job=job)

@@ -5,8 +5,9 @@ optional flat ``key=value`` config file (``#`` starts a comment), then
 command-line flags.  Unknown keys, non-finite floats and out-of-range values
 are rejected with one message per offending field.  Every run embeds its
 resolved configuration as ``# key=value`` lines in the output files, and
-identical configuration plus seed gives byte-identical files for any
-``--threads`` value (thread count is therefore the one setting not echoed).
+identical configuration plus seed gives byte-identical files.  Every command
+runs on the calling thread; ``--threads`` is accepted, changes nothing and is
+the one setting not echoed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import chaos, purification, sme, stabilization
 from .entanglement import K_DT_LIMIT, entangle_protocol
 from .output import write_csv, write_pgm
-from .stochastic import MAX_STEPS, RngStream, run_ensemble
+from .stochastic import MAX_CHUNK_FLOATS, MAX_STEPS, RngStream, chunk_floats, run_ensemble
 
 
 class ConfigError(Exception):
@@ -80,7 +81,7 @@ def _shared_fields(command):
     return [
         Field("seed", int, 0, _seed_check, "base seed for all random streams"),
         Field("threads", int, 1, _at_least(1),
-              "julia worker threads; never changes output bytes"),
+              "accepted and ignored: every command runs on one thread"),
         Field("out", str, "qfc_" + command.replace("-", "_"), None,
               "output base path; files are written as <out>.csv (and <out>.pgm)"),
     ]
@@ -250,6 +251,19 @@ def _step_count_check(span):
     return check
 
 
+_CHUNK_BOUND = ("min(trajectories, 256) x (ceil(t_max/dt/sample_every) + 1) must be at most"
+                f" {MAX_CHUNK_FLOATS}")
+
+
+def _chunk_check(cfg):
+    steps = cfg["t_max"] / cfg["dt"]
+    if steps <= MAX_STEPS:  # else _step_count_check names it
+        floats = chunk_floats(int(round(steps)), cfg["trajectories"], cfg["sample_every"])
+        if floats > MAX_CHUNK_FLOATS:
+            return f"dt: {_CHUNK_BOUND}, got {floats}"
+    return None
+
+
 def _spot_mode_check(cfg):
     if (cfg["p"] is None) != (cfg["theta"] is None):
         return ("p: give both --p and --theta for a spot check, "
@@ -303,7 +317,7 @@ for _cmd in [
          Field("target", float, 1e-3,
                _in_closed(1e-12, 0.499999, "(0, 1/2)"),
                "impurity target for the reported time ratio")],
-        [_step_count_check("t_max")],
+        [_step_count_check("t_max"), _chunk_check],
         _run_purify,
         "ensemble impurity with and without feedback"),
     Command(
@@ -350,7 +364,7 @@ for _cmd in [
          Field("trajectories", int, 2000, _at_least(2), "ensemble size"),
          Field("sample_every", int, 10, _at_least(1),
                "steps between recorded samples")],
-        [_step_count_check("t_max")],
+        [_step_count_check("t_max"), _chunk_check],
         _run_sme,
         "monitored-dephasing ensemble against the deterministic average"),
     Command(
@@ -365,7 +379,7 @@ for _cmd in [
          Field("trajectories", int, 100, _at_least(2), "ensemble size"),
          Field("sample_every", int, 10, _at_least(1),
                "steps between recorded samples")],
-        [_step_count_check("t_max")],
+        [_step_count_check("t_max"), _chunk_check],
         _run_spin_collapse,
         "projective collapse of a monitored spin ensemble"),
 ]:
@@ -482,6 +496,8 @@ def _command_help(command):
         sys.stdout.write(f"  {flag:17s} {f.help}{default}\n")
     sys.stdout.write("  --config FILE     flat key=value file, '#' comments;"
                      " flags override it\n")
+    if _chunk_check in spec.cross_checks:
+        sys.stdout.write(f"\nbound: {_CHUNK_BOUND}, the floats one chunk of trajectories holds\n")
 
 
 def _parse_argv(command, argv):

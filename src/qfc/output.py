@@ -6,10 +6,8 @@ digits, which round-trips IEEE doubles exactly; together with fixed "\n" line
 endings this makes outputs stable enough to diff byte for byte.  Every cell's
 bytes are those of ``format_value``.
 
-A table reaches ``write_csv`` as columns, one array per header name.  A table
-of fewer than _TEMPLATE_CELLS cells (every ensemble study's) is written with
-one ``%`` row template.  Larger tables (the stabilize gap surface, the julia
-table) and every PGM go through one renderer, ``_write_lines``: each block of
+A table reaches ``write_csv`` as columns, one array per header name.  Every
+table and every PGM goes through one renderer, ``_write_lines``: each block of
 lines becomes a zero-padded uint8 matrix, one slot per cell followed by its
 separator, and the file receives the matrix's bytes with the NULs deleted
 (``bytes.translate``), which works because no cell's text contains a NUL
@@ -40,11 +38,6 @@ def format_value(value):
 
 
 _KINDS = "fiubUO"  # float, int, unsigned, bool, str, object (of str)
-# Tables below this many cells take the row template.  On float tables the
-# renderer is as fast from about 450 cells with 4 columns and 600 with 6
-# (0.32-0.36 ms), and faster above; the bound keeps every ensemble table (at
-# most 1604 cells, spin-collapse in the benchmark) on the template.
-_TEMPLATE_CELLS = 2048
 _BLOCK_CELLS = 24576  # cells per rendered block, the fastest tried on the stabilize surface
 
 # Exact %.17g of a double x with 1e-29 < |x| < 1e16: positional from 1e-4
@@ -276,10 +269,10 @@ def write_csv(path, header, columns, preamble=None):
     columns holds one entry per header name, all of one 1-d or 2-d shape: a
     float array is printed with %.17g, an int or bool array as integers, a
     list (or array) of str as it is; a 2-d table is written row-major, and
-    an axis column may be an ``np.broadcast_to`` view of its values.  A table
-    of fewer than _TEMPLATE_CELLS cells is one ``%`` row template, a larger
-    one goes through _write_lines.  The preamble mapping is emitted in
-    insertion order before the header row.
+    an axis column may be an ``np.broadcast_to`` view of its values.  The
+    cells go through _write_lines; a table without cells writes only the
+    preamble and the header.  The preamble mapping is emitted in insertion
+    order before the header row.
     """
     header = list(header)
     columns = [np.asarray(c) for c in columns]
@@ -292,12 +285,7 @@ def write_csv(path, header, columns, preamble=None):
     with open(path, "wb") as fh:
         _write_preamble(fh, preamble)
         fh.write((",".join(header) + "\n").encode())
-        if len(columns) * int(np.prod(shape)) < _TEMPLATE_CELLS:
-            line = (",".join({"f": "%.17g", "i": "%d", "u": "%d", "b": "%d"}.get(
-                c.dtype.kind, "%s") for c in columns) + "\n").__mod__
-            cells = [c.ravel().tolist() for c in columns]
-            fh.write("".join(map(line, zip(*cells))).encode())
-        else:
+        if all(shape):
             _write_lines(fh, [c if c.dtype.kind == "f" and all(c.strides) else _table(c)
                               for c in columns], ",")
 

@@ -20,6 +20,13 @@ import numpy as np
 
 
 MAX_STEPS = 2**63 - 1  # the most steps a run can count in numpy's int64
+MAX_CHUNK_FLOATS = 2**24  # the most floats (128 MiB) the records of one chunk may hold
+_CHUNK = 256  # trajectories per chunk of run_ensemble
+
+
+def chunk_floats(n_steps, n_traj, sample_every):
+    """Floats in run_ensemble's records of min(n_traj, 256) trajectories."""
+    return min(int(n_traj), _CHUNK) * (-(-int(n_steps) // int(sample_every)) + 1)
 
 
 class IntegrationError(RuntimeError):
@@ -105,9 +112,6 @@ def sech(x):
     return 2.0 * e / (1.0 + e * e)
 
 
-_CHUNK = 256  # trajectories per chunk of run_ensemble
-
-
 def run_ensemble(drift, read, dt, n_steps, n_traj, base_seed, sample_every=1,
                  final=None):
     """Mean and variance over trajectories 0 .. n_traj-1 of reads of their
@@ -127,15 +131,19 @@ def run_ensemble(drift, read, dt, n_steps, n_traj, base_seed, sample_every=1,
     the memory, and their means and sums of squared deviations are merged
     pairwise in fixed order (Chan, Golub & LeVeque 1979).  Returns
     (times, EnsembleStats) over the samples in time order, then the final
-    reads.  One ValueError names a dt that is not positive and finite and
+    reads.  One ValueError names a dt that is not positive and finite,
     every count that is not an integer of at least 1, or of at least 0 for
-    n_steps.
+    n_steps, and a chunk of more than MAX_CHUNK_FLOATS floats, before
+    anything is drawn.
     """
     problems = [f"{name} must be an integer of at least {lo}, got {value!r}"
                 for name, value, lo in (("n_steps", n_steps, 0), ("n_traj", n_traj, 1),
                                         ("sample_every", sample_every, 1))
                 if isinstance(value, bool) or not isinstance(value, numbers.Integral)
                 or value < lo]
+    floats = not problems and chunk_floats(n_steps, n_traj, sample_every)
+    if floats > MAX_CHUNK_FLOATS:
+        problems.append(f"a chunk of {floats} floats exceeds MAX_CHUNK_FLOATS, {MAX_CHUNK_FLOATS}")
     if not 0 < dt < math.inf:
         problems.insert(0, f"dt must be positive and finite, got {dt!r}")
     if problems:

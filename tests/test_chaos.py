@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import sys
 import threading
 
 import mpmath
@@ -356,27 +355,6 @@ def test_raster_unit_circle_classification():
     assert np.all(grid.counts[near] == -1)
 
 
-def test_julia_raster_thread_count_invariance(monkeypatch):
-    # each block writes its pixels into the one counts array: small blocks,
-    # more workers than cores and a short switch interval interleave them
-    # (at real p the mirrored rows are copied after the pool has finished)
-    monkeypatch.setattr(ch, "_BLOCK_PIXELS", 97)
-    for p in (1.0, -1.0913 + 0.9491j):
-        job = ch.RasterJob(re_min=-2.0, re_max=2.0, im_min=-2.0, im_max=2.0,
-                           width=64, height=64, max_iters=24,
-                           params=ch.MapParams(p=p))
-        one = ch.julia_raster(job, threads=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            many = ch.julia_raster(job, threads=5)
-        finally:
-            sys.setswitchinterval(interval)
-        assert np.array_equal(one.counts, many.counts), p
-        assert np.array_equal(one.counts, unshared_raster(job)), p
-        assert many.job == job
-
-
 def _raster_partition(job):
     """The lead pixel count and the copied-row mask of julia_raster's partition,
     derived here from the pixel axes: at real p a row whose centre is the exact
@@ -396,17 +374,16 @@ def _raster_partition(job):
                                                   (15, 17, 37)])
 def test_julia_raster_blocks_depend_only_on_the_grid(monkeypatch, width, height, block):
     # the lead pixels cut into blocks of _BLOCK_PIXELS, the last one ragged,
-    # at any thread count; the blocks and the pixels each counts (its leads
-    # and their partners) depend on the grid and on whether p is real, and
-    # together with the copied rows they cover every pixel once; a row wider
-    # than the block spans blocks
+    # run in order on the calling thread at any thread count; the blocks and
+    # the pixels each counts (its leads and their partners) depend on the
+    # grid and on whether p is real, and together with the copied rows they
+    # cover every pixel once; a row wider than the block spans blocks
     monkeypatch.setattr(ch, "_BLOCK_PIXELS", block)
     raster_block, calls = ch._raster_block, []
 
     def record(job, cycles, rows, lo, hi):
         pixels, counts = raster_block(job, cycles, rows, lo, hi)
-        calls.append((lo, hi, tuple(pixels),
-                      threading.current_thread() is threading.main_thread()))
+        calls.append((lo, hi, tuple(pixels), threading.get_ident()))
         return pixels, counts
 
     monkeypatch.setattr(ch, "_raster_block", record)
@@ -423,10 +400,8 @@ def test_julia_raster_blocks_depend_only_on_the_grid(monkeypatch, width, height,
             for threads in (1, 3):
                 calls.clear()
                 assert np.array_equal(ch.julia_raster(job, threads=threads).counts, expected)
-                calls.sort()
                 assert [call[:2] for call in calls] == blocks
-                # one thread runs every block in the calling thread, three on the pool
-                assert {call[3] for call in calls} == {threads == 1}
+                assert {call[3] for call in calls} == {threading.get_ident()}
                 partitions.append([call[2] for call in calls])
             covered = np.zeros((height, width), dtype=np.int64)
             np.add.at(covered.ravel(), np.concatenate(partitions[-1]), 1)
@@ -502,10 +477,8 @@ def _assert_shared_orbits_match(window):
     for p in _SHARED_P:
         for max_iters in (1, 9, 10, 11, 400):
             job = ch.RasterJob(**window, max_iters=max_iters, params=ch.MapParams(p=p))
-            expected = unshared_raster(job)
-            for threads in (1, 3):
-                assert np.array_equal(ch.julia_raster(job, threads=threads).counts,
-                                      expected), (p, max_iters, threads)
+            assert np.array_equal(ch.julia_raster(job).counts, unshared_raster(job)), \
+                (p, max_iters)
 
 
 @pytest.mark.parametrize("block", [37, ch._BLOCK_PIXELS])

@@ -19,7 +19,7 @@ import pytest
 
 import qfc.cli as cli
 import qfc.output as out
-from qfc.stochastic import RngStream
+from qfc.stochastic import MAX_CHUNK_FLOATS, RngStream, chunk_floats
 
 
 def read_lines(path):
@@ -77,7 +77,18 @@ def assert_lines_equal(path, expected):
     assert len(got) == len(want)
 
 
-def test_write_csv_matches_format_value_per_cell(tmp_path):
+def test_write_csv_matches_format_value_per_cell(tmp_path, monkeypatch):
+    rendered, write_lines = [], out._write_lines
+    monkeypatch.setattr(out, "_write_lines",
+                        lambda *args: rendered.append(args) or write_lines(*args))
+
+    def write(header, columns, preamble=None):
+        # every table with cells, a one-row table too, goes through the one
+        # renderer, and a table without cells writes only its preamble and header
+        before = len(rendered)
+        out.write_csv(path, header, columns, preamble)
+        assert len(rendered) == before + (np.size(columns[0]) > 0)
+
     # random bit patterns cover every exponent, subnormals and nan payloads
     rng = np.random.default_rng(5)
     special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, np.finfo(float).max]
@@ -86,7 +97,7 @@ def test_write_csv_matches_format_value_per_cell(tmp_path):
     columns = [floats, rng.integers(0, 2**64, m, dtype=np.uint64).view(np.int64),
                rng.random(m) < 0.5, [f"s{i}" for i in range(m)]]
     path = tmp_path / "oracle.csv"
-    out.write_csv(path, ["x", "n", "b", "s"], columns)
+    write(["x", "n", "b", "s"], columns)
     expected = ["x,n,b,s"] + [
         ",".join(out.format_value(v) for v in row)
         for row in zip(floats.tolist(), columns[1].tolist(), columns[2].tolist(), columns[3])]
@@ -95,7 +106,7 @@ def test_write_csv_matches_format_value_per_cell(tmp_path):
     # a grid: every column shares one 2-d shape and is written row-major
     grid = floats[:12].reshape(3, 4)
     axis = np.broadcast_to(np.array(["a", "b", "c"], dtype=object)[:, None], grid.shape)
-    out.write_csv(path, ["row", "x"], [axis, grid])
+    write(["row", "x"], [axis, grid])
     assert_lines_equal(path, ["row,x"] + [f"{label},{out.format_value(v)}"
                                           for label, row in zip("abc", grid.tolist())
                                           for v in row])
@@ -111,26 +122,32 @@ def test_write_csv_matches_format_value_per_cell(tmp_path):
     columns = [np.broadcast_to(np.array(list("vwxyz"), dtype=object)[:, None], shape),
                np.broadcast_to(np.array([f"t{j}" for j in range(7)], dtype=object), shape),
                ints, rng.random(shape) < 0.5]
-    out.write_csv(path, ["a", "b", "n", "flag"], columns)
+    write(["a", "b", "n", "flag"], columns)
     assert_lines_equal(path, ["a,b,n,flag"] + per_cell(columns))
 
     columns = [rng.integers(2**63, 2**64, 9_000, dtype=np.uint64), rng.random(9_000) < 0.5]
-    out.write_csv(path, ["u", "flag"], columns)
+    write(["u", "flag"], columns)
     assert_lines_equal(path, ["u,flag"] + per_cell(columns))
 
-    # a grid above the template crossover, so the byte-matrix renderer writes
-    # it: broadcast text axes, edge floats, long doubles (printed as the
-    # nearest double, as format_value prints them), ints of a small range
+    # a grid of broadcast text axes, edge floats, long doubles (printed as
+    # the nearest double, as format_value prints them), ints of a small range
     # (indexed by value - min) and bools
     shape = (40, 60)
-    assert 6 * shape[0] * shape[1] >= out._TEMPLATE_CELLS
     columns = [np.broadcast_to(np.array([f"r{i}" for i in range(40)], dtype=object)[:, None],
                                shape),
                np.broadcast_to(np.array([str(j / 7) for j in range(60)]), shape),
                rng.choice(edge_floats(), shape), np.longdouble(1) / rng.integers(3, 10**6, shape),
                rng.integers(-1, 400, shape), rng.random(shape) < 0.5]
-    out.write_csv(path, ["a", "b", "x", "y", "n", "flag"], columns)
+    write(["a", "b", "x", "y", "n", "flag"], columns)
     assert_lines_equal(path, ["a,b,x,y,n,flag"] + per_cell(columns))
+
+    # one row and no rows, as a list, a column and a grid
+    for shape in ((1,), (1, 1), (0,), (0, 3), (2, 0)):
+        columns = [rng.choice(edge_floats(), shape), np.broadcast_to(-0.1, shape),
+                   rng.integers(-9, 9, shape), rng.random(shape) < 0.5,
+                   np.full(shape, "s", dtype=object)]
+        write(["x", "axis", "n", "b", "s"], columns, preamble={"rows": shape[0]})
+        assert_lines_equal(path, [f"# rows={shape[0]}", "x,axis,n,b,s"] + per_cell(columns))
 
 
 def edge_floats():
@@ -217,7 +234,8 @@ def test_renderer_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
                np.broadcast_to(np.longdouble(1) / np.array([-3, 7, 10**9]), shape)]
     header = ["r", "c", "edge", "tiny", "n", "flag", "f32", "xr", "xc"]
     counts = rng.integers(-1, 8, (60, 35))
-    assert len(columns) * 1200 >= out._TEMPLATE_CELLS
+    # the default block holds the whole table and the whole image
+    assert len(columns) * 1200 <= out._BLOCK_CELLS and counts.size <= out._BLOCK_CELLS
 
     def written(block):
         monkeypatch.setattr(out, "_BLOCK_CELLS", block)
@@ -315,7 +333,24 @@ def test_non_finite_floats_are_rejected(tmp_path, capsys):
             assert cli.main([command, "--dt", dt, "--out", str(tmp_path / "x")]) == 2
             err = capsys.readouterr().err
             assert f"dt: {span}/dt must round to at most" in err, (command, dt)
+    # a run whose chunk of trajectories cannot be held: sme-run at dt 1e-10
+    # tried to allocate 7.45 GiB for its sample steps alone
+    bound = "dt: min(trajectories, 256) x (ceil(t_max/dt/sample_every) + 1) must be at most"
+    for argv in (["sme-run", "--dt", "1e-10"], ["purify", "--trajectories", "2", "--dt", "1e-14"],
+                 ["spin-collapse", "--dt", "1e-12", "--sample-every", "1"]):
+        assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 2
+        assert bound in capsys.readouterr().err, argv
     assert not list(tmp_path.glob("x.*"))
+    # at the edge: 256 x (655350 / 10 + 1) floats is the bound, one step more passes it
+    for steps, held in ((655350, True), (655351, False)):
+        for command in ("sme-run", "purify", "spin-collapse"):
+            values = {"t_max": float(steps), "dt": 1.0, "trajectories": 300, "sample_every": 10}
+            if held:
+                cli.resolve_config(command, values, None)
+                continue
+            with pytest.raises(cli.ConfigError) as info:
+                cli.resolve_config(command, values, None)
+            assert info.value.problems == [f"{bound} {2**24}, got {256 * 65537}"]
 
 
 def test_resolve_config_unreadable_file():
@@ -427,6 +462,19 @@ def test_main_command_help(capsys):
         cli.main(["julia", "--help"])
     assert info.value.code == 0
     assert "--max-iters" in capsys.readouterr().out
+    # the ensemble commands state the bound their runs are checked against;
+    # the defaults hold 80,100 floats at most (spin-collapse, 100 x 801)
+    for command in ("stabilize", "entangle", "julia", "sme-run", "purify", "spin-collapse"):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        ensemble = command in ("sme-run", "purify", "spin-collapse")
+        assert ("bound: min(trajectories, 256) x (ceil(t_max/dt/sample_every) + 1) must be"
+                " at most 16777216" in capsys.readouterr().out) == ensemble, command
+        if ensemble:
+            cfg = cli.resolve_config(command, {}, None)
+            held = chunk_floats(round(cfg["t_max"] / cfg["dt"]), cfg["trajectories"],
+                                cfg["sample_every"])
+            assert held <= 80_100 < MAX_CHUNK_FLOATS // 200, command
 
 
 def test_main_reports_every_config_problem(capsys):
@@ -648,16 +696,21 @@ def test_entangle_run(tmp_path):
     assert float(pre["final_r_squared"]) > 2.9
 
 
-def test_import_loads_neither_scipy_nor_mpmath():
-    # nor concurrent.futures: only julia_raster at threads > 1 starts a pool
+def test_import_loads_neither_scipy_nor_mpmath(tmp_path):
+    # nor concurrent.futures; and julia runs on the calling thread at any
+    # --threads, so a run at --threads 4 imports no pool and leaves one thread
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
-    code = ("import qfc.cli, sys; print(sorted({m.split('.')[0] for m in sys.modules}"
-            " & {'scipy', 'mpmath', 'concurrent'}))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    loaded = "sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath', 'concurrent'})"
+    base = tmp_path / "j"
+    julia = f"qfc.cli.main(['julia', '--grid', '64x64', '--threads', '4', '--out', {str(base)!r}])"
+    for code, expected in ((f"print({loaded})", "[]"),
+                           (f"{julia}; print({loaded}, threading.active_count())",
+                            f"wrote {base}.csv {base}.pgm\n[] 1")):
+        proc = subprocess.run([sys.executable, "-c", "import qfc.cli, sys, threading; " + code],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == expected
 
 
 def test_benchmark_tracer_names_resolve(monkeypatch):

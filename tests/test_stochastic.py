@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qfc.stochastic import (EnsembleStats, RngStream, ito_quadratic_variation,
-                            run_ensemble, sech)
+import qfc.stochastic as stochastic
+from qfc.stochastic import (MAX_CHUNK_FLOATS, EnsembleStats, RngStream, chunk_floats,
+                            ito_quadratic_variation, run_ensemble, sech)
 
 
 def test_stream_reproducibility():
@@ -154,6 +155,36 @@ def test_run_ensemble_names_every_bad_count():
     times, stats = run_ensemble(0.0, record, 0.1, np.int64(4), np.int64(5), base_seed=1,
                                 sample_every=np.int64(2))
     assert times.size == 3 and stats.n_traj == 5
+
+
+def test_run_ensemble_rejects_a_chunk_it_cannot_hold_before_allocating(monkeypatch):
+    # 256 trajectories of 65537 grid points pass MAX_CHUNK_FLOATS by one row:
+    # the run draws nothing, reads nothing and allocates nothing
+    calls = []
+    assert chunk_floats(65536, 300, 1) == 256 * 65537 > MAX_CHUNK_FLOATS
+    run_ensemble(0.0, record, 0.01, 1, 1, base_seed=1)  # numpy.random's lazy imports
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            run_ensemble(calls.append, lambda y, t: calls.append(y), 0.01, 65536, 300,
+                         base_seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"a chunk of {256 * 65537} floats exceeds MAX_CHUNK_FLOATS, {2**24}"
+    assert not calls and peak < 2**16, peak
+    # the chunk is min(n_traj, 256) rows of the grid points and the last
+    # step: steps 0, 2, ..., 8 and 9 for 9 steps at stride 2
+    monkeypatch.setattr(stochastic, "MAX_CHUNK_FLOATS", 6 * 256)
+    for n_traj in (1, 256, 257, 300):
+        run_ensemble(0.0, record, 0.1, 9, n_traj, base_seed=1, sample_every=2)
+    run_ensemble(0.0, record, 0.1, 6 * 256 - 1, 1, base_seed=1)
+    for n_steps, n_traj, every in ((11, 300, 2), (10, 300, 1), (6 * 256, 1, 1)):
+        with pytest.raises(ValueError, match="MAX_CHUNK_FLOATS"):
+            run_ensemble(0.0, record, 0.1, n_steps, n_traj, base_seed=1, sample_every=every)
+    # named together with a bad dt
+    with pytest.raises(ValueError, match="dt must be positive.*MAX_CHUNK_FLOATS"):
+        run_ensemble(0.0, record, -1.0, 11, 300, base_seed=1, sample_every=2)
 
 
 @pytest.mark.parametrize("drift", [1.5, lambda stream: 10.0 * stream.uniform()],
