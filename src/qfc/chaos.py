@@ -25,12 +25,12 @@ and parameter, so the rest of the module, and the CLI, load without it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .states import bell_state, check_density, density, fidelity_trace, tensor_product
+from .stochastic import arg_problems, raise_problems
 
 # The iteration benchmark: a slightly perturbed, deliberately non-Hermitian
 # Bell-state density matrix.  Only square_elements(raw=True) accepts it.
@@ -108,8 +108,7 @@ def bell_purify_iterate(rho0, n_steps, x=math.pi / 4, phi=math.pi / 2, raw=False
     back in raw mode so a deliberately asymmetric start (PERTURBED_BELL)
     stays asymmetric instead of being rejected mid-run.
     """
-    if n_steps < 0:
-        raise ValueError("n_steps must be non-negative")
+    raise_problems(arg_problems(counts=[("n_steps", n_steps, 0)]))
     rho = check_density(rho0, raw=raw)
     target = density(bell_state("psi+"))
     fids = [fidelity_trace(target, rho)]
@@ -134,20 +133,14 @@ class RasterJob:
     params: MapParams = field(default_factory=lambda: MapParams(p=0.0))
 
     def __post_init__(self):
-        problems = [f"{name} must be an integer of at least 1, got {value!r}"
-                    for name, value in (("width", self.width), ("height", self.height),
-                                        ("max_iters", self.max_iters))
-                    if isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or value < 1]
+        problems = arg_problems(counts=[("width", self.width, 1), ("height", self.height, 1),
+                                        ("max_iters", self.max_iters, 1)])
         window = (self.re_min, self.re_max, self.im_min, self.im_max)
         if not all(map(math.isfinite, window)):
             problems.append(f"raster window bounds must be finite, got {window!r}")
         elif self.re_min >= self.re_max or self.im_min >= self.im_max:
             problems.append(f"raster window is empty, got {window!r}")
-        if not 0 < self.cycle_tol < math.inf:
-            problems.append(f"cycle_tol must be positive and finite, got {self.cycle_tol!r}")
-        if problems:
-            raise ValueError("; ".join(problems))
+        raise_problems(problems + arg_problems([("cycle_tol", self.cycle_tol)]))
 
     def pixel_centers(self):
         """(re, im) center coordinates; row 0 is the top, im_max edge."""
@@ -560,17 +553,12 @@ def lyapunov_estimate(z0, p, n_iters, offset=1e-15, supersink_tol=1e-12):
     supersink_tol, including an offset below 1e-290 / supersink_tol; a
     non-finite p raises ValueError too.
     """
-    problems = [f"{name} must be positive and finite, got {value!r}"
-                for name, value in (("offset", offset), ("supersink_tol", supersink_tol))
-                if not 0 < value < math.inf]
+    problems = arg_problems([("offset", offset), ("supersink_tol", supersink_tol)])
     # a step next to a supersink shrinks the separation by about supersink_tol,
     # and at _FLOOR the clamp would feed the shadow sum a gain (slack: rounding)
     if not problems and offset * supersink_tol < 1e-290 * (1 - 1e-12):
         problems.append(f"offset must be at least 1e-290 / supersink_tol, got {offset!r}")
-    if isinstance(n_iters, bool) or not isinstance(n_iters, numbers.Integral) or n_iters < 1:
-        problems.insert(0, f"n_iters must be an integer of at least 1, got {n_iters!r}")
-    if problems:
-        raise ValueError("; ".join(problems))
+    raise_problems(arg_problems(counts=[("n_iters", n_iters, 1)]) + problems)
     n = int(n_iters)
     guard = (_LOG_PREC + n.bit_length()
              + _bits_below_one(offset) + _bits_below_one(supersink_tol))

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chaos, purification, sme, stabilization
-from .entanglement import K_DT_LIMIT, entangle_protocol
+from .entanglement import K_DT_LIMIT, entangle_protocol, protocol_problems
 from .output import write_csv, write_pgm
-from .stochastic import MAX_CHUNK_FLOATS, MAX_STEPS, RngStream, chunk_floats, run_ensemble
+from .stochastic import (RngStream, chunk_problems, chunk_rule, run_ensemble, step_count,
+                         step_problems)
 
 
 class ConfigError(Exception):
@@ -77,6 +78,16 @@ def _grid_check(v):
     return None
 
 
+def _ensemble_fields(dt, t_max, trajectories, sample_every):
+    """The run_ensemble fields of purify, sme-run and spin-collapse, at their defaults."""
+    return [
+        Field("dt", float, dt, _positive, "time step; samples fall at t = dt * step"),
+        Field("t_max", float, t_max, _positive, "simulated time span"),
+        Field("trajectories", int, trajectories, _at_least(2), "ensemble size"),
+        Field("sample_every", int, sample_every, _at_least(1), "steps between recorded samples"),
+    ]
+
+
 def _shared_fields(command):
     return [
         Field("seed", int, 0, _seed_check, "base seed for all random streams"),
@@ -127,9 +138,8 @@ def _run_stabilize(cfg):
 
 def _run_purify(cfg):
     k, dt = cfg["k"], cfg["dt"]
-    n_steps = int(round(cfg["t_max"] / dt))
     times, mean, var = purification.mc_nofeedback_impurity(
-        k, dt, n_steps, cfg["trajectories"], cfg["seed"],
+        k, dt, step_count(cfg["t_max"], dt), cfg["trajectories"], cfg["seed"],
         sample_every=cfg["sample_every"])
     sem = np.sqrt(var / cfg["trajectories"])
     quad_ref = purification.nofeedback_impurity_curve(times, k)
@@ -169,14 +179,18 @@ def _run_bellpurify(cfg):
     return [("csv", ["step", "fidelity"], columns)], results
 
 
-def _run_julia(cfg):
+def _raster_job(cfg):
     width, height = (int(part) for part in cfg["grid"].split("x"))
-    job = chaos.RasterJob(
+    return chaos.RasterJob(
         re_min=cfg["re_min"], re_max=cfg["re_max"],
         im_min=cfg["im_min"], im_max=cfg["im_max"],
         width=width, height=height, max_iters=cfg["max_iters"],
         cycle_tol=cfg["cycle_tol"],
         params=chaos.MapParams(p=complex(cfg["p_re"], cfg["p_im"])))
+
+
+def _run_julia(cfg):
+    job = _raster_job(cfg)
     grid = chaos.julia_raster(job, threads=cfg["threads"])
     counts = grid.counts
     res, ims = job.pixel_centers()
@@ -189,9 +203,8 @@ def _run_julia(cfg):
 
 def _run_sme(cfg):
     k, dt = cfg["k"], cfg["dt"]
-    n_steps = int(round(cfg["t_max"] / dt))
     times, mean, var = sme.run_dephasing_ensemble(
-        k, dt, n_steps, cfg["trajectories"], cfg["seed"],
+        k, dt, step_count(cfg["t_max"], dt), cfg["trajectories"], cfg["seed"],
         sample_every=cfg["sample_every"])
     sem = np.sqrt(var / cfg["trajectories"])
     analytic = 0.5 * np.exp(-4.0 * k * times)
@@ -219,7 +232,7 @@ def _run_spin_collapse(cfg):
     dt = cfg["dt"]
     times, stats = run_ensemble(
         lambda stream: amp * fz_diag[min(int(stream.uniform() * d), d - 1)],
-        read, dt, int(round(cfg["t_max"] / dt)), cfg["trajectories"], cfg["seed"],
+        read, dt, step_count(cfg["t_max"], dt), cfg["trajectories"], cfg["seed"],
         sample_every=cfg["sample_every"],
         final=lambda y, t: np.eye(d)[np.argmax(log_weights(y, t), axis=1)])  # one-hot outcome
     n_samples = len(times)
@@ -237,53 +250,41 @@ def _run_spin_collapse(cfg):
 # command table
 
 
-def _entangle_step_check(cfg):
-    if cfg["k"] * cfg["dt"] > K_DT_LIMIT:
-        return f"dt: k*dt must be at most {K_DT_LIMIT:g}, the feedback acts once per step"
-    return None
+_CHUNK_NAMES = ("trajectories", "t_max/dt")  # run_ensemble's n_traj and n_steps
 
 
-def _step_count_check(span):
-    def check(cfg):
-        if not cfg[span] / cfg["dt"] <= MAX_STEPS:  # an overflow to inf fails too
-            return f"dt: {span}/dt must round to at most 2**63 - 1 steps"
-        return None
-    return check
+def _ensemble_check(cfg):
+    problems = step_problems("t_max / dt", cfg["t_max"], cfg["dt"]) or chunk_problems(
+        step_count(cfg["t_max"], cfg["dt"]), cfg["trajectories"], cfg["sample_every"],
+        _CHUNK_NAMES)
+    return [f"dt: {problem}" for problem in problems]
 
 
-_CHUNK_BOUND = ("min(trajectories, 256) x (ceil(t_max/dt/sample_every) + 1) must be at most"
-                f" {MAX_CHUNK_FLOATS}")
+def _entangle_check(cfg):
+    problems = protocol_problems(cfg["k"], cfg["dt"], cfg["horizon"], cfg["sample_every"])
+    return [f"dt: {problem}" for problem in problems]
 
 
-def _chunk_check(cfg):
-    steps = cfg["t_max"] / cfg["dt"]
-    if steps <= MAX_STEPS:  # else _step_count_check names it
-        floats = chunk_floats(int(round(steps)), cfg["trajectories"], cfg["sample_every"])
-        if floats > MAX_CHUNK_FLOATS:
-            return f"dt: {_CHUNK_BOUND}, got {floats}"
-    return None
+def _julia_check(cfg):
+    try:
+        _raster_job(cfg)
+    except ValueError as exc:
+        return [f"re_min, re_max, im_min, im_max: {exc}"]
+    return []
 
 
 def _spot_mode_check(cfg):
     if (cfg["p"] is None) != (cfg["theta"] is None):
-        return ("p: give both --p and --theta for a spot check, "
-                "or neither for the full surface")
-    return None
-
-
-def _window_check(cfg):
-    if cfg["re_min"] >= cfg["re_max"]:
-        return "re_min: window needs re_min < re_max"
-    if cfg["im_min"] >= cfg["im_max"]:
-        return "im_min: window needs im_min < im_max"
-    return None
+        return ["p: give both --p and --theta for a spot check, "
+                "or neither for the full surface"]
+    return []
 
 
 @dataclass(frozen=True)
 class Command:
     name: str
     fields: list
-    cross_checks: list
+    cross_check: object  # once every field passes: cfg -> the study's own problems
     run: object
     help: str
 
@@ -302,22 +303,17 @@ for _cmd in [
                "Monte-Carlo rounds per scheme in spot mode"),
          Field("grid_size", int, 201, _at_least(50),
                "points per axis of the (p, theta) surface")],
-        [_spot_mode_check],
+        _spot_mode_check,
         _run_stabilize,
         "fidelity surface of the feedback schemes, or a seeded spot check"),
     Command(
         "purify",
         [Field("k", float, 1.0, _positive, "measurement strength"),
-         Field("dt", float, 1e-4, _positive,
-               "time step; samples fall at t = dt * step"),
-         Field("t_max", float, 2.0, _positive, "simulated time span"),
-         Field("trajectories", int, 1000, _at_least(2), "ensemble size"),
-         Field("sample_every", int, 100, _at_least(1),
-               "steps between recorded samples"),
+         *_ensemble_fields(dt=1e-4, t_max=2.0, trajectories=1000, sample_every=100),
          Field("target", float, 1e-3,
                _in_closed(1e-12, 0.499999, "(0, 1/2)"),
                "impurity target for the reported time ratio")],
-        [_step_count_check("t_max"), _chunk_check],
+        _ensemble_check,
         _run_purify,
         "ensemble impurity with and without feedback"),
     Command(
@@ -328,7 +324,7 @@ for _cmd in [
          Field("horizon", float, 10.0, _positive, "time budget"),
          Field("sample_every", int, 10, _at_least(1),
                "steps between recorded samples")],
-        [_entangle_step_check, _step_count_check("horizon")],
+        _entangle_check,
         _run_entangle,
         "drive two qubits onto a Bell state by parity monitoring"),
     Command(
@@ -336,7 +332,7 @@ for _cmd in [
         [Field("steps", int, 30, _non_negative, "iterations of the map"),
          Field("x", float, math.pi / 4, None, "rotation latitude"),
          Field("phi", float, math.pi / 2, None, "rotation phase")],
-        [],
+        lambda cfg: [],
         _run_bellpurify,
         "iterated measurement map from the perturbed Bell fixture"),
     Command(
@@ -352,19 +348,14 @@ for _cmd in [
          Field("re_max", float, 2.0, None, "right window edge"),
          Field("im_min", float, -2.0, None, "bottom window edge"),
          Field("im_max", float, 2.0, None, "top window edge")],
-        [_window_check],
+        _julia_check,
         _run_julia,
         "convergence-time raster of the purification map"),
     Command(
         "sme-run",
         [Field("k", float, 1.0, _positive, "dephasing strength"),
-         Field("dt", float, 1e-3, _positive,
-               "time step; samples fall at t = dt * step"),
-         Field("t_max", float, 1.0, _positive, "simulated time span"),
-         Field("trajectories", int, 2000, _at_least(2), "ensemble size"),
-         Field("sample_every", int, 10, _at_least(1),
-               "steps between recorded samples")],
-        [_step_count_check("t_max"), _chunk_check],
+         *_ensemble_fields(dt=1e-3, t_max=1.0, trajectories=2000, sample_every=10)],
+        _ensemble_check,
         _run_sme,
         "monitored-dephasing ensemble against the deterministic average"),
     Command(
@@ -373,13 +364,8 @@ for _cmd in [
          Field("strength", float, 1.0, _positive, "measurement strength"),
          Field("eta", float, 1.0, _in_closed(1e-12, 1.0, "(0, 1]"),
                "detector efficiency"),
-         Field("dt", float, 1e-3, _positive,
-               "time step; samples fall at t = dt * step"),
-         Field("t_max", float, 8.0, _positive, "simulated time span"),
-         Field("trajectories", int, 100, _at_least(2), "ensemble size"),
-         Field("sample_every", int, 10, _at_least(1),
-               "steps between recorded samples")],
-        [_step_count_check("t_max"), _chunk_check],
+         *_ensemble_fields(dt=1e-3, t_max=8.0, trajectories=100, sample_every=10)],
+        _ensemble_check,
         _run_spin_collapse,
         "projective collapse of a monitored spin ensemble"),
 ]:
@@ -452,10 +438,7 @@ def resolve_config(command, cli_values, config_path):
         if message:
             problems.append(f"{f.name}: {message}")
     if not problems:
-        for cross in spec.cross_checks:
-            message = cross(cfg)
-            if message:
-                problems.append(message)
+        problems = spec.cross_check(cfg)
 
     if problems:
         raise ConfigError(problems)
@@ -496,8 +479,9 @@ def _command_help(command):
         sys.stdout.write(f"  {flag:17s} {f.help}{default}\n")
     sys.stdout.write("  --config FILE     flat key=value file, '#' comments;"
                      " flags override it\n")
-    if _chunk_check in spec.cross_checks:
-        sys.stdout.write(f"\nbound: {_CHUNK_BOUND}, the floats one chunk of trajectories holds\n")
+    if spec.cross_check is _ensemble_check:
+        sys.stdout.write(f"\nbound: {chunk_rule(_CHUNK_NAMES)}, the floats one chunk of"
+                         " trajectories holds\n")
 
 
 def _parse_argv(command, argv):

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,7 +40,8 @@ import numpy as np
 # perfbench/tracer.py patches this module's sme_step, clip_psd and RngStream
 from .sme import Channel, SmeModel, sme_step
 from .states import SI, SX, SY, SZ, check_density, tensor_product
-from .stochastic import MAX_STEPS, IntegrationError, RngStream
+from .stochastic import (IntegrationError, RngStream, arg_problems, raise_problems,
+                         step_count, step_problems)
 
 _HALF_PI = 0.5 * math.pi  # exact
 I4 = np.eye(4, dtype=complex)
@@ -67,8 +67,7 @@ _PRODUCTS = np.array([[s @ t for t in (I4,) + Q2_TRIPLE] for s in (I4,) + Q1_TRI
 @lru_cache
 def parity_model(k):
     """Parity monitor with dephasing strength k, unit efficiency; cached per k."""
-    if k <= 0:
-        raise ValueError("k must be positive")
+    raise_problems(arg_problems([("k", k)]))
     return SmeModel(dim=4, channels=[Channel(op=ZZ, rate=2.0 * k, efficiency=1.0)])
 
 
@@ -206,6 +205,19 @@ def _increments(stream, dt, n):
                                          for lo in range(0, n, _WIENER_BLOCK))
 
 
+def protocol_problems(k, dt, horizon, sample_every):
+    """entangle_protocol's problems with its numbers: the rates, k*dt above
+    K_DT_LIMIT, horizon / dt above MAX_STEPS, and sample_every."""
+    k_bad, dt_bad, horizon_bad = (arg_problems([arg]) for arg in
+                                  (("k", k), ("dt", dt), ("horizon", horizon)))
+    problems = k_bad + dt_bad + horizon_bad
+    if not (k_bad or dt_bad) and k * dt > K_DT_LIMIT:
+        problems.append(f"k*dt must not exceed {K_DT_LIMIT:g}, got {k * dt!r}")
+    if not (dt_bad or horizon_bad):
+        problems += step_problems("horizon / dt", horizon, dt)
+    return problems + arg_problems(counts=[("sample_every", sample_every, 1)])
+
+
 def entangle_protocol(rho0, k, dt, horizon, seed, *, sample_every=10):
     """Drive an arbitrary two-qubit state onto the symmetric Bell state.
 
@@ -239,19 +251,10 @@ def entangle_protocol(rho0, k, dt, horizon, seed, *, sample_every=10):
     change, which no read sees), so skipping moves no bit of the result.
     The sampled rows are read once, at the end, by one elementwise _reads
     over all of them.  It is exact at any dt; K_DT_LIMIT on k*dt bounds the
-    time between kicks.  One ValueError names every bad argument.
+    time between kicks.  One ValueError names every bad argument: those of
+    protocol_problems, and a rho0 that is not a two-qubit state.
     """
-    problems = [f"{name} must be positive and finite, got {value!r}"
-                for name, value in (("k", k), ("dt", dt), ("horizon", horizon))
-                if not 0.0 < value < math.inf]
-    if 0.0 < k < math.inf and 0.0 < dt < math.inf and k * dt > K_DT_LIMIT:
-        problems.append(f"k*dt must not exceed {K_DT_LIMIT:g}, got {k * dt!r}")
-    if 0.0 < dt and 0.0 < horizon < math.inf and not horizon / dt <= MAX_STEPS:
-        problems.append(f"horizon / dt must round to at most 2**63 - 1 steps, "
-                        f"got {horizon!r} / {dt!r}")
-    if (isinstance(sample_every, bool) or not isinstance(sample_every, numbers.Integral)
-            or sample_every < 1):
-        problems.append(f"sample_every must be an integer of at least 1, got {sample_every!r}")
+    problems = protocol_problems(k, dt, horizon, sample_every)
     try:
         rho = check_density(rho0)
     except ValueError as exc:
@@ -259,10 +262,9 @@ def entangle_protocol(rho0, k, dt, horizon, seed, *, sample_every=10):
     else:
         if rho.shape != (4, 4):
             problems.append(f"rho0 must be a two-qubit state, got shape {rho.shape}")
-    if problems:
-        raise ValueError("; ".join(problems))
+    raise_problems(problems)
     root = 2.0 * math.sqrt(2.0 * k)  # 2 sqrt(Gamma)
-    n_max = int(round(horizon / dt))
+    n_max = step_count(horizon, dt)
     draw = _increments(RngStream(seed, 0), dt, n_max).__next__
     cosh, sinh, cos, sin, atan2 = math.cosh, math.sinh, math.cos, math.sin, math.atan2
     hypot, inf, pi = math.hypot, math.inf, math.pi

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .stochastic import arg_problems, raise_problems
+
 
 def format_value(value):
     """Render one CSV cell / preamble value.
@@ -302,8 +304,7 @@ def write_pgm(path, counts, max_iters, preamble=None):
     counts = np.asarray(counts)
     if counts.ndim != 2:
         raise ValueError("counts must be a 2-d array")
-    if max_iters <= 0:
-        raise ValueError("max_iters must be positive")
+    raise_problems(arg_problems(counts=[("max_iters", max_iters, 1)]))
     height, width = counts.shape
     levels = np.clip(np.rint(255.0 * np.maximum(counts, 0) / float(max_iters)),
                      0, 255).astype(np.uint8)

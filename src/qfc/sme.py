@@ -16,14 +16,14 @@ model has no channels.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .states import dag
 # perfbench/tracer.py counts the draws of the RngStream it finds here
-from .stochastic import IntegrationError, RngStream, run_ensemble, sech  # noqa: F401
+from .stochastic import (IntegrationError, RngStream, arg_problems,  # noqa: F401
+                         raise_problems, run_ensemble, sech)
 
 
 def dissipator(c, rho):
@@ -55,12 +55,10 @@ class Channel:
             problems.append(f"channel operator must be square, got shape {self.op.shape}")
         elif not np.isfinite(self.op).all():
             problems.append("channel operator must be finite")
-        if not 0 < self.rate < math.inf:
-            problems.append(f"channel rate must be positive and finite, got {self.rate!r}")
+        problems += arg_problems([("channel rate", self.rate)])
         if not 0.0 <= self.efficiency <= 1.0:
             problems.append(f"efficiency must lie in [0, 1], got {self.efficiency!r}")
-        if problems:
-            raise ValueError("; ".join(problems))
+        raise_problems(problems)
 
 
 @dataclass
@@ -78,11 +76,8 @@ class SmeModel:
     channels: list = field(default_factory=list)
 
     def __post_init__(self):
-        problems = []
-        if (isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral)
-                or self.dim < 2):
-            problems.append(f"dim must be an integer of at least 2, got {self.dim!r}")
-        else:
+        problems = arg_problems(counts=[("dim", self.dim, 2)])
+        if not problems:
             self.dim = int(self.dim)
         shape = (self.dim, self.dim)
         for name in ("hamiltonian_base", "control_channel"):
@@ -96,8 +91,7 @@ class SmeModel:
                 setattr(self, name, h)
         problems += [f"channel {i} operator must be {shape}, got shape {ch.op.shape}"
                      for i, ch in enumerate(self.channels) if ch.op.shape != shape]
-        if problems:
-            raise ValueError("; ".join(problems))
+        raise_problems(problems)
 
     def measured(self):
         return [ch for ch in self.channels if ch.efficiency > 0.0]
@@ -177,8 +171,7 @@ def run_dephasing_ensemble(k, dt, n_steps, n_traj, base_seed, sample_every=1):
     (times, mean, var) of Re rho_01 at every sample_every-th step of dt.
     """
     k = float(k)
-    if not 0 < k < math.inf:
-        raise ValueError("k must be positive and finite")
+    raise_problems(arg_problems([("k", k)]))
     amp = math.sqrt(8.0 * k)
     times, stats = run_ensemble(
         amp, lambda y, t: 0.5 * sech(amp * y), dt, n_steps, n_traj, base_seed,

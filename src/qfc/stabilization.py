@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import SZ, dag, density
+from .stochastic import arg_problems, raise_problems
 
 _HALF_PI = 0.5 * np.pi
 
@@ -184,9 +185,7 @@ def mc_average_fidelity(scheme, p, theta, n_samples, rng, chi=None):
     Sampling draws multinomial counts over the exact branch distribution,
     which is identical in law to simulating the rounds one at a time.
     """
-    n_samples = int(n_samples)
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
+    raise_problems(arg_problems(counts=[("n_samples", n_samples, 2)]))
     if scheme == "weak" and chi is None:
         chi, _ = optimize_chi(p, theta)
     probs, vals = _branch_table(scheme, p, theta, chi)
@@ -228,8 +227,7 @@ class GapSurface:
 def gap_surface(n_p=201, n_theta=201):
     """Evaluate the advantage F4 - max(F1, F3) on a regular grid over
     p in [0, 1/2] and theta in [0, pi/2]."""
-    if n_p < 50 or n_theta < 50:
-        raise ValueError("grid must be at least 50x50")
+    raise_problems(arg_problems(counts=[("n_p", n_p, 50), ("n_theta", n_theta, 50)]))
     ps = np.linspace(0.0, 0.5, int(n_p))
     ts = np.linspace(0.0, _HALF_PI, int(n_theta))
     pg = ps[:, None]

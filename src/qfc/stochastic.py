@@ -29,6 +29,50 @@ def chunk_floats(n_steps, n_traj, sample_every):
     return min(int(n_traj), _CHUNK) * (-(-int(n_steps) // int(sample_every)) + 1)
 
 
+def chunk_rule(names=("n_traj", "n_steps")):
+    """The bound on chunk_floats, in a caller's names for n_traj and n_steps."""
+    return (f"min({names[0]}, {_CHUNK}) x (ceil({names[1]}/sample_every) + 1) must be at most"
+            f" {MAX_CHUNK_FLOATS}")
+
+
+def chunk_problems(n_steps, n_traj, sample_every, names=("n_traj", "n_steps")):
+    """[chunk_rule's message] if a chunk would pass MAX_CHUNK_FLOATS, else []."""
+    floats = chunk_floats(n_steps, n_traj, sample_every)
+    return [f"{chunk_rule(names)}, got {floats}"] if floats > MAX_CHUNK_FLOATS else []
+
+
+def step_problems(name, steps, dt=None):
+    """[the message] if a step count, or span / dt for steps = span, passes
+    MAX_STEPS or is NaN, else []."""
+    if (steps if dt is None else steps / dt) <= MAX_STEPS:
+        return []
+    got = repr(steps) if dt is None else f"{steps!r} / {dt!r}"
+    return [f"{name} must round to at most 2**63 - 1 steps, got {got}"]
+
+
+def step_count(span, dt):
+    """round(span / dt) as an int, once step_problems has passed span / dt."""
+    return int(round(span / dt))
+
+
+def arg_problems(rates=(), counts=()):
+    """The canonical message for each bad argument: each (name, value) of
+    rates that is not positive and finite, then each (name, value, lo) of
+    counts that is not an integer (a bool is not one) of at least lo."""
+    return ([f"{name} must be positive and finite, got {value!r}"
+             for name, value in rates if not 0 < value < math.inf]
+            + [f"{name} must be an integer of at least {lo}, got {value!r}"
+               for name, value, lo in counts
+               if isinstance(value, bool) or not isinstance(value, numbers.Integral)
+               or value < lo])
+
+
+def raise_problems(problems):
+    """One ValueError naming every problem, if there is one."""
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
 class IntegrationError(RuntimeError):
     """A step produced a non-finite state."""
 
@@ -84,11 +128,7 @@ def ito_quadratic_variation(rng, t_total, n_steps):
 
     Concentrates on t_total as n_steps grows (variance 2 t^2 / n).
     """
-    if t_total <= 0:
-        raise ValueError("t_total must be positive")
-    n_steps = int(n_steps)
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
+    raise_problems(arg_problems([("t_total", t_total)], [("n_steps", n_steps, 1)]))
     dw = rng.wiener(t_total / n_steps, n_steps)
     return float(np.dot(dw, dw))
 
@@ -133,23 +173,17 @@ def run_ensemble(drift, read, dt, n_steps, n_traj, base_seed, sample_every=1,
     (times, EnsembleStats) over the samples in time order, then the final
     reads.  One ValueError names a dt that is not positive and finite,
     every count that is not an integer of at least 1, or of at least 0 for
-    n_steps, and a chunk of more than MAX_CHUNK_FLOATS floats, before
-    anything is drawn.
+    n_steps, an n_steps or sample_every above MAX_STEPS, and a chunk of
+    more than MAX_CHUNK_FLOATS floats, before anything is drawn.
     """
-    problems = [f"{name} must be an integer of at least {lo}, got {value!r}"
-                for name, value, lo in (("n_steps", n_steps, 0), ("n_traj", n_traj, 1),
-                                        ("sample_every", sample_every, 1))
-                if isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                or value < lo]
-    floats = not problems and chunk_floats(n_steps, n_traj, sample_every)
-    if floats > MAX_CHUNK_FLOATS:
-        problems.append(f"a chunk of {floats} floats exceeds MAX_CHUNK_FLOATS, {MAX_CHUNK_FLOATS}")
-    if not 0 < dt < math.inf:
-        problems.insert(0, f"dt must be positive and finite, got {dt!r}")
-    if problems:
-        raise ValueError("; ".join(problems))
+    problems = arg_problems(counts=[("n_steps", n_steps, 0), ("n_traj", n_traj, 1),
+                                    ("sample_every", sample_every, 1)])
+    if not problems:
+        problems = (step_problems("n_steps", n_steps) + step_problems("sample_every", sample_every)
+                    or chunk_problems(n_steps, n_traj, sample_every))
+    raise_problems(arg_problems([("dt", dt)]) + problems)
     n_steps, n_traj, sample_every = int(n_steps), int(n_traj), int(sample_every)
-    steps = np.arange(0, n_steps + 1, sample_every)
+    steps = sample_every * np.arange(n_steps // sample_every + 1)
     times = dt * steps
     taus = dt * np.diff(np.append(steps, n_steps) if steps[-1] < n_steps else steps)
     sd, stream = _std(taus), RngStream(base_seed)

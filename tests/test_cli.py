@@ -332,7 +332,8 @@ def test_non_finite_floats_are_rejected(tmp_path, capsys):
         for dt in ("5e-324", "1e-300"):
             assert cli.main([command, "--dt", dt, "--out", str(tmp_path / "x")]) == 2
             err = capsys.readouterr().err
-            assert f"dt: {span}/dt must round to at most" in err, (command, dt)
+            assert f"dt: {span} / dt must round to at most 2**63 - 1 steps, got " in err, command
+            assert f" / {float(dt)!r}\n" in err, (command, dt)
     # a run whose chunk of trajectories cannot be held: sme-run at dt 1e-10
     # tried to allocate 7.45 GiB for its sample steps alone
     bound = "dt: min(trajectories, 256) x (ceil(t_max/dt/sample_every) + 1) must be at most"
@@ -340,6 +341,11 @@ def test_non_finite_floats_are_rejected(tmp_path, capsys):
                  ["spin-collapse", "--dt", "1e-12", "--sample-every", "1"]):
         assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 2
         assert bound in capsys.readouterr().err, argv
+    # an empty julia window is RasterJob's problem, named before the run too
+    for argv in (["julia", "--re-min", "3"], ["julia", "--im-min", "1", "--im-max", "1"]):
+        assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "re_min, re_max, im_min, im_max: raster window is empty, got (" in err, argv
     assert not list(tmp_path.glob("x.*"))
     # at the edge: 256 x (655350 / 10 + 1) floats is the bound, one step more passes it
     for steps, held in ((655350, True), (655351, False)):
@@ -747,6 +753,44 @@ def test_every_package_name_is_reached():
             defined |= names
             used |= {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(stmt)} - names
     assert sorted(defined - used - roots) == []
+
+
+def test_each_argument_rule_has_one_owner():
+    # the integer-count test, each comparison against a bound constant and
+    # the rounding of a span over dt are stated by one function each; a
+    # caller asks that function, so a bound cannot drift between copies
+    owners = {"numbers.Integral": "stochastic.arg_problems",
+              "MAX_STEPS": "stochastic.step_problems",
+              "MAX_CHUNK_FLOATS": "stochastic.chunk_problems",
+              "K_DT_LIMIT": "entanglement.protocol_problems",
+              "round(span / dt)": "stochastic.step_count"}
+
+    def named(node, name):
+        return (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+                and node.slice.value == name)
+
+    found = {}
+    for path in (Path(__file__).resolve().parents[1] / "src" / "qfc").glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            owner = f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}"
+            for node in ast.walk(stmt):
+                rules = []
+                if isinstance(node, ast.Attribute) and node.attr == "Integral":
+                    rules.append("numbers.Integral")
+                if isinstance(node, ast.Compare):
+                    rules += [bound for bound in ("MAX_STEPS", "MAX_CHUNK_FLOATS", "K_DT_LIMIT")
+                              if any(named(side, bound)
+                                     for side in [node.left, *node.comparators])]
+                if (isinstance(node, ast.Call) and named(node.func, "round") and node.args
+                        and isinstance(node.args[0], ast.BinOp)
+                        and isinstance(node.args[0].op, ast.Div)
+                        and named(node.args[0].right, "dt")):
+                    rules.append("round(span / dt)")
+                for rule in rules:
+                    found.setdefault(rule, set()).add(owner)
+    assert found == {rule: {owner} for rule, owner in owners.items()}
 
 
 def test_no_setting_comes_from_the_environment():

@@ -1,5 +1,7 @@
 """Rapid purification: conditioned Bloch dynamics and the two protocols."""
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -14,6 +16,10 @@ def test_run_guards():
                         (1e-4, np.inf)]:
         with pytest.raises(ValueError):
             pf.PurificationRun(k=1.0, dt=dt, horizon=horizon)
+    # 1e310 steps: n_steps raised OverflowError ("cannot convert float
+    # infinity to integer") after the run was built
+    with pytest.raises(ValueError, match="horizon / dt must round to at most 2[*][*]63 - 1 steps"):
+        pf.PurificationRun(k=1.0, dt=1e-300, horizon=1e10)
     run = pf.PurificationRun(k=2.0, dt=1e-4, horizon=1.0)
     assert run.n_steps == 10_000
     # the feedback law is exact, so any step is allowed
@@ -71,6 +77,26 @@ def test_nofeedback_impurity_curve_is_the_scalar_function():
     assert pf.nofeedback_impurity_curve([0.0, 0.0], 1.0).tolist() == [0.5, 0.5]
     with pytest.raises(ValueError):
         pf.nofeedback_impurity_curve([0.1, -0.1], 1.0)
+
+
+def test_nofeedback_impurity_curve_is_blocked():
+    # the curve runs in blocks of samples, each time's sum the one it gets
+    # alone, so that a purify reference of 2,000,001 samples (dt 1e-8) no
+    # longer holds several (samples x 144) temporaries of 2.3 GB at once
+    ts = np.linspace(0.0, 3.0, 2 * pf._CURVE_BLOCK + 5).reshape(-1, 1)
+    curve = pf.nofeedback_impurity_curve(ts, 0.7)
+    assert curve.shape == ts.shape
+    assert np.array_equal(curve[:, 0], [pf.nofeedback_impurity(t, 0.7) for t in ts[:, 0]])
+    many = np.linspace(0.0, 2.0, 200_001)
+    pf.nofeedback_impurity_curve(many[:10], 1.0)
+    tracemalloc.start()
+    try:
+        pf.nofeedback_impurity_curve(many, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one unblocked (samples x 144) temporary alone is 230 MB
+    assert peak < 40e6, peak
 
 
 def test_mc_ensemble_matches_quadrature():

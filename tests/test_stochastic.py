@@ -155,6 +155,20 @@ def test_run_ensemble_names_every_bad_count():
     times, stats = run_ensemble(0.0, record, 0.1, np.int64(4), np.int64(5), base_seed=1,
                                 sample_every=np.int64(2))
     assert times.size == 3 and stats.n_traj == 5
+    # step counts past numpy's int64: n_steps = 2**70 (or a stride of 2**63)
+    # died in numpy with UFuncTypeError, and n_steps = 2**63 ran on a float grid
+    bound = "must round to at most 2**63 - 1 steps, got"
+    for n_steps, every, message in (
+            (2**70, 2**70, f"n_steps {bound} {2**70}; sample_every {bound} {2**70}"),
+            (2**63, 2**62, f"n_steps {bound} {2**63}"),
+            (5, 2**63, f"sample_every {bound} {2**63}")):
+        with pytest.raises(ValueError) as info:
+            run_ensemble(1.0, record, 1.0, n_steps, 1, 0, sample_every=every)
+        assert str(info.value) == message
+    # the largest count runs, its grid held exactly in int64
+    times, stats = run_ensemble(0.0, record, 2.0**-62, 2**63 - 1, 1, base_seed=1,
+                                sample_every=2**62)
+    assert times.tolist() == [0.0, 1.0] and stats.mean.size == 2
 
 
 def test_run_ensemble_rejects_a_chunk_it_cannot_hold_before_allocating(monkeypatch):
@@ -171,7 +185,8 @@ def test_run_ensemble_rejects_a_chunk_it_cannot_hold_before_allocating(monkeypat
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert str(info.value) == f"a chunk of {256 * 65537} floats exceeds MAX_CHUNK_FLOATS, {2**24}"
+    assert str(info.value) == ("min(n_traj, 256) x (ceil(n_steps/sample_every) + 1) must be at"
+                               f" most {2**24}, got {256 * 65537}")
     assert not calls and peak < 2**16, peak
     # the chunk is min(n_traj, 256) rows of the grid points and the last
     # step: steps 0, 2, ..., 8 and 9 for 9 steps at stride 2
@@ -180,10 +195,10 @@ def test_run_ensemble_rejects_a_chunk_it_cannot_hold_before_allocating(monkeypat
         run_ensemble(0.0, record, 0.1, 9, n_traj, base_seed=1, sample_every=2)
     run_ensemble(0.0, record, 0.1, 6 * 256 - 1, 1, base_seed=1)
     for n_steps, n_traj, every in ((11, 300, 2), (10, 300, 1), (6 * 256, 1, 1)):
-        with pytest.raises(ValueError, match="MAX_CHUNK_FLOATS"):
+        with pytest.raises(ValueError, match=f"must be at most {6 * 256}, got"):
             run_ensemble(0.0, record, 0.1, n_steps, n_traj, base_seed=1, sample_every=every)
     # named together with a bad dt
-    with pytest.raises(ValueError, match="dt must be positive.*MAX_CHUNK_FLOATS"):
+    with pytest.raises(ValueError, match="dt must be positive.*must be at most"):
         run_ensemble(0.0, record, -1.0, 11, 300, base_seed=1, sample_every=2)
 
 
