@@ -24,6 +24,7 @@ and parameter, so the rest of the module, and the CLI, load without it.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -140,6 +141,8 @@ class RasterJob:
             problems.append(f"raster window bounds must be finite, got {window!r}")
         elif self.re_min >= self.re_max or self.im_min >= self.im_max:
             problems.append(f"raster window is empty, got {window!r}")
+        if not cmath.isfinite(self.params.p):
+            problems.append(f"p must be finite, got {self.params.p!r}")
         raise_problems(problems + arg_problems([("cycle_tol", self.cycle_tol)]))
 
     def pixel_centers(self):

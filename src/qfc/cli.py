@@ -2,8 +2,9 @@
 
 Configuration is resolved in increasing precedence: built-in defaults, an
 optional flat ``key=value`` config file (``#`` starts a comment), then
-command-line flags.  Unknown keys, non-finite floats and out-of-range values
-are rejected with one message per offending field.  Every run embeds its
+command-line flags.  Unknown keys, unparsable values, non-finite floats and a
+malformed grid are rejected here, every other range by the study that owns
+it, in its words, and one error lists them all.  Every run embeds its
 resolved configuration as ``# key=value`` lines in the output files, and
 identical configuration plus seed gives byte-identical files.  Every command
 runs on the calling thread; ``--threads`` is accepted, changes nothing and is
@@ -22,8 +23,8 @@ import numpy as np
 from . import chaos, purification, sme, stabilization
 from .entanglement import K_DT_LIMIT, entangle_protocol, protocol_problems
 from .output import write_csv, write_pgm
-from .stochastic import (RngStream, chunk_problems, chunk_rule, run_ensemble, step_count,
-                         step_problems)
+from .stochastic import (RngStream, arg_problems, chunk_rule, ensemble_problems, run_ensemble,
+                         step_count, uint64_problems)
 
 
 class ConfigError(Exception):
@@ -36,64 +37,36 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class Field:
-    """One configurable parameter: parsing, default, and range check."""
+    """One configurable parameter: parsing, default and help."""
 
     name: str
     parse: type
     default: object
-    check: object = None  # value -> error message or None
     help: str = ""
-
-
-def _positive(v):
-    return None if v > 0 else "must be positive"
-
-
-def _non_negative(v):
-    return None if v >= 0 else "must be non-negative"
-
-
-def _at_least(lo):
-    def check(v):
-        return None if v >= lo else f"must be at least {lo}"
-    return check
-
-
-def _in_closed(lo, hi, what):
-    def check(v):
-        return None if lo <= v <= hi else f"must lie in {what}"
-    return check
-
-
-def _seed_check(v):
-    return None if 0 <= v < 2**64 else "must fit in an unsigned 64-bit integer"
+    check: object = None  # value -> error message or None; only grid has one
 
 
 def _grid_check(v):
     if re.fullmatch(r"[0-9]+x[0-9]+", v) is None:
         return "must look like WIDTHxHEIGHT, e.g. 512x512"
-    w, h = (int(part) for part in v.split("x"))
-    if w < 1 or h < 1:
-        return "must have at least one pixel per side"
     return None
 
 
 def _ensemble_fields(dt, t_max, trajectories, sample_every):
     """The run_ensemble fields of purify, sme-run and spin-collapse, at their defaults."""
     return [
-        Field("dt", float, dt, _positive, "time step; samples fall at t = dt * step"),
-        Field("t_max", float, t_max, _positive, "simulated time span"),
-        Field("trajectories", int, trajectories, _at_least(2), "ensemble size"),
-        Field("sample_every", int, sample_every, _at_least(1), "steps between recorded samples"),
+        Field("dt", float, dt, "time step; samples fall at t = dt * step"),
+        Field("t_max", float, t_max, "simulated time span"),
+        Field("trajectories", int, trajectories, "ensemble size"),
+        Field("sample_every", int, sample_every, "steps between recorded samples"),
     ]
 
 
 def _shared_fields(command):
     return [
-        Field("seed", int, 0, _seed_check, "base seed for all random streams"),
-        Field("threads", int, 1, _at_least(1),
-              "accepted and ignored: every command runs on one thread"),
-        Field("out", str, "qfc_" + command.replace("-", "_"), None,
+        Field("seed", int, 0, "base seed for all random streams"),
+        Field("threads", int, 1, "accepted and ignored: every command runs on one thread"),
+        Field("out", str, "qfc_" + command.replace("-", "_"),
               "output base path; files are written as <out>.csv (and <out>.pgm)"),
     ]
 
@@ -254,118 +227,111 @@ _CHUNK_NAMES = ("trajectories", "t_max/dt")  # run_ensemble's n_traj and n_steps
 
 
 def _ensemble_check(cfg):
-    problems = step_problems("t_max / dt", cfg["t_max"], cfg["dt"]) or chunk_problems(
-        step_count(cfg["t_max"], cfg["dt"]), cfg["trajectories"], cfg["sample_every"],
-        _CHUNK_NAMES)
-    return [f"dt: {problem}" for problem in problems]
+    # two trajectories at least, so that every sample has a standard error
+    return ensemble_problems(cfg["dt"], None, cfg["trajectories"], cfg["sample_every"],
+                             span=("t_max", cfg["t_max"]), names=_CHUNK_NAMES, min_traj=2)
 
 
-def _entangle_check(cfg):
-    problems = protocol_problems(cfg["k"], cfg["dt"], cfg["horizon"], cfg["sample_every"])
-    return [f"dt: {problem}" for problem in problems]
+def _stabilize_check(cfg):
+    p, theta = cfg["p"], cfg["theta"]
+    if (p is None) != (theta is None):
+        spot = ["p: give both --p and --theta for a spot check, or neither for the full surface"]
+    else:  # a non-finite coordinate is named as such already
+        spot = [] if p is None or not math.isfinite(p + theta) else (
+            stabilization.spot_problems(p, theta))
+    return spot + arg_problems(counts=[("samples", cfg["samples"], stabilization.MIN_SAMPLES),
+                                       ("grid_size", cfg["grid_size"], stabilization.MIN_GRID)])
 
 
 def _julia_check(cfg):
     try:
         _raster_job(cfg)
-    except ValueError as exc:
-        return [f"re_min, re_max, im_min, im_max: {exc}"]
+    except ValueError as exc:  # raise_problems joins RasterJob's problems with "; "
+        return str(exc).split("; ")
     return []
 
 
-def _spot_mode_check(cfg):
-    if (cfg["p"] is None) != (cfg["theta"] is None):
-        return ["p: give both --p and --theta for a spot check, "
-                "or neither for the full surface"]
-    return []
+def _spin_collapse_check(cfg):
+    # the spin model is this module's own, and so are the ranges of its fields
+    eta = [] if 0 < cfg["eta"] <= 1 else [f"eta must lie in (0, 1], got {cfg['eta']!r}"]
+    return (arg_problems([("strength", cfg["strength"])], [("two_j", cfg["two_j"], 1)]) + eta
+            + _ensemble_check(cfg))
 
 
 @dataclass(frozen=True)
 class Command:
     name: str
     fields: list
-    cross_check: object  # once every field passes: cfg -> the study's own problems
+    cross_check: object  # cfg -> every problem the studies find with its values
     run: object
     help: str
 
-
-_HALF_PI = math.pi / 2.0
 
 COMMANDS = {}
 for _cmd in [
     Command(
         "stabilize",
-        [Field("p", float, None, _in_closed(0.0, 0.5, "[0, 1/2]"),
-               "bit-flip probability (spot mode)"),
-         Field("theta", float, None, _in_closed(0.0, _HALF_PI, "[0, pi/2]"),
-               "state latitude (spot mode)"),
-         Field("samples", int, 100000, _at_least(2),
-               "Monte-Carlo rounds per scheme in spot mode"),
-         Field("grid_size", int, 201, _at_least(50),
-               "points per axis of the (p, theta) surface")],
-        _spot_mode_check,
+        [Field("p", float, None, "bit-flip probability (spot mode)"),
+         Field("theta", float, None, "state latitude (spot mode)"),
+         Field("samples", int, 100000, "Monte-Carlo rounds per scheme in spot mode"),
+         Field("grid_size", int, 201, "points per axis of the (p, theta) surface")],
+        _stabilize_check,
         _run_stabilize,
         "fidelity surface of the feedback schemes, or a seeded spot check"),
     Command(
         "purify",
-        [Field("k", float, 1.0, _positive, "measurement strength"),
+        [Field("k", float, 1.0, "measurement strength"),
          *_ensemble_fields(dt=1e-4, t_max=2.0, trajectories=1000, sample_every=100),
-         Field("target", float, 1e-3,
-               _in_closed(1e-12, 0.499999, "(0, 1/2)"),
-               "impurity target for the reported time ratio")],
-        _ensemble_check,
+         Field("target", float, 1e-3, "impurity target for the reported time ratio")],
+        lambda cfg: (arg_problems([("k", cfg["k"])]) + _ensemble_check(cfg)
+                     + purification.target_problems(cfg["target"])),
         _run_purify,
         "ensemble impurity with and without feedback"),
     Command(
         "entangle",
-        [Field("k", float, 1.0, _positive, "parity measurement strength"),
-         Field("dt", float, 1e-4, _positive,
-               f"time between feedback kicks; k*dt at most {K_DT_LIMIT:g}"),
-         Field("horizon", float, 10.0, _positive, "time budget"),
-         Field("sample_every", int, 10, _at_least(1),
-               "steps between recorded samples")],
-        _entangle_check,
+        [Field("k", float, 1.0, "parity measurement strength"),
+         Field("dt", float, 1e-4, f"time between feedback kicks; k*dt at most {K_DT_LIMIT:g}"),
+         Field("horizon", float, 10.0, "time budget"),
+         Field("sample_every", int, 10, "steps between recorded samples")],
+        lambda cfg: protocol_problems(cfg["k"], cfg["dt"], cfg["horizon"], cfg["sample_every"]),
         _run_entangle,
         "drive two qubits onto a Bell state by parity monitoring"),
     Command(
         "bellpurify",
-        [Field("steps", int, 30, _non_negative, "iterations of the map"),
-         Field("x", float, math.pi / 4, None, "rotation latitude"),
-         Field("phi", float, math.pi / 2, None, "rotation phase")],
-        lambda cfg: [],
+        [Field("steps", int, 30, "iterations of the map"),
+         Field("x", float, math.pi / 4, "rotation latitude"),
+         Field("phi", float, math.pi / 2, "rotation phase")],
+        lambda cfg: arg_problems(counts=[("steps", cfg["steps"], 0)]),
         _run_bellpurify,
         "iterated measurement map from the perturbed Bell fixture"),
     Command(
         "julia",
-        [Field("p_re", float, 1.0, None, "real part of the map parameter"),
-         Field("p_im", float, 0.0, None, "imaginary part of the map parameter"),
-         Field("grid", str, "512x512", _grid_check, "raster size WIDTHxHEIGHT"),
-         Field("max_iters", int, 400, _at_least(1),
-               "iteration budget per pixel"),
-         Field("cycle_tol", float, 1e-9, _positive,
-               "chordal tolerance for cycle detection"),
-         Field("re_min", float, -2.0, None, "left window edge"),
-         Field("re_max", float, 2.0, None, "right window edge"),
-         Field("im_min", float, -2.0, None, "bottom window edge"),
-         Field("im_max", float, 2.0, None, "top window edge")],
+        [Field("p_re", float, 1.0, "real part of the map parameter"),
+         Field("p_im", float, 0.0, "imaginary part of the map parameter"),
+         Field("grid", str, "512x512", "raster size WIDTHxHEIGHT", _grid_check),
+         Field("max_iters", int, 400, "iteration budget per pixel"),
+         Field("cycle_tol", float, 1e-9, "chordal tolerance for cycle detection"),
+         Field("re_min", float, -2.0, "left window edge"),
+         Field("re_max", float, 2.0, "right window edge"),
+         Field("im_min", float, -2.0, "bottom window edge"),
+         Field("im_max", float, 2.0, "top window edge")],
         _julia_check,
         _run_julia,
         "convergence-time raster of the purification map"),
     Command(
         "sme-run",
-        [Field("k", float, 1.0, _positive, "dephasing strength"),
+        [Field("k", float, 1.0, "dephasing strength"),
          *_ensemble_fields(dt=1e-3, t_max=1.0, trajectories=2000, sample_every=10)],
-        _ensemble_check,
+        lambda cfg: arg_problems([("k", cfg["k"])]) + _ensemble_check(cfg),
         _run_sme,
         "monitored-dephasing ensemble against the deterministic average"),
     Command(
         "spin-collapse",
-        [Field("two_j", int, 4, _at_least(1), "2j, so the dimension is 2j+1"),
-         Field("strength", float, 1.0, _positive, "measurement strength"),
-         Field("eta", float, 1.0, _in_closed(1e-12, 1.0, "(0, 1]"),
-               "detector efficiency"),
+        [Field("two_j", int, 4, "2j, so the dimension is 2j+1"),
+         Field("strength", float, 1.0, "measurement strength"),
+         Field("eta", float, 1.0, "detector efficiency"),
          *_ensemble_fields(dt=1e-3, t_max=8.0, trajectories=100, sample_every=10)],
-        _ensemble_check,
+        _spin_collapse_check,
         _run_spin_collapse,
         "projective collapse of a monitored spin ensemble"),
 ]:
@@ -427,6 +393,7 @@ def resolve_config(command, cli_values, config_path):
         if value is not None:
             cfg[f.name] = value
 
+    checked = dict(cfg)  # what the owners check: a value that failed below as its default
     for f in fields:
         value = cfg[f.name]
         if value is None:
@@ -437,8 +404,10 @@ def resolve_config(command, cli_values, config_path):
             message = f.check and f.check(value)
         if message:
             problems.append(f"{f.name}: {message}")
-    if not problems:
-        problems = spec.cross_check(cfg)
+            if f.default is not None:  # a spot coordinate is kept, to keep spot mode
+                checked[f.name] = f.default
+    problems += (spec.cross_check(checked) + uint64_problems("seed", checked["seed"])
+                 + arg_problems(counts=[("threads", checked["threads"], 1)]))
 
     if problems:
         raise ConfigError(problems)
@@ -479,7 +448,7 @@ def _command_help(command):
         sys.stdout.write(f"  {flag:17s} {f.help}{default}\n")
     sys.stdout.write("  --config FILE     flat key=value file, '#' comments;"
                      " flags override it\n")
-    if spec.cross_check is _ensemble_check:
+    if any(f.name == "trajectories" for f in spec.fields):
         sys.stdout.write(f"\nbound: {chunk_rule(_CHUNK_NAMES)}, the floats one chunk of"
                          " trajectories holds\n")
 

@@ -115,17 +115,21 @@ def feedback_impurity_path(run):
     return times, 0.5 * np.exp(-8.0 * run.k * times)
 
 
+def target_problems(target):
+    """[the message] unless the target impurity lies in [1e-300, 0.5), where both
+    times to it are finite (0.5 / target overflows below about 2.8e-309)."""
+    return [] if 1e-300 <= target < 0.5 else [f"target must lie in [1e-300, 0.5), got {target!r}"]
+
+
 def time_to_target_feedback(target, k):
     """Exact time for the feedback law to reach the target impurity."""
-    if not 0 < target < 0.5:
-        raise ValueError("target must lie in (0, 0.5)")
+    raise_problems(target_problems(target) + arg_problems([("k", k)]))
     return float(np.log(0.5 / target) / (8.0 * k))
 
 
 def time_to_target_nofeedback(target, k):
     """Bisection solve of nofeedback_impurity(t) = target, to 1e-4 in k t."""
-    if not 0 < target < 0.5:
-        raise ValueError("target must lie in (0, 0.5)")
+    raise_problems(target_problems(target) + arg_problems([("k", k)]))
     lo = 0.0
     hi = 1.0 / k
     for _ in range(200):

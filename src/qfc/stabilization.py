@@ -28,6 +28,14 @@ from .states import SZ, dag, density
 from .stochastic import arg_problems, raise_problems
 
 _HALF_PI = 0.5 * np.pi
+MIN_SAMPLES = 2  # Monte-Carlo rounds per estimate: a standard error needs two
+MIN_GRID = 50  # points per axis of the gap surface
+
+
+def spot_problems(p, theta):
+    """The spot domain's problems: p outside [0, 1/2], theta outside [0, pi/2]."""
+    return ([] if 0.0 <= p <= 0.5 else [f"p must lie in [0, 1/2], got {p!r}"]) + (
+        [] if 0.0 <= theta <= _HALF_PI else [f"theta must lie in [0, pi/2], got {theta!r}"])
 
 
 def protected_pair(theta):
@@ -119,6 +127,7 @@ def optimize_chi(p, theta):
     (no measurement) when u* >= 1.  At p = 0, where u* is 1 up to rounding,
     chi = pi/2 is returned exactly.
     """
+    raise_problems(spot_problems(p, theta))
     if p == 0:
         return _HALF_PI, channel_average_fidelity(p, theta, _HALF_PI)
     d = 1.0 - ((1.0 - 2.0 * p) * np.cos(theta)) ** 2
@@ -185,7 +194,8 @@ def mc_average_fidelity(scheme, p, theta, n_samples, rng, chi=None):
     Sampling draws multinomial counts over the exact branch distribution,
     which is identical in law to simulating the rounds one at a time.
     """
-    raise_problems(arg_problems(counts=[("n_samples", n_samples, 2)]))
+    raise_problems(spot_problems(p, theta)
+                   + arg_problems(counts=[("n_samples", n_samples, MIN_SAMPLES)]))
     if scheme == "weak" and chi is None:
         chi, _ = optimize_chi(p, theta)
     probs, vals = _branch_table(scheme, p, theta, chi)
@@ -199,6 +209,7 @@ def mc_average_fidelity(scheme, p, theta, n_samples, rng, chi=None):
 
 
 def scheme_closed_form(scheme, p, theta):
+    raise_problems(spot_problems(p, theta))
     if scheme == "nothing":
         return float(f1_do_nothing(p, theta))
     if scheme == "discriminate":
@@ -227,7 +238,7 @@ class GapSurface:
 def gap_surface(n_p=201, n_theta=201):
     """Evaluate the advantage F4 - max(F1, F3) on a regular grid over
     p in [0, 1/2] and theta in [0, pi/2]."""
-    raise_problems(arg_problems(counts=[("n_p", n_p, 50), ("n_theta", n_theta, 50)]))
+    raise_problems(arg_problems(counts=[("n_p", n_p, MIN_GRID), ("n_theta", n_theta, MIN_GRID)]))
     ps = np.linspace(0.0, 0.5, int(n_p))
     ts = np.linspace(0.0, _HALF_PI, int(n_theta))
     pg = ps[:, None]

@@ -35,12 +35,6 @@ def chunk_rule(names=("n_traj", "n_steps")):
             f" {MAX_CHUNK_FLOATS}")
 
 
-def chunk_problems(n_steps, n_traj, sample_every, names=("n_traj", "n_steps")):
-    """[chunk_rule's message] if a chunk would pass MAX_CHUNK_FLOATS, else []."""
-    floats = chunk_floats(n_steps, n_traj, sample_every)
-    return [f"{chunk_rule(names)}, got {floats}"] if floats > MAX_CHUNK_FLOATS else []
-
-
 def step_problems(name, steps, dt=None):
     """[the message] if a step count, or span / dt for steps = span, passes
     MAX_STEPS or is NaN, else []."""
@@ -65,6 +59,34 @@ def arg_problems(rates=(), counts=()):
                for name, value, lo in counts
                if isinstance(value, bool) or not isinstance(value, numbers.Integral)
                or value < lo])
+
+
+def uint64_problems(name, value):
+    """[the message] unless value is an integer (not a bool) in [0, 2**64),
+    else []; a plain int skips arg_problems' slower integer test."""
+    if (type(value) is int or not arg_problems(counts=[(name, value, 0)])) and 0 <= value < 2**64:
+        return []
+    return [f"{name} must be an integer in [0, 2**64), got {value!r}"]
+
+
+def ensemble_problems(dt, n_steps, n_traj, sample_every, span=None, names=("n_traj", "n_steps"),
+                      min_traj=1):
+    """run_ensemble's problems, each bound checked once its inputs pass: dt,
+    and a span = (name, value) of round(value / dt) steps given in place of
+    n_steps, not positive and finite; n_steps, n_traj (named names[0]) and
+    sample_every not integers of at least 0, min_traj and 1; the steps or
+    sample_every above MAX_STEPS; then chunk_rule(names) broken."""
+    rates = arg_problems([("dt", dt)] + ([span] if span else []))
+    counts = arg_problems(counts=([] if span else [("n_steps", n_steps, 0)])
+                          + [(names[0], n_traj, min_traj), ("sample_every", sample_every, 1)])
+    if counts or span and rates:
+        return rates + counts
+    over = (step_problems(f"{span[0]} / dt", span[1], dt) if span
+            else step_problems("n_steps", n_steps)) + step_problems("sample_every", sample_every)
+    if not over:
+        floats = chunk_floats(step_count(span[1], dt) if span else n_steps, n_traj, sample_every)
+        over = [f"{chunk_rule(names)}, got {floats}"] if floats > MAX_CHUNK_FLOATS else []
+    return rates + over
 
 
 def raise_problems(problems):
@@ -97,18 +119,15 @@ class RngStream:
     """
 
     def __init__(self, seed, stream_id=0):
+        raise_problems(uint64_problems("seed", seed))
         self.seed = int(seed)
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
         self.gen = np.random.Generator(np.random.Philox(key=self.seed))
         self.rekey(stream_id)
 
     def rekey(self, stream_id):
         """Restart as stream (seed, stream_id), at counter 0."""
-        stream_id = int(stream_id)
-        if not 0 <= stream_id < 2**64:
-            raise ValueError("stream_id must fit in an unsigned 64-bit integer")
-        self.stream_id = stream_id
+        raise_problems(uint64_problems("stream_id", stream_id))
+        self.stream_id = stream_id = int(stream_id)
         self.gen.bit_generator.state = {
             "bit_generator": "Philox",
             "state": {"counter": [0, 0, 0, 0], "key": [self.seed, stream_id]},
@@ -171,17 +190,10 @@ def run_ensemble(drift, read, dt, n_steps, n_traj, base_seed, sample_every=1,
     the memory, and their means and sums of squared deviations are merged
     pairwise in fixed order (Chan, Golub & LeVeque 1979).  Returns
     (times, EnsembleStats) over the samples in time order, then the final
-    reads.  One ValueError names a dt that is not positive and finite,
-    every count that is not an integer of at least 1, or of at least 0 for
-    n_steps, an n_steps or sample_every above MAX_STEPS, and a chunk of
-    more than MAX_CHUNK_FLOATS floats, before anything is drawn.
+    reads.  One ValueError names every problem ensemble_problems finds,
+    before anything is drawn.
     """
-    problems = arg_problems(counts=[("n_steps", n_steps, 0), ("n_traj", n_traj, 1),
-                                    ("sample_every", sample_every, 1)])
-    if not problems:
-        problems = (step_problems("n_steps", n_steps) + step_problems("sample_every", sample_every)
-                    or chunk_problems(n_steps, n_traj, sample_every))
-    raise_problems(arg_problems([("dt", dt)]) + problems)
+    raise_problems(ensemble_problems(dt, n_steps, n_traj, sample_every))
     n_steps, n_traj, sample_every = int(n_steps), int(n_traj), int(sample_every)
     steps = sample_every * np.arange(n_steps // sample_every + 1)
     times = dt * steps

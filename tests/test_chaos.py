@@ -334,6 +334,11 @@ def test_raster_job_names_every_bad_field():
             ch.RasterJob(**{**kwargs, field: value})
     with pytest.raises(ValueError, match="raster window is empty"):
         ch.RasterJob(**{**kwargs, "im_min": 1.0})
+    # a non-finite map parameter gave an all -1 raster
+    for p in (complex(math.inf, 0.0), complex(0.0, math.nan), math.inf, math.nan):
+        with pytest.raises(ValueError) as err:
+            ch.RasterJob(**kwargs, params=ch.MapParams(p=p))
+        assert str(err.value) == f"p must be finite, got {p!r}"
 
 
 def test_raster_unit_circle_classification():

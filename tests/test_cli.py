@@ -19,6 +19,7 @@ import pytest
 
 import qfc.cli as cli
 import qfc.output as out
+from qfc import chaos, purification, stabilization
 from qfc.stochastic import MAX_CHUNK_FLOATS, RngStream, chunk_floats
 
 
@@ -315,8 +316,8 @@ def test_non_finite_floats_are_rejected(tmp_path, capsys):
     with pytest.raises(cli.ConfigError) as info:
         cli.resolve_config("julia", {"p_re": math.inf, "cycle_tol": -1.0}, str(path))
     assert info.value.problems == ["p_re: must be finite",
-                                   "cycle_tol: must be positive",
-                                   "re_min: must be finite"]
+                                   "re_min: must be finite",
+                                   "cycle_tol must be positive and finite, got -1.0"]
     for argv, bad in ((["julia", "--re-min", "nan", "--p-re", "inf", "--grid", "8x8"],
                        ("p_re", "re_min")),
                       (["purify", "--t-max", "inf", "--k", "-inf"], ("k", "t_max")),
@@ -332,11 +333,11 @@ def test_non_finite_floats_are_rejected(tmp_path, capsys):
         for dt in ("5e-324", "1e-300"):
             assert cli.main([command, "--dt", dt, "--out", str(tmp_path / "x")]) == 2
             err = capsys.readouterr().err
-            assert f"dt: {span} / dt must round to at most 2**63 - 1 steps, got " in err, command
+            assert f"  {span} / dt must round to at most 2**63 - 1 steps, got " in err, command
             assert f" / {float(dt)!r}\n" in err, (command, dt)
     # a run whose chunk of trajectories cannot be held: sme-run at dt 1e-10
     # tried to allocate 7.45 GiB for its sample steps alone
-    bound = "dt: min(trajectories, 256) x (ceil(t_max/dt/sample_every) + 1) must be at most"
+    bound = "min(trajectories, 256) x (ceil(t_max/dt/sample_every) + 1) must be at most"
     for argv in (["sme-run", "--dt", "1e-10"], ["purify", "--trajectories", "2", "--dt", "1e-14"],
                  ["spin-collapse", "--dt", "1e-12", "--sample-every", "1"]):
         assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 2
@@ -345,7 +346,7 @@ def test_non_finite_floats_are_rejected(tmp_path, capsys):
     for argv in (["julia", "--re-min", "3"], ["julia", "--im-min", "1", "--im-max", "1"]):
         assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
-        assert "re_min, re_max, im_min, im_max: raster window is empty, got (" in err, argv
+        assert "  raster window is empty, got (" in err, argv
     assert not list(tmp_path.glob("x.*"))
     # at the edge: 256 x (655350 / 10 + 1) floats is the bound, one step more passes it
     for steps, held in ((655350, True), (655351, False)):
@@ -379,6 +380,72 @@ def test_step_size_cross_check():
     with pytest.raises(cli.ConfigError) as info:
         cli.resolve_config("entangle", {"k": 1.0, "dt": 2e-3}, None)
     assert "k*dt" in str(info.value)
+
+
+def _both_target_times(target):
+    times = (purification.time_to_target_feedback(target, 1.0),
+             purification.time_to_target_nofeedback(target, 1.0))
+    assert all(map(math.isfinite, times)), (target, times)
+
+
+def _every_spot_call(p, theta):
+    stabilization.scheme_closed_form("nothing", p, theta)
+    stabilization.optimize_chi(p, theta)
+    stabilization.mc_average_fidelity("weak", p, theta, 10, RngStream(0))
+
+
+_SPOT = ["stabilize", "--samples", "10"]
+_ENSEMBLE = ["--t-max", "0.01", "--dt", "1e-3", "--trajectories", "2", "--sample-every", "1"]
+_JULIA = ["julia", "--grid", "4x4"]
+_UNIT = dict(re_min=-1.0, re_max=1.0, im_min=-1.0, im_max=1.0, width=2, height=2)
+_API_NAMES = {"samples": "n_samples", "grid_size": "n_p", "steps": "n_steps"}
+
+# (small run, flag, value, accepted, the owner's API call at that value or
+# None for a rule the config layer owns): a study's range and the CLI's are
+# one rule, so each edge value passes or fails in both
+BOUNDARIES = [
+    *[(["purify", *_ENSEMBLE], "target", target, ok, _both_target_times)
+      for target, ok in ((1e-300, True), (math.nextafter(1e-300, 0.0), False),
+                         (math.nextafter(0.5, 0.0), True), (0.5, False), (0.4999995, True))],
+    *[(["spin-collapse", *_ENSEMBLE], "eta", eta, ok, None)
+      for eta, ok in ((1e-13, True), (1.0, True), (0.0, False), (math.nextafter(1.0, 2.0), False))],
+    *[([*_SPOT, "--theta", "0.7"], "p", p, ok, lambda v: _every_spot_call(v, 0.7))
+      for p, ok in ((0.0, True), (0.5, True), (0.5000001, False), (-5e-324, False))],
+    *[([*_SPOT, "--p", "0.1"], "theta", theta, ok, lambda v: _every_spot_call(0.1, v))
+      for theta, ok in ((math.pi / 2, True), (math.nextafter(math.pi / 2, 4.0), False),
+                        (0.0, True), (-5e-324, False))],
+    *[(["sme-run", *_ENSEMBLE], "seed", seed, ok, RngStream)
+      for seed, ok in ((2**64 - 1, True), (2**64, False), (-1, False))],
+    *[([*_SPOT, "--p", "0.1", "--theta", "0.7"], "samples", n, ok,
+       lambda v: stabilization.mc_average_fidelity("weak", 0.1, 0.7, v, RngStream(0)))
+      for n, ok in ((1, False), (2, True))],
+    *[(["stabilize"], "grid_size", n, ok, lambda v: stabilization.gap_surface(v, v))
+      for n, ok in ((49, False), (50, True))],
+    *[(_JULIA, "max_iters", n, ok, lambda v: chaos.RasterJob(**_UNIT, max_iters=v))
+      for n, ok in ((0, False), (1, True))],
+    *[(["bellpurify"], "steps", n, ok,
+       lambda v: chaos.bell_purify_iterate(chaos.PERTURBED_BELL, v, raw=True))
+      for n, ok in ((-1, False), (0, True))],
+]
+
+
+@pytest.mark.parametrize("argv, flag, value, accepted, call", BOUNDARIES,
+                         ids=[f"{row[1]}={row[2]!r}" for row in BOUNDARIES])
+def test_cli_and_api_share_each_boundary(argv, flag, value, accepted, call, tmp_path, capsys):
+    base = tmp_path / "b"
+    rc = cli.main([*argv, "--" + flag.replace("_", "-"), repr(value), "--out", str(base)])
+    err = capsys.readouterr().err
+    assert rc == (0 if accepted else 2), err
+    assert bool(list(tmp_path.glob("b.*"))) == accepted
+    if not accepted:
+        assert f"  {flag} must " in err, err
+    if call is None:
+        return
+    if accepted:
+        call(value)
+    else:
+        with pytest.raises(ValueError, match=f"^{_API_NAMES.get(flag, flag)} must "):
+            call(value)
 
 
 @pytest.mark.parametrize("command", ["sme-run", "purify", "spin-collapse"])
@@ -451,7 +518,7 @@ def test_documented_flag_examples():
 
     with pytest.raises(cli.ConfigError) as info:
         cli.resolve_config("purify", {"k": -1.0}, None)
-    assert "k:" in str(info.value)
+    assert "k must be positive and finite, got -1.0" in str(info.value)
 
 
 def test_main_usage_paths(capsys):
@@ -487,8 +554,8 @@ def test_main_reports_every_config_problem(capsys):
     assert cli.main(["purify", "--k", "-1", "--target", "0.7"]) == 2
     err = capsys.readouterr().err
     assert "invalid configuration" in err
-    assert "k:" in err
-    assert "target:" in err
+    assert "k must be positive and finite, got -1.0" in err
+    assert "target must lie in [1e-300, 0.5), got 0.7" in err
 
 
 def test_main_runtime_error_exit_code(tmp_path, capsys):
@@ -756,20 +823,29 @@ def test_every_package_name_is_reached():
 
 
 def test_each_argument_rule_has_one_owner():
-    # the integer-count test, each comparison against a bound constant and
-    # the rounding of a span over dt are stated by one function each; a
-    # caller asks that function, so a bound cannot drift between copies
+    # the integer-count test, each comparison against a bound constant, the
+    # rounding of a span over dt, the unsigned 64-bit range and the domains
+    # of the impurity target and of a stabilization spot are stated by one
+    # function each; a caller asks that function, so a bound cannot drift
+    # between copies
     owners = {"numbers.Integral": "stochastic.arg_problems",
               "MAX_STEPS": "stochastic.step_problems",
-              "MAX_CHUNK_FLOATS": "stochastic.chunk_problems",
+              "MAX_CHUNK_FLOATS": "stochastic.ensemble_problems",
               "K_DT_LIMIT": "entanglement.protocol_problems",
-              "round(span / dt)": "stochastic.step_count"}
+              "round(span / dt)": "stochastic.step_count",
+              "2**64": "stochastic.uint64_problems",
+              "target bounds": "purification.target_problems",
+              "spot bounds": "stabilization.spot_problems"}
 
     def named(node, name):
         return (isinstance(node, ast.Name) and node.id == name
                 or isinstance(node, ast.Attribute) and node.attr == name
                 or isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
                 and node.slice.value == name)
+
+    def number(node, *values):
+        return (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+                and (not values or node.value in values))
 
     found = {}
     for path in (Path(__file__).resolve().parents[1] / "src" / "qfc").glob("*.py"):
@@ -780,9 +856,18 @@ def test_each_argument_rule_has_one_owner():
                 if isinstance(node, ast.Attribute) and node.attr == "Integral":
                     rules.append("numbers.Integral")
                 if isinstance(node, ast.Compare):
+                    sides = [node.left, *node.comparators]
                     rules += [bound for bound in ("MAX_STEPS", "MAX_CHUNK_FLOATS", "K_DT_LIMIT")
-                              if any(named(side, bound)
-                                     for side in [node.left, *node.comparators])]
+                              if any(named(side, bound) for side in sides)]
+                    if any(isinstance(side, ast.BinOp) and isinstance(side.op, ast.Pow)
+                           and number(side.left, 2) and number(side.right, 64) for side in sides):
+                        rules.append("2**64")
+                    if (any(named(side, "target") for side in sides)
+                            and any(number(side) for side in sides)):
+                        rules.append("target bounds")
+                    if (any(named(side, "p") or named(side, "theta") for side in sides)
+                            and any(number(side, 0.5) or named(side, "_HALF_PI") for side in sides)):
+                        rules.append("spot bounds")
                 if (isinstance(node, ast.Call) and named(node.func, "round") and node.args
                         and isinstance(node.args[0], ast.BinOp)
                         and isinstance(node.args[0].op, ast.Div)

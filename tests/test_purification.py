@@ -1,5 +1,6 @@
 """Rapid purification: conditioned Bloch dynamics and the two protocols."""
 
+import math
 import tracemalloc
 
 import mpmath
@@ -130,3 +131,16 @@ def test_times_to_target_and_ratio():
     assert abs(pf.speedup_ratio(1e-5) - 0.5685925850037145) < 1e-6
     with pytest.raises(ValueError):
         pf.time_to_target_feedback(0.6, 1.0)
+    # a bad rate returned -0.201 (feedback) or divided by zero (no feedback),
+    # and a target below 2.8e-309 overflowed 0.5 / target into an infinite
+    # time; one ValueError names the target and k
+    for time_to_target in (pf.time_to_target_feedback, pf.time_to_target_nofeedback):
+        for target, k, message in (
+                (0.1, -1, "k must be positive and finite, got -1"),
+                (0.1, 0, "k must be positive and finite, got 0"),
+                (1e-309, 1.0, "target must lie in [1e-300, 0.5), got 1e-309"),
+                (0.5, math.inf, "target must lie in [1e-300, 0.5), got 0.5; "
+                                "k must be positive and finite, got inf")):
+            with pytest.raises(ValueError) as info:
+                time_to_target(target, k)
+            assert str(info.value) == message

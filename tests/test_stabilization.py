@@ -127,3 +127,16 @@ def test_branch_fidelities_never_exceed_one():
             assert vals.max() <= 1.0, (scheme, p)
     mean, _ = sb.mc_average_fidelity("weak", 0.0, 0.715, 2000, RngStream(7))
     assert mean <= 1.0
+
+
+def test_every_spot_function_checks_the_domain():
+    # scheme_closed_form("nothing", 2.0, 0.3) returned a fidelity of -0.83
+    for call in (lambda p, theta: sb.scheme_closed_form("nothing", p, theta), sb.optimize_chi,
+                 lambda p, theta: sb.mc_average_fidelity("nothing", p, theta, 10, RngStream(0))):
+        with pytest.raises(ValueError) as info:
+            call(2.0, 0.3)
+        assert str(info.value) == "p must lie in [0, 1/2], got 2.0"
+        with pytest.raises(ValueError) as info:
+            call(-0.1, np.pi)
+        assert str(info.value) == ("p must lie in [0, 1/2], got -0.1; "
+                                   f"theta must lie in [0, pi/2], got {np.pi!r}")

@@ -25,6 +25,18 @@ def test_stream_guards():
         RngStream(-1)
     with pytest.raises(ValueError):
         RngStream(0, 2**64)
+    # RngStream(1.5) keyed seed 1; every key part is one unsigned 64-bit
+    # integer, a bool not being one
+    for seed, stream_id, message in (
+            (1.5, 0, "seed must be an integer in [0, 2**64), got 1.5"),
+            (True, 0, "seed must be an integer in [0, 2**64), got True"),
+            (2**64, 0, f"seed must be an integer in [0, 2**64), got {2**64}"),
+            (0, 2.0, "stream_id must be an integer in [0, 2**64), got 2.0"),
+            (0, -1, "stream_id must be an integer in [0, 2**64), got -1")):
+        with pytest.raises(ValueError) as info:
+            RngStream(seed, stream_id)
+        assert str(info.value) == message
+    assert RngStream(np.uint64(2**64 - 1), np.int64(3)).seed == 2**64 - 1
     with pytest.raises(ValueError):
         RngStream(0).wiener(0.0)
     with pytest.raises(ValueError):
@@ -46,6 +58,8 @@ def test_rekey_draws_like_a_fresh_stream():
                           np.random.Generator(np.random.Philox(key=key)).normal(size=8))
     with pytest.raises(ValueError):
         stream.rekey(-1)
+    with pytest.raises(ValueError, match="stream_id must be an integer"):
+        stream.rekey(False)
 
 
 def test_wiener_moments():
