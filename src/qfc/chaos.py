@@ -480,11 +480,8 @@ class LyapunovResult:
 # Bits each step keeps in the quantities it takes logs of.
 _LOG_PREC = 64
 _FLOOR = 1e-300  # lower clamp of the derivative and the separation before their logs
-
-
-def _bits_below_one(x):
-    """ceil(log2(1/x)), at least 0: the bits a size-x part of a size-1 value lacks."""
-    return max(0, math.ceil(-math.log2(x)))
+_OFFSET = 1e-15  # lyapunov_estimate's companion offset, 1e-3 of _SUPERSINK_TOL
+_SUPERSINK_TOL = 1e-12  # the chordal distance to a critical point that ends its orbits
 
 
 def _scaled(pair, bits):
@@ -509,15 +506,15 @@ def _floats(pair, bits):
     return complex(pair[0] / s, pair[1] / s), complex(pair[2] / s, pair[3] / s)
 
 
-def lyapunov_estimate(z0, p, n_iters, offset=1e-15, supersink_tol=1e-12):
+def lyapunov_estimate(z0, p, n_iters):
     """Estimate the Lyapunov exponent of F_p at z0 two independent ways.
 
     The chain estimator averages log of the spherical derivative along the
-    orbit; the shadow estimator follows a companion orbit started offset
+    orbit; the shadow estimator follows a companion orbit started 1e-15
     away, accumulating log of the chordal separation growth with
     per-step renormalization back to the fiducial orbit.  Orbits reaching
-    within supersink_tol (chordal) of a critical point stop early with
-    terminated=True.  The default offset is 1e-3 * supersink_tol: a companion
+    within 1e-12 (chordal) of a critical point stop early with
+    terminated=True.  The offset is 1e-3 of that tolerance: a companion
     farther off than the orbit's last approach to a supersink does not
     shadow it there, and the two estimates then part by up to 0.15.
 
@@ -528,13 +525,13 @@ def lyapunov_estimate(z0, p, n_iters, offset=1e-15, supersink_tol=1e-12):
     at n_iters - k + g bits: its rounding error, about 2^-(n_iters - k + g),
     is still at most about 2^-g at the last step, and the errors of all
     steps add up to at most about n_iters * 2^-g.  The guard g is 64 bits,
-    plus the bit length of n_iters for that sum, plus log2(1/supersink_tol)
+    plus the bit length of n_iters for that sum, plus 40 = log2(1/1e-12)
     rounded up, as a coordinate next to a critical point is known to that
-    many fewer bits, plus log2(1/offset) rounded up.  The shadow estimator
-    does not need that last term, but it keeps f's bits, so chain, n_used
-    and terminated equal bit for bit those of the tests' reference that
-    runs the companion as a second exact orbit, whose cross product with f
-    cancels that many bits.
+    many fewer bits, plus 50 = log2(1/1e-15) rounded up.  The shadow
+    estimator does not need that last term, but it keeps f's bits, so
+    chain, n_used and terminated equal bit for bit those of the tests'
+    reference that runs the companion as a second exact orbit, whose cross
+    product with f cancels that many bits.
 
     f is four Python ints (Re u, Im u, Re v, Im v) at scale 2^P, P the
     step's bits, shifted exactly so that its largest part has P bits; p is
@@ -551,21 +548,13 @@ def lyapunov_estimate(z0, p, n_iters, offset=1e-15, supersink_tol=1e-12):
     callable form matters for points on thin invariant sets: a
     double-rounded e^{0.7i} sits 1e-16 off the unit circle, and squaring
     doubles that error every step, so pass lambda: mpmath.exp(0.7j)
-    instead.  mpmath's global precision is neither read nor changed.  One
-    ValueError names every bad n_iters (an integer, not a bool), offset and
-    supersink_tol, including an offset below 1e-290 / supersink_tol; a
-    non-finite p raises ValueError too.
+    instead.  mpmath's global precision is neither read nor changed.  A
+    bad n_iters (an integer, not a bool) or a non-finite p raises
+    ValueError.
     """
-    problems = arg_problems([("offset", offset), ("supersink_tol", supersink_tol)])
-    # a step next to a supersink shrinks the separation by about supersink_tol,
-    # and at _FLOOR the clamp would feed the shadow sum a gain (slack: rounding)
-    if not problems and offset * supersink_tol < 1e-290 * (1 - 1e-12):
-        problems.append(f"offset must be at least 1e-290 / supersink_tol, got {offset!r}")
-    raise_problems(arg_problems(counts=[("n_iters", n_iters, 1)]) + problems)
+    raise_problems(arg_problems(counts=[("n_iters", n_iters, 1)]))
     n = int(n_iters)
-    guard = (_LOG_PREC + n.bit_length()
-             + _bits_below_one(offset) + _bits_below_one(supersink_tol))
-    top = n + guard
+    top = n + _LOG_PREC + n.bit_length() + 50 + 40  # log2 of 1/_OFFSET, 1/_SUPERSINK_TOL
     one = 1 << top
 
     import mpmath
@@ -587,7 +576,8 @@ def lyapunov_estimate(z0, p, n_iters, offset=1e-15, supersink_tol=1e-12):
     fu, fv = _floats(f, top)
     # companion start: offset in the chart that keeps it well scaled,
     # (z + offset, 1), or (1, 1/z + offset) as (z, 1 + offset z)
-    du, dv = (offset * fv, 0j) if inside else (0j, offset * fu)
+    du, dv = (_OFFSET * fv, 0j) if inside else (0j, _OFFSET * fu)
+    supersink_tol = _SUPERSINK_TOL  # a local, as the loop reads it every step
     a, b = abs(fu), abs(fv)  # |u| and |v|, not their squares, so that neither underflows
     nf = math.hypot(a, b)
     d0 = 2 * abs(fu * dv - du * fv) / (nf * math.hypot(abs(fu + du), abs(fv + dv)))

@@ -284,7 +284,7 @@ for _cmd in [
          *_ensemble_fields(dt=1e-4, t_max=2.0, trajectories=1000, sample_every=100),
          Field("target", float, 1e-3, "impurity target for the reported time ratio")],
         lambda cfg: (arg_problems([("k", cfg["k"])]) + _ensemble_check(cfg)
-                     + purification.target_problems(cfg["target"])),
+                     + purification.target_problems(cfg["target"], cfg["k"])),
         _run_purify,
         "ensemble impurity with and without feedback"),
     Command(

@@ -41,7 +41,7 @@ import numpy as np
 from .sme import Channel, SmeModel, sme_step
 from .states import SI, SX, SY, SZ, check_density, tensor_product
 from .stochastic import (IntegrationError, RngStream, arg_problems, raise_problems,
-                         step_count, step_problems)
+                         step_count, step_problems, uint64_problems)
 
 _HALF_PI = 0.5 * math.pi  # exact
 I4 = np.eye(4, dtype=complex)
@@ -252,9 +252,9 @@ def entangle_protocol(rho0, k, dt, horizon, seed, *, sample_every=10):
     The sampled rows are read once, at the end, by one elementwise _reads
     over all of them.  It is exact at any dt; K_DT_LIMIT on k*dt bounds the
     time between kicks.  One ValueError names every bad argument: those of
-    protocol_problems, and a rho0 that is not a two-qubit state.
+    protocol_problems, a bad seed, and a rho0 that is not a two-qubit state.
     """
-    problems = protocol_problems(k, dt, horizon, sample_every)
+    problems = protocol_problems(k, dt, horizon, sample_every) + uint64_problems("seed", seed)
     try:
         rho = check_density(rho0)
     except ValueError as exc:

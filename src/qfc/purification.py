@@ -20,7 +20,7 @@ import numpy as np
 
 # perfbench/tracer.py patches the RngStream it finds here
 from .stochastic import (RngStream, arg_problems, raise_problems, run_ensemble,  # noqa: F401
-                         sech, step_count, step_problems)
+                         run_problems, sech, step_count, step_problems)
 
 _TOL_KT = 1e-4  # bisection tolerance of time_to_target_nofeedback, in k t
 
@@ -70,8 +70,9 @@ def nofeedback_impurity_curve(ts, k):
     """
     raise_problems(arg_problems([("k", k)]))
     t = np.asarray(ts, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be non-negative")
+    bad = t[~(np.isfinite(t) & (t >= 0.0))]
+    if bad.size:
+        raise ValueError(f"t must be non-negative and finite, got {float(bad[0])!r}")
     flat = t.ravel()
     val = np.empty_like(flat)
     for lo in range(0, flat.size, _CURVE_BLOCK):
@@ -96,7 +97,8 @@ def mc_nofeedback_impurity(k, dt, n_steps, n_traj, base_seed, sample_every=1):
     Returns (times, mean, var) of the impurity sech^2(c y) / 2 at every
     sample_every-th step of dt.
     """
-    raise_problems(arg_problems([("k", k)]))
+    raise_problems(arg_problems([("k", k)])
+                   + run_problems(dt, n_steps, n_traj, base_seed, sample_every))
     amp = np.sqrt(8.0 * float(k))
     times, stats = run_ensemble(
         amp, lambda y, t: 0.5 * sech(amp * y) ** 2, dt, n_steps, n_traj,
@@ -115,21 +117,23 @@ def feedback_impurity_path(run):
     return times, 0.5 * np.exp(-8.0 * run.k * times)
 
 
-def target_problems(target):
-    """[the message] unless the target impurity lies in [1e-300, 0.5), where both
-    times to it are finite (0.5 / target overflows below about 2.8e-309)."""
-    return [] if 1e-300 <= target < 0.5 else [f"target must lie in [1e-300, 0.5), got {target!r}"]
+def target_problems(target, k):
+    """[the messages] unless the target impurity lies in [1e-300, 0.5) and a positive k is
+    at least 1e-300: below, 0.5 / target or the no-feedback bracket from 1/k overflows."""
+    rules = ((1e-300 <= target < 0.5, f"target must lie in [1e-300, 0.5), got {target!r}"),
+             (not 0 < k < 1e-300, f"k must be at least 1e-300, got {k!r}"))
+    return [message for ok, message in rules if not ok]
 
 
 def time_to_target_feedback(target, k):
     """Exact time for the feedback law to reach the target impurity."""
-    raise_problems(target_problems(target) + arg_problems([("k", k)]))
+    raise_problems(target_problems(target, k) + arg_problems([("k", k)]))
     return float(np.log(0.5 / target) / (8.0 * k))
 
 
 def time_to_target_nofeedback(target, k):
     """Bisection solve of nofeedback_impurity(t) = target, to 1e-4 in k t."""
-    raise_problems(target_problems(target) + arg_problems([("k", k)]))
+    raise_problems(target_problems(target, k) + arg_problems([("k", k)]))
     lo = 0.0
     hi = 1.0 / k
     for _ in range(200):

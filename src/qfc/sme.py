@@ -23,7 +23,7 @@ import numpy as np
 from .states import dag
 # perfbench/tracer.py counts the draws of the RngStream it finds here
 from .stochastic import (IntegrationError, RngStream, arg_problems,  # noqa: F401
-                         raise_problems, run_ensemble, sech)
+                         raise_problems, run_ensemble, run_problems, sech)
 
 
 def dissipator(c, rho):
@@ -171,7 +171,8 @@ def run_dephasing_ensemble(k, dt, n_steps, n_traj, base_seed, sample_every=1):
     (times, mean, var) of Re rho_01 at every sample_every-th step of dt.
     """
     k = float(k)
-    raise_problems(arg_problems([("k", k)]))
+    raise_problems(arg_problems([("k", k)])
+                   + run_problems(dt, n_steps, n_traj, base_seed, sample_every))
     amp = math.sqrt(8.0 * k)
     times, stats = run_ensemble(
         amp, lambda y, t: 0.5 * sech(amp * y), dt, n_steps, n_traj, base_seed,

@@ -145,7 +145,7 @@ def _recovery_axes(theta):
     return u, u * np.array([1.0, 1.0, -1.0])
 
 
-def _branch_table(scheme, p, theta, chi=None):
+def _branch_table(scheme, p, theta, chi):
     """Exact outcome tree of one protocol round: (probabilities, fidelities)."""
     v = np.array([np.cos(theta), 0.0, np.sin(theta)])
     targets = [v, v * np.array([1.0, 1.0, -1.0])]
@@ -168,8 +168,6 @@ def _branch_table(scheme, p, theta, chi=None):
                     probs.append(0.5 * pf * p_o)
                     vals.append(0.5 * (1.0 + axes[o] @ targets[j]))
     elif scheme == "weak":
-        if chi is None:
-            raise ValueError("weak scheme needs chi")
         m_ops = weak_operator_pair(chi)
         z_ops = correction_pair(p, theta, chi)
         for j in range(2):
@@ -188,16 +186,15 @@ def _branch_table(scheme, p, theta, chi=None):
     return np.array(probs), np.minimum(np.array(vals), 1.0)
 
 
-def mc_average_fidelity(scheme, p, theta, n_samples, rng, chi=None):
+def mc_average_fidelity(scheme, p, theta, n_samples, rng, *, chi):
     """Sample n_samples protocol rounds; returns (estimate, standard error).
 
     Sampling draws multinomial counts over the exact branch distribution,
-    which is identical in law to simulating the rounds one at a time.
+    which is identical in law to simulating the rounds one at a time.  Only
+    the weak scheme reads chi, its measurement strength.
     """
     raise_problems(spot_problems(p, theta)
                    + arg_problems(counts=[("n_samples", n_samples, MIN_SAMPLES)]))
-    if scheme == "weak" and chi is None:
-        chi, _ = optimize_chi(p, theta)
     probs, vals = _branch_table(scheme, p, theta, chi)
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:

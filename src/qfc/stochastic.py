@@ -89,6 +89,12 @@ def ensemble_problems(dt, n_steps, n_traj, sample_every, span=None, names=("n_tr
     return rates + over
 
 
+def run_problems(dt, n_steps, n_traj, base_seed, sample_every):
+    """run_ensemble's problems: ensemble_problems', then uint64_problems' for base_seed."""
+    return (ensemble_problems(dt, n_steps, n_traj, sample_every)
+            + uint64_problems("base_seed", base_seed))
+
+
 def raise_problems(problems):
     """One ValueError naming every problem, if there is one."""
     if problems:
@@ -190,10 +196,10 @@ def run_ensemble(drift, read, dt, n_steps, n_traj, base_seed, sample_every=1,
     the memory, and their means and sums of squared deviations are merged
     pairwise in fixed order (Chan, Golub & LeVeque 1979).  Returns
     (times, EnsembleStats) over the samples in time order, then the final
-    reads.  One ValueError names every problem ensemble_problems finds,
-    before anything is drawn.
+    reads.  One ValueError names every problem run_problems finds, before
+    anything is drawn.
     """
-    raise_problems(ensemble_problems(dt, n_steps, n_traj, sample_every))
+    raise_problems(run_problems(dt, n_steps, n_traj, base_seed, sample_every))
     n_steps, n_traj, sample_every = int(n_steps), int(n_traj), int(sample_every)
     steps = sample_every * np.arange(n_steps // sample_every + 1)
     times = dt * steps

@@ -382,16 +382,16 @@ def test_step_size_cross_check():
     assert "k*dt" in str(info.value)
 
 
-def _both_target_times(target):
-    times = (purification.time_to_target_feedback(target, 1.0),
-             purification.time_to_target_nofeedback(target, 1.0))
-    assert all(map(math.isfinite, times)), (target, times)
+def _both_target_times(target, k=1.0):
+    times = (purification.time_to_target_feedback(target, k),
+             purification.time_to_target_nofeedback(target, k))
+    assert all(map(math.isfinite, times)), (target, k, times)
 
 
 def _every_spot_call(p, theta):
     stabilization.scheme_closed_form("nothing", p, theta)
-    stabilization.optimize_chi(p, theta)
-    stabilization.mc_average_fidelity("weak", p, theta, 10, RngStream(0))
+    chi, _ = stabilization.optimize_chi(p, theta)
+    stabilization.mc_average_fidelity("weak", p, theta, 10, RngStream(0), chi=chi)
 
 
 _SPOT = ["stabilize", "--samples", "10"]
@@ -407,6 +407,8 @@ BOUNDARIES = [
     *[(["purify", *_ENSEMBLE], "target", target, ok, _both_target_times)
       for target, ok in ((1e-300, True), (math.nextafter(1e-300, 0.0), False),
                          (math.nextafter(0.5, 0.0), True), (0.5, False), (0.4999995, True))],
+    *[(["purify", *_ENSEMBLE], "k", k, ok, lambda v: _both_target_times(1e-3, v))
+      for k, ok in ((1e-300, True), (math.nextafter(1e-300, 0.0), False))],
     *[(["spin-collapse", *_ENSEMBLE], "eta", eta, ok, None)
       for eta, ok in ((1e-13, True), (1.0, True), (0.0, False), (math.nextafter(1.0, 2.0), False))],
     *[([*_SPOT, "--theta", "0.7"], "p", p, ok, lambda v: _every_spot_call(v, 0.7))
@@ -417,7 +419,8 @@ BOUNDARIES = [
     *[(["sme-run", *_ENSEMBLE], "seed", seed, ok, RngStream)
       for seed, ok in ((2**64 - 1, True), (2**64, False), (-1, False))],
     *[([*_SPOT, "--p", "0.1", "--theta", "0.7"], "samples", n, ok,
-       lambda v: stabilization.mc_average_fidelity("weak", 0.1, 0.7, v, RngStream(0)))
+       lambda v: stabilization.mc_average_fidelity("weak", 0.1, 0.7, v, RngStream(0),
+                                                   chi=stabilization.optimize_chi(0.1, 0.7)[0]))
       for n, ok in ((1, False), (2, True))],
     *[(["stabilize"], "grid_size", n, ok, lambda v: stabilization.gap_surface(v, v))
       for n, ok in ((49, False), (50, True))],

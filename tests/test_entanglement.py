@@ -449,6 +449,11 @@ def test_protocol_input_guards():
         en.entangle_protocol(np.eye(2), math.nan, -1.0, math.inf, seed=0, sample_every=0.5)
     for name in ("k must", "dt must", "horizon must", "sample_every must", "rho0"):
         assert name in str(info.value)
+    # a bad seed was named alone, by RngStream, once the rest had passed
+    with pytest.raises(ValueError) as info:
+        en.entangle_protocol(rho, -1.0, 1e-4, 1.0, -1)
+    assert str(info.value) == ("k must be positive and finite, got -1.0; "
+                               "seed must be an integer in [0, 2**64), got -1")
     with pytest.raises(ValueError) as info:
         en.entangle_protocol(rho, 1.0, 2e-3, -1.0, seed=0)
     assert "k*dt" in str(info.value) and "horizon" in str(info.value)

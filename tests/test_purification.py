@@ -76,8 +76,11 @@ def test_nofeedback_impurity_curve_is_the_scalar_function():
         curve = pf.nofeedback_impurity_curve(ts, k)
         assert np.array_equal(curve, [pf.nofeedback_impurity(t, k) for t in ts])
     assert pf.nofeedback_impurity_curve([0.0, 0.0], 1.0).tolist() == [0.5, 0.5]
-    with pytest.raises(ValueError):
-        pf.nofeedback_impurity_curve([0.1, -0.1], 1.0)
+    # a NaN time returned NaN, and an infinite one warned in a multiply
+    for ts, bad in (([0.1, -0.1], "-0.1"), ([math.nan], "nan"), ([0.1, math.inf], "inf")):
+        with pytest.raises(ValueError) as info:
+            pf.nofeedback_impurity_curve(ts, 1.0)
+        assert str(info.value) == f"t must be non-negative and finite, got {bad}"
 
 
 def test_nofeedback_impurity_curve_is_blocked():
@@ -134,13 +137,21 @@ def test_times_to_target_and_ratio():
     # a bad rate returned -0.201 (feedback) or divided by zero (no feedback),
     # and a target below 2.8e-309 overflowed 0.5 / target into an infinite
     # time; one ValueError names the target and k
+    tiny_k = math.nextafter(1e-300, 0.0)
     for time_to_target in (pf.time_to_target_feedback, pf.time_to_target_nofeedback):
         for target, k, message in (
                 (0.1, -1, "k must be positive and finite, got -1"),
                 (0.1, 0, "k must be positive and finite, got 0"),
                 (1e-309, 1.0, "target must lie in [1e-300, 0.5), got 1e-309"),
                 (0.5, math.inf, "target must lie in [1e-300, 0.5), got 0.5; "
-                                "k must be positive and finite, got inf")):
+                                "k must be positive and finite, got inf"),
+                (1e-3, tiny_k, f"k must be at least 1e-300, got {tiny_k!r}"),
+                (0.6, 5e-324, "target must lie in [1e-300, 0.5), got 0.6; "
+                              "k must be at least 1e-300, got 5e-324")):
             with pytest.raises(ValueError) as info:
                 time_to_target(target, k)
             assert str(info.value) == message
+        # at the smallest k both times stay finite (the no-feedback bracket
+        # started at 1/k = 1e308 and doubled into inf at k = 1e-308)
+        for target in (1e-300, 1e-3, 0.4999999):
+            assert math.isfinite(time_to_target(target, 1e-300)), (time_to_target, target)

@@ -1,5 +1,7 @@
 """Protection of two non-orthogonal states against probabilistic dephasing."""
 
+import inspect
+
 import numpy as np
 import pytest
 from conftest import bloch_from_density
@@ -90,19 +92,24 @@ def test_mc_matches_closed_forms():
     for _ in range(3):
         p = rng_p.uniform(0.02, 0.48)
         theta = rng_p.uniform(0.1, 1.5)
+        chi, _ = sb.optimize_chi(p, theta)
         for i, scheme in enumerate(("nothing", "discriminate", "weak")):
             mean, sem = sb.mc_average_fidelity(
-                scheme, p, theta, 30_000, RngStream(100, i))
+                scheme, p, theta, 30_000, RngStream(100, i), chi=chi)
             closed = sb.scheme_closed_form(scheme, p, theta)
             assert abs(mean - closed) <= 4.0 * sem + 1e-9, (scheme, p, theta)
 
 
 def test_mc_is_reproducible():
-    a = sb.mc_average_fidelity("weak", 0.1, 0.7, 5000, RngStream(9))
-    b = sb.mc_average_fidelity("weak", 0.1, 0.7, 5000, RngStream(9))
+    chi, _ = sb.optimize_chi(0.1, 0.7)
+    a = sb.mc_average_fidelity("weak", 0.1, 0.7, 5000, RngStream(9), chi=chi)
+    b = sb.mc_average_fidelity("weak", 0.1, 0.7, 5000, RngStream(9), chi=chi)
     assert a == b
     with pytest.raises(ValueError):
-        sb.mc_average_fidelity("bogus", 0.1, 0.7, 100, RngStream(0))
+        sb.mc_average_fidelity("bogus", 0.1, 0.7, 100, RngStream(0), chi=chi)
+    # every caller passes optimize_chi's chi, so the sampler has no default
+    param = inspect.signature(sb.mc_average_fidelity).parameters["chi"]
+    assert (param.kind, param.default) == (param.KEYWORD_ONLY, param.empty)
 
 
 def test_gap_surface_properties():
@@ -125,14 +132,16 @@ def test_branch_fidelities_never_exceed_one():
         for p in (0.0, 0.1):
             _, vals = sb._branch_table(scheme, p, 0.715, chi)
             assert vals.max() <= 1.0, (scheme, p)
-    mean, _ = sb.mc_average_fidelity("weak", 0.0, 0.715, 2000, RngStream(7))
+    mean, _ = sb.mc_average_fidelity("weak", 0.0, 0.715, 2000, RngStream(7),
+                                     chi=sb.optimize_chi(0.0, 0.715)[0])
     assert mean <= 1.0
 
 
 def test_every_spot_function_checks_the_domain():
     # scheme_closed_form("nothing", 2.0, 0.3) returned a fidelity of -0.83
     for call in (lambda p, theta: sb.scheme_closed_form("nothing", p, theta), sb.optimize_chi,
-                 lambda p, theta: sb.mc_average_fidelity("nothing", p, theta, 10, RngStream(0))):
+                 lambda p, theta: sb.mc_average_fidelity("nothing", p, theta, 10, RngStream(0),
+                                                         chi=0.0)):
         with pytest.raises(ValueError) as info:
             call(2.0, 0.3)
         assert str(info.value) == "p must lie in [0, 1/2], got 2.0"

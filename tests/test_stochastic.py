@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import qfc.stochastic as stochastic
+from qfc.purification import mc_nofeedback_impurity
+from qfc.sme import run_dephasing_ensemble
 from qfc.stochastic import (MAX_CHUNK_FLOATS, EnsembleStats, RngStream, chunk_floats,
                             ito_quadratic_variation, run_ensemble, sech)
 
@@ -166,6 +168,20 @@ def test_run_ensemble_names_every_bad_count():
         run_ensemble(0.0, record, np.inf, -1, 0, base_seed=1, sample_every=2.5)
     for name in ("dt", "n_steps", "n_traj", "sample_every"):
         assert name in str(info.value)
+    # a bad seed was named alone, by RngStream, once the other checks passed;
+    # each ensemble entry point names it, and a wrapper's k, with the rest
+    seed = "base_seed must be an integer in [0, 2**64), got -1"
+    k = "k must be positive and finite, got -1.0"
+    dt = "dt must be positive and finite, got -0.1"
+    for call, message in (
+            (lambda: run_ensemble(1.0, record, -0.1, 10, 2, -1), f"{dt}; {seed}"),
+            (lambda: run_dephasing_ensemble(-1.0, -0.1, 10, 2, -1), f"{k}; {dt}; {seed}"),
+            (lambda: mc_nofeedback_impurity(-1.0, -0.1, 10, 2, -1), f"{k}; {dt}; {seed}"),
+            (lambda: run_ensemble(1.0, record, 0.1, 10, 2, 2**64),
+             "base_seed must be an integer in [0, 2**64), got 18446744073709551616")):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
     times, stats = run_ensemble(0.0, record, 0.1, np.int64(4), np.int64(5), base_seed=1,
                                 sample_every=np.int64(2))
     assert times.size == 3 and stats.n_traj == 5
