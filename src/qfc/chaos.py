@@ -490,16 +490,6 @@ def _scaled(pair, bits):
     return ([x >> s for x in pair] if s >= 0 else [x << -s for x in pair]), s
 
 
-def _fp_step(pair, pr, pi, bits):
-    """F_p on (Re u, Im u, Re v, Im v), z = u/v, p = (pr + i pi) / 2**bits, _scaled to `bits`."""
-    (ur, ui, vr, vi), _ = _scaled(pair, bits)
-    uur, uui = ((ur + ui) * (ur - ui)) >> bits, (ur * ui) >> (bits - 1)
-    vvr, vvi = ((vr + vi) * (vr - vi)) >> bits, (vr * vi) >> (bits - 1)
-    return _scaled((uur + ((pr * vvr - pi * vvi) >> bits), uui + ((pr * vvi + pi * vvr) >> bits),
-                    vvr - ((pr * uur + pi * uui) >> bits), vvi - ((pr * uui - pi * uur) >> bits)),
-                   bits)
-
-
 def _floats(pair, bits):
     """u and v of a pair at scale 2**bits, each part correctly rounded."""
     s = 1 << bits
@@ -535,9 +525,10 @@ def lyapunov_estimate(z0, p, n_iters):
 
     f is four Python ints (Re u, Im u, Re v, Im v) at scale 2^P, P the
     step's bits, shifted exactly so that its largest part has P bits; p is
-    held the same way.  The companion is the complex-float separation
-    (du, dv) from f in f's units, mapped by the exact difference
-    F(f + delta) - F(f) and scaled like f's image.  Each step pulls it back
+    two ints at the top scale, shifted right by k at step k.  The companion
+    is the complex-float separation (du, dv) from f in f's units, mapped by
+    the exact difference F(f + delta) - F(f) and scaled by the shift that
+    rescales f's image.  Each step pulls it back
     to d0, so its rounding errors do not grow and the shadow logs carry 53
     bits, and drops its part along f, which moves no point on the sphere
     but in floats would swamp the rest.  The logs are summed by math.fsum.
@@ -592,7 +583,15 @@ def lyapunov_estimate(z0, p, n_iters):
         bits = top - k
         # F(f + delta) - F(f), scaled as f's image is
         su, sv = (2 * fu + du) * du, (2 * fv + dv) * dv
-        f, shift = _fp_step(f, pr >> k, pi >> k, bits)
+        # F_p on f _scaled to `bits`, p = (qr + i qi) / 2**bits; the image _scaled again
+        (ur, ui, vr, vi), _ = _scaled(f, bits)
+        qr, qi = pr >> k, pi >> k
+        uur, uui = ((ur + ui) * (ur - ui)) >> bits, (ur * ui) >> (bits - 1)
+        vvr, vvi = ((vr + vi) * (vr - vi)) >> bits, (vr * vi) >> (bits - 1)
+        f, shift = _scaled((uur + ((qr * vvr - qi * vvi) >> bits),
+                            uui + ((qr * vvi + qi * vvr) >> bits),
+                            vvr - ((qr * uur + qi * uui) >> bits),
+                            vvi - ((qr * uui - qi * uur) >> bits)), bits)
         scale = 2.0 ** -shift
         du, dv = (su + pf * sv) * scale, (sv - pc * su) * scale
         fu, fv = _floats(f, bits)

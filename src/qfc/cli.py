@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chaos, purification, sme, stabilization
-from .entanglement import K_DT_LIMIT, entangle_protocol, protocol_problems
+from .entanglement import K_DT_LIMIT, MAX_PROTOCOL_STEPS, entangle_protocol, protocol_problems
 from .output import write_csv, write_pgm
 from .stochastic import (RngStream, arg_problems, chunk_rule, ensemble_problems, run_ensemble,
                          step_count, uint64_problems)
@@ -291,7 +291,8 @@ for _cmd in [
         "entangle",
         [Field("k", float, 1.0, "parity measurement strength"),
          Field("dt", float, 1e-4, f"time between feedback kicks; k*dt at most {K_DT_LIMIT:g}"),
-         Field("horizon", float, 10.0, "time budget"),
+         Field("horizon", float, 10.0,
+               f"time budget; horizon/dt at most {MAX_PROTOCOL_STEPS} steps"),
          Field("sample_every", int, 10, "steps between recorded samples")],
         lambda cfg: protocol_problems(cfg["k"], cfg["dt"], cfg["horizon"], cfg["sample_every"]),
         _run_entangle,

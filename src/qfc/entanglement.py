@@ -197,6 +197,8 @@ _WIENER_BLOCK = 1024  # increments entangle_protocol draws at a time
 # The filter is exact at any dt, but the feedback kicks once per step, so
 # this bounds the motion between two kicks.
 K_DT_LIMIT = 1e-3 * (1.0 + 1e-12)
+# The most steps horizon / dt may ask for: at 1-2 us a step, a few minutes
+MAX_PROTOCOL_STEPS = 10**8
 
 
 def _increments(stream, dt, n):
@@ -207,14 +209,17 @@ def _increments(stream, dt, n):
 
 def protocol_problems(k, dt, horizon, sample_every):
     """entangle_protocol's problems with its numbers: the rates, k*dt above
-    K_DT_LIMIT, horizon / dt above MAX_STEPS, and sample_every."""
+    K_DT_LIMIT, horizon / dt above MAX_STEPS or else above
+    MAX_PROTOCOL_STEPS, and sample_every."""
     k_bad, dt_bad, horizon_bad = (arg_problems([arg]) for arg in
                                   (("k", k), ("dt", dt), ("horizon", horizon)))
     problems = k_bad + dt_bad + horizon_bad
     if not (k_bad or dt_bad) and k * dt > K_DT_LIMIT:
         problems.append(f"k*dt must not exceed {K_DT_LIMIT:g}, got {k * dt!r}")
     if not (dt_bad or horizon_bad):
-        problems += step_problems("horizon / dt", horizon, dt)
+        problems += step_problems("horizon / dt", horizon, dt) or (
+            [f"horizon / dt must round to at most {MAX_PROTOCOL_STEPS} steps, got"
+             f" {horizon!r} / {dt!r}"] if horizon / dt > MAX_PROTOCOL_STEPS else [])
     return problems + arg_problems(counts=[("sample_every", sample_every, 1)])
 
 

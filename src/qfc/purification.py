@@ -22,7 +22,7 @@ import numpy as np
 from .stochastic import (RngStream, arg_problems, raise_problems, run_ensemble,  # noqa: F401
                          run_problems, sech, step_count, step_problems)
 
-_TOL_KT = 1e-4  # bisection tolerance of time_to_target_nofeedback, in k t
+_TOL_KT = 1e-4  # bisection tolerance of time_to_target_nofeedback in k t, relative below 1
 
 
 @dataclass
@@ -132,7 +132,8 @@ def time_to_target_feedback(target, k):
 
 
 def time_to_target_nofeedback(target, k):
-    """Bisection solve of nofeedback_impurity(t) = target, to 1e-4 in k t."""
+    """Bisection solve of nofeedback_impurity(t) = target, to 1e-4 in k t, or
+    1e-4 of k t where that is below 1: near target 1/2, k t is far below 1e-4."""
     raise_problems(target_problems(target, k) + arg_problems([("k", k)]))
     lo = 0.0
     hi = 1.0 / k
@@ -142,7 +143,7 @@ def time_to_target_nofeedback(target, k):
         hi *= 2.0
     else:
         raise RuntimeError("failed to bracket the target impurity")
-    while (hi - lo) * k > _TOL_KT:
+    while (hi - lo) * k > _TOL_KT * min(1.0, k * (lo + hi) / 2):
         mid = 0.5 * (lo + hi)
         if nofeedback_impurity(mid, k) > target:
             lo = mid

@@ -924,6 +924,23 @@ def test_lyapunov_matches_fixed_precision_values(z0, p, chain, shadow, n_used, t
     assert abs(res.shadow - shadow) <= 1e-4
 
 
+_CIRCLE_ANGLE = float(np.random.default_rng(1).uniform(0.0, 2.0 * math.pi))
+
+
+# Recorded bit for bit at 1500 steps, the length of the benchmark's chaotic
+# orbit: its seed-1 start on the unit circle, the attracting-cycle start, and
+# the start that falls into the supersink.
+@pytest.mark.parametrize("z0, p, expected", [
+    (lambda: mpmath.exp(1j * mpmath.mpf(_CIRCLE_ANGLE)), 0,
+     ch.LyapunovResult(0.6931471805599454, 0.6931471805599455, 1500, False)),
+    (-0.5 + 0.75j, 0.3 + 0.2j,
+     ch.LyapunovResult(-0.09629902467245657, -0.09629902467245657, 1500, False)),
+    ("0.5", 0, ch.LyapunovResult(-6.547707623433779, -6.547707337098483, 6, True)),
+], ids=["circle", "attracting-cycle", "supersink"])
+def test_lyapunov_long_orbit_is_pinned(z0, p, expected):
+    assert ch.lyapunov_estimate(z0, p, 1500) == expected
+
+
 def _bits_below_one(x):
     """ceil(log2(1/x)), at least 0: the bits a size-x part of a size-1 value lacks."""
     return max(0, math.ceil(-math.log2(x)))

@@ -772,6 +772,22 @@ def test_entangle_run(tmp_path):
     assert float(pre["final_r_squared"]) > 2.9
 
 
+def test_entangle_step_bound(tmp_path, capsys):
+    # at the bound (1e5 / 1e-3 == 1e8 steps) the run goes ahead, and its
+    # thresholds end it after about 1,400 steps; the float above it, and
+    # 1e10 steps at dt 1e-9, exit 2 with no file
+    base = tmp_path / "edge"
+    assert cli.main(["entangle", "--dt", "1e-3", "--horizon", "1e5", "--out", str(base)]) == 0
+    assert float(read_lines(base.with_suffix(".csv"))[-1].split(",")[0]) < 1.5
+    above = repr(math.nextafter(1e5, math.inf))
+    for argv, got in ((["--dt", "1e-3", "--horizon", above], f"{above} / 0.001"),
+                      (["--dt", "1e-9", "--sample-every", "1000000"], "10.0 / 1e-09")):
+        assert cli.main(["entangle", *argv, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"  horizon / dt must round to at most 100000000 steps, got {got}\n" in err, argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["edge.csv"]
+
+
 def test_import_loads_neither_scipy_nor_mpmath(tmp_path):
     # nor concurrent.futures; and julia runs on the calling thread at any
     # --threads, so a run at --threads 4 imports no pool and leaves one thread
@@ -835,6 +851,7 @@ def test_each_argument_rule_has_one_owner():
               "MAX_STEPS": "stochastic.step_problems",
               "MAX_CHUNK_FLOATS": "stochastic.ensemble_problems",
               "K_DT_LIMIT": "entanglement.protocol_problems",
+              "MAX_PROTOCOL_STEPS": "entanglement.protocol_problems",
               "round(span / dt)": "stochastic.step_count",
               "2**64": "stochastic.uint64_problems",
               "target bounds": "purification.target_problems",
@@ -860,7 +877,8 @@ def test_each_argument_rule_has_one_owner():
                     rules.append("numbers.Integral")
                 if isinstance(node, ast.Compare):
                     sides = [node.left, *node.comparators]
-                    rules += [bound for bound in ("MAX_STEPS", "MAX_CHUNK_FLOATS", "K_DT_LIMIT")
+                    rules += [bound for bound in ("MAX_STEPS", "MAX_CHUNK_FLOATS", "K_DT_LIMIT",
+                                                  "MAX_PROTOCOL_STEPS")
                               if any(named(side, bound) for side in sides)]
                     if any(isinstance(side, ast.BinOp) and isinstance(side.op, ast.Pow)
                            and number(side.left, 2) and number(side.right, 64) for side in sides):

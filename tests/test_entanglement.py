@@ -465,6 +465,19 @@ def test_protocol_input_guards():
     assert len(res.times) == 138
 
 
+def test_protocol_step_bound_edges():
+    # horizon / dt was bounded only by 2**63 - 1 steps, so a run could ask
+    # for years of stepping; 1e5 / 1e-3 is 1e8 exactly
+    assert 1e5 / 1e-3 == en.MAX_PROTOCOL_STEPS
+    assert en.protocol_problems(1.0, 1e-3, 1e5, 10) == []
+    above = math.nextafter(1e5, math.inf)
+    assert en.protocol_problems(1.0, 1e-3, above, 10) == [
+        f"horizon / dt must round to at most 100000000 steps, got {above!r} / 0.001"]
+    # past 2**63 - 1 steps that bound alone is named
+    assert en.protocol_problems(1.0, 1e-300, 10.0, 10) == [
+        "horizon / dt must round to at most 2**63 - 1 steps, got 10.0 / 1e-300"]
+
+
 def matrix_protocol(rho0, k, dt, horizon, seed, q1_threshold=0.999,
                     leakage_threshold=1e-3, purity_threshold=0.995,
                     sample_every=10, eigenvalues=None):

@@ -155,3 +155,13 @@ def test_times_to_target_and_ratio():
         # started at 1/k = 1e308 and doubled into inf at k = 1e-308)
         for target in (1e-300, 1e-3, 0.4999999):
             assert math.isfinite(time_to_target(target, 1e-300)), (time_to_target, target)
+
+
+def test_time_to_target_nofeedback_near_one_half():
+    # k t falls far below 1e-4 here: a stop at an absolute 1e-4 in k t
+    # returned 3.05e-5 at 0.4999999, where the impurity reads 0.499878, and
+    # a speed-up ratio of 8.2e-4 where both schemes take about the same time
+    for target in (0.4999999, 0.49, 0.4):
+        t = pf.time_to_target_nofeedback(target, 1.0)
+        assert abs(pf.nofeedback_impurity(t, 1.0) - target) <= 1e-4 * (0.5 - target), target
+    assert abs(pf.speedup_ratio(0.4999999) - 1.0) <= 1e-3
